@@ -141,19 +141,35 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise _UsageError(str(e)) from None
+
+
+def _case_study(make, *args):
+    """The case-study constructors reject out-of-range arguments with
+    ValueError, which on the command line is a usage error."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
+
+
 def _load_game(args) -> GameMatrix:
     from_matrix = args.matrix is not None
     from_sentence = args.structure is not None or args.formula is not None or args.formula_file is not None
     if from_matrix == from_sentence:
         raise _UsageError("provide either --matrix or a --structure with a formula")
     if from_matrix:
-        return parse_matrix(Path(args.matrix).read_text())
+        return parse_matrix(_read_input(args.matrix))
     if args.structure is None:
         raise _UsageError("--formula needs --structure")
     if (args.formula is None) == (args.formula_file is None):
         raise _UsageError("provide exactly one of --formula / --formula-file")
-    structure = load_structure(Path(args.structure).read_text())
-    text = args.formula if args.formula is not None else Path(args.formula_file).read_text()
+    structure = load_structure(_read_input(args.structure))
+    text = args.formula if args.formula is not None else _read_input(args.formula_file)
     sentence = parse_formula(text, structure.vocabulary())
     violations = validate(sentence, structure.vocabulary())
     if violations:
@@ -248,13 +264,13 @@ def _run(args) -> int:
         sys.stdout.write(format_matrix(u))
         return EXIT_OK
     if args.command == "mp":
-        sentence, structure = applications.matching_pennies(args.n)
+        sentence, structure = _case_study(applications.matching_pennies, args.n)
         u = build_matrix(structure, sentence).matrix
         _report_game(u, fmt, "mp", verified_line=False)
         return EXIT_OK
     if args.command == "birthday":
-        sentence = applications.birthday_sentence(args.m)
-        structure = applications.cyclic_structure(args.n)
+        sentence = _case_study(applications.birthday_sentence, args.m)
+        structure = _case_study(applications.cyclic_structure, args.n)
         u = build_matrix(structure, sentence).matrix
         all_distinct, duplicate = applications.birthday_closed_form(args.n, args.m)
         _report_game(u, fmt, "birthday", verified_line=False)
@@ -264,7 +280,7 @@ def _run(args) -> int:
         out.print()
         return EXIT_OK
     if args.command == "hashing":
-        _, spec = applications.hash_structure(args.keys, args.values)
+        _, spec = _case_study(applications.hash_structure, args.keys, args.values)
         eq = applications.hashing_equilibrium(spec)
         u = eq.build.matrix
         out = _Report(fmt)
@@ -274,11 +290,18 @@ def _run(args) -> int:
         t = tallies(u)
         out.add_frac("floor", t.floor)
         out.add_frac("ceil", t.ceil)
-        out.add_frac("value", eq.value)
-        out.add("method", "hashing-certificate" if eq.verified else "lp")
+        # An unverified pair certifies nothing, so the value then comes from
+        # the general solver and is labelled with the route that produced it.
+        if eq.verified:
+            value, method, eloise = eq.value, "hashing-certificate", eq.eloise
+        else:
+            solved = solve_game(u)
+            value, method, eloise = solved.value, solved.method, solved.eloise
+        out.add_frac("value", value)
+        out.add("method", method)
         out.add("verified", str(eq.verified).lower())
         out.add("minimal_degree_indices", ",".join(map(str, sorted(eq.minimal_degree))))
-        out.add("eloise", _strategy(eq.eloise))
+        out.add("eloise", _strategy(eloise))
         out.add("adversary_pair_count", len(eq.adversary_pairs))
         out.print()
         return EXIT_OK
@@ -311,9 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except IfGamesError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,16 +1,36 @@
-"""Exact rational linear algebra: Gaussian elimination and a tableau simplex.
+"""Exact linear algebra on Python ints: Gauss-Jordan elimination and a tableau simplex.
 
-The simplex is specialized to the security-level program of a nonnegative
-payoff matrix: maximize v subject to mu . col(j) >= v for every column, the
-mu_i forming a probability vector.  Everything runs over `Fraction`, with the
-smallest-index (Bland) pivot rule, so the solver terminates and both the
+Both share one integer-preserving (Edmonds/Bareiss) pivot: the table holds
+integers over a common denominator, and no `Fraction` is built per cell; the
+results come out as exact `Fraction`s.  The simplex is specialized to the
+security-level program of a nonnegative integer payoff matrix: maximize v
+subject to mu . col(j) >= v for every column, the mu_i forming a probability
+vector.  The smallest-index (Bland) pivot rule makes it terminate, and both the
 optimum and the dual certificate come out exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
+
+
+def _pivot(table: list[list[int]], r: int, c: int, d: int) -> int:
+    """Pivot on p = table[r][c] under common denominator d: row r stays, every
+    other row becomes (p * row - row[c] * table[r]) // d, an exact division,
+    and p, returned, is the new common denominator."""
+    prow = table[r]
+    p = prow[c]
+    for i, row in enumerate(table):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            table[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        else:
+            table[i] = [p * a // d for a in row]
+    return p
 
 
 def solve_linear_system(
@@ -24,37 +44,38 @@ def solve_linear_system(
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if not aug:
+    if not rows:
         return [], True
-    ncols = len(aug[0]) - 1
-    if any(len(row) != ncols + 1 for row in aug):
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
         raise ValueError("ragged coefficient matrix")
+    # Each row is scaled by the lcm of its denominators, which leaves its
+    # solution set alone and makes every entry an integer.
+    aug: list[list[int]] = []
+    for row, b in zip(rows, rhs):
+        fracs = [Fraction(x) for x in row] + [Fraction(b)]
+        scale = lcm(*(x.denominator for x in fracs))
+        aug.append([x.numerator * (scale // x.denominator) for x in fracs])
 
-    pivot_cols: list[int] = []
-    r = 0
+    d = 1
+    pivots: list[tuple[int, int]] = []  # (row, column)
+    open_rows = list(range(len(aug)))
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
+        r = next((i for i in open_rows if aug[i][c] != 0), None)
+        if r is None:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        factor = aug[r][c]
-        aug[r] = [x / factor for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(aug):
+        d = _pivot(aug, r, c, d)
+        open_rows.remove(r)
+        pivots.append((r, c))
+        if not open_rows:
             break
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            return None
+    if any(aug[i][ncols] != 0 for i in open_rows):
+        return None
+    # Every pivot row ends with the final d on its pivot column.
     solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][ncols]
-    return solution, len(pivot_cols) == ncols
+    for r, c in pivots:
+        solution[c] = Fraction(aug[r][ncols], d)
+    return solution, len(pivots) == ncols
 
 
 def security_level_lp(
@@ -62,17 +83,19 @@ def security_level_lp(
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Exact optimum of: maximize v s.t. mu.col(j) >= v for all j, sum mu = 1, mu >= 0.
 
-    `matrix` is the m x n payoff array with nonnegative rational entries
-    (which makes the optimal v nonnegative, so v needs no sign split).
-    Returns (v, mu, nu) where mu attains the maximum and nu is the normalized
-    dual vector read off the optimal tableau: a column mixture with
-    max_i row(i).nu == v.
+    `matrix` is the m x n payoff array with nonnegative integer entries
+    (which makes the optimal v nonnegative, so v needs no sign split); a
+    non-integral entry raises ValueError.  Returns (v, mu, nu) where mu
+    attains the maximum and nu is the normalized dual vector read off the
+    optimal tableau: a column mixture with max_i row(i).nu == v.
     """
     m = len(matrix)
     n = len(matrix[0])
     if any(len(row) != n for row in matrix):
         raise ValueError("ragged payoff matrix")
-    u = [[Fraction(x) for x in row] for row in matrix]
+    u = [[int(x) for x in row] for row in matrix]
+    if u != [list(row) for row in matrix]:
+        raise ValueError("payoff entries must be integers")
     if any(x < 0 for row in u for x in row):
         raise ValueError("this LP form requires nonnegative entries")
 
@@ -80,74 +103,55 @@ def security_level_lp(
     v_idx = m
     nvars = m + 1 + n
 
-    # Row j encodes -mu.col(j) + v + s_j = 0; the last row encodes sum mu = 1.
+    # Row j encodes -mu.col(j) + v + s_j = 0; row n encodes sum mu = 1.
     # Pivoting mu_0 into the sum row and adding u[0][j] times it to row j
-    # yields a feasible starting basis {s_0..s_{n-1}, mu_0} outright.
-    tableau: list[list[Fraction]] = []
+    # yields a feasible starting basis {s_0..s_{n-1}, mu_0} with determinant
+    # 1, so the common denominator starts at 1.  The last row holds the
+    # reduced costs for maximizing v; all initial basic variables cost 0.
+    tableau: list[list[int]] = []
     for j in range(n):
-        row = [Fraction(0)] * (nvars + 1)
-        for i in range(m):
-            row[i] = -u[i][j]
-        row[v_idx] = Fraction(1)
-        row[v_idx + 1 + j] = Fraction(1)
-        for i in range(m):
-            row[i] += u[0][j]
-        row[nvars] = u[0][j]
+        row = [u[0][j] - u[i][j] for i in range(m)] + [1] + [0] * n + [u[0][j]]
+        row[v_idx + 1 + j] = 1
         tableau.append(row)
-    sum_row = [Fraction(0)] * (nvars + 1)
-    for i in range(m):
-        sum_row[i] = Fraction(1)
-    sum_row[nvars] = Fraction(1)
-    tableau.append(sum_row)
+    tableau.append([1] * m + [0] * (n + 1) + [1])
+    tableau.append([0] * m + [1] + [0] * (n + 1))
+    reduced = n + 1
     basis = [v_idx + 1 + j for j in range(n)] + [0]
-
-    # Reduced costs for maximizing v; all initial basic variables cost 0.
-    reduced = [Fraction(0)] * (nvars + 1)
-    reduced[v_idx] = Fraction(1)
+    d = 1
 
     while True:
-        entering = next((j for j in range(nvars) if reduced[j] > 0), None)
+        entering = next((j for j in range(nvars) if tableau[reduced][j] > 0), None)
         if entering is None:
             break
+        # The ratios rhs/coef do not depend on d; compare them by
+        # cross-multiplying (coef > 0); ties go to the smaller basis index.
         pivot_row = None
-        best_ratio = None
-        for r in range(len(tableau)):
+        for r in range(reduced):
             coef = tableau[r][entering]
             if coef > 0:
-                ratio = tableau[r][nvars] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[pivot_row])
-                ):
-                    best_ratio = ratio
+                if pivot_row is None:
+                    pivot_row = r
+                    continue
+                lhs = tableau[r][nvars] * tableau[pivot_row][entering]
+                rhs = tableau[pivot_row][nvars] * coef
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[pivot_row]):
                     pivot_row = r
         if pivot_row is None:
             raise RuntimeError("security-level LP cannot be unbounded")
-        piv = tableau[pivot_row][entering]
-        tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
-        for r in range(len(tableau)):
-            if r != pivot_row and tableau[r][entering] != 0:
-                f = tableau[r][entering]
-                prow = tableau[pivot_row]
-                tableau[r] = [a - f * b for a, b in zip(tableau[r], prow)]
-        if reduced[entering] != 0:
-            f = reduced[entering]
-            prow = tableau[pivot_row]
-            reduced = [a - f * b for a, b in zip(reduced, prow)]
+        d = _pivot(tableau, pivot_row, entering, d)
         basis[pivot_row] = entering
 
     assignment = [Fraction(0)] * nvars
     for r, b in enumerate(basis):
-        assignment[b] = tableau[r][nvars]
+        assignment[b] = Fraction(tableau[r][nvars], d)
     value = assignment[v_idx]
     mu = assignment[:m]
 
     # Duals of the column constraints sit in the slack reduced costs; they
     # form an unnormalized column mixture whose normalization caps the value.
-    raw = [-reduced[v_idx + 1 + j] for j in range(n)]
+    raw = [-tableau[reduced][v_idx + 1 + j] for j in range(n)]
     total = sum(raw)
     if total <= 0:
         raise RuntimeError("optimal tableau yielded no dual mixture")
-    nu = [x / total for x in raw]
+    nu = [Fraction(x, total) for x in raw]
     return value, mu, nu

@@ -339,6 +339,8 @@ def parse_matrix(text: str) -> GameMatrix:
     if len(head) != 2 or not all(w.isdigit() for w in head):
         raise IfGamesError(f"matrix header must be 'm n', got {lines[0]!r}")
     m, n = int(head[0]), int(head[1])
+    if m < 1 or n < 1:
+        raise IfGamesError(f"a game matrix needs at least one row and one column, got {m} x {n}")
     if len(lines) - 1 != m:
         raise IfGamesError(f"expected {m} matrix rows, found {len(lines) - 1}")
     rows = []

@@ -1,9 +1,12 @@
+import dataclasses
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ifgames.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
+from ifgames import applications
+from ifgames.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main, solve_game
+from ifgames.matrix_game import MixedStrategy, expected_utility
 
 from conftest import FIXTURES
 
@@ -13,6 +16,13 @@ def run_cli(*argv):
     with redirect_stdout(buffer):
         code = main(list(argv))
     return code, buffer.getvalue()
+
+
+def run_cli_stderr(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
 
 
 class TestValueCommand:
@@ -88,6 +98,27 @@ class TestOtherCommands:
         assert "verified=true" in out
         assert "minimal_degree_indices=1,2" in out
 
+    def test_hashing_unverified_pair_reports_the_solved_value(self, monkeypatch):
+        real = applications.hashing_equilibrium
+        built = []
+
+        def unverified(spec, *args, **kwargs):
+            eq = real(spec, *args, **kwargs)
+            u = eq.build.matrix
+            built.append(u)
+            mu = MixedStrategy.point_mass(u.m, 0, "row")
+            value = expected_utility(u, mu, eq.abelard)
+            return dataclasses.replace(eq, eloise=mu, verified=False, value=value)
+
+        monkeypatch.setattr(applications, "hashing_equilibrium", unverified)
+        code, out = run_cli("hashing", "2", "2", "--format", "machine")
+        assert code == 0
+        solved = solve_game(built[0])
+        assert f"value={solved.value.numerator}/{solved.value.denominator}\n" in out
+        assert f"method={solved.method}\n" in out
+        assert "method=hashing-certificate" not in out
+        assert "verified=false" in out
+
 
 class TestDeterminism:
     def test_three_runs_byte_identical(self):
@@ -143,3 +174,34 @@ class TestExitCodes:
             "--max-strategies", "3",
         )
         assert code == EXIT_BUDGET
+
+
+class TestProbes:
+    @pytest.mark.parametrize(
+        "argv",
+        [("mp", "0"), ("hashing", "0", "2"), ("birthday", "2", "1"), ("birthday", "0", "2")],
+    )
+    def test_out_of_range_arguments_are_usage_errors(self, argv):
+        code, err = run_cli_stderr(*argv)
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+
+    def test_matrix_path_is_a_directory(self, tmp_path):
+        code, err = run_cli_stderr("value", "--matrix", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+
+    def test_missing_structure_file(self, tmp_path):
+        code, err = run_cli_stderr(
+            "value", "--structure", str(tmp_path / "none.json"), "--formula", "Ax x = x"
+        )
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["0 0\n", "0 3\n"])
+    def test_empty_matrix_is_parse_error(self, tmp_path, text):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        code, err = run_cli_stderr("value", "--matrix", str(empty))
+        assert code == EXIT_PARSE
+        assert "Traceback" not in err

@@ -1,0 +1,205 @@
+"""Differential tests: the integer-preserving solvers in `ifgames.linalg`
+against plain `Fraction` references kept here, and the LP value against the
+support-enumeration oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ifgames.linalg import security_level_lp, solve_linear_system
+from ifgames.matrix_game import GameMatrix
+from ifgames.value_engine import solve_by_support_enumeration
+
+
+def reference_linear_system(rows, rhs):
+    """Gauss-Jordan elimination with one `Fraction` per cell."""
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    if not aug:
+        return [], True
+    ncols = len(aug[0]) - 1
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        factor = aug[r][c]
+        aug[r] = [x / factor for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(aug):
+            break
+    if any(aug[i][ncols] != 0 for i in range(r, len(aug))):
+        return None
+    solution = [Fraction(0)] * ncols
+    for i, c in enumerate(pivot_cols):
+        solution[c] = aug[i][ncols]
+    return solution, len(pivot_cols) == ncols
+
+
+def reference_lp(matrix):
+    """The security-level tableau simplex with one `Fraction` per cell, the
+    same variable order, starting basis and Bland pivot rule."""
+    m, n = len(matrix), len(matrix[0])
+    u = [[Fraction(x) for x in row] for row in matrix]
+    v_idx, nvars = m, m + 1 + n
+    tableau = []
+    for j in range(n):
+        row = [Fraction(0)] * (nvars + 1)
+        for i in range(m):
+            row[i] = u[0][j] - u[i][j]
+        row[v_idx] = Fraction(1)
+        row[v_idx + 1 + j] = Fraction(1)
+        row[nvars] = u[0][j]
+        tableau.append(row)
+    tableau.append([Fraction(1)] * m + [Fraction(0)] * (n + 1) + [Fraction(1)])
+    basis = [v_idx + 1 + j for j in range(n)] + [0]
+    reduced = [Fraction(0)] * (nvars + 1)
+    reduced[v_idx] = Fraction(1)
+    while True:
+        entering = next((j for j in range(nvars) if reduced[j] > 0), None)
+        if entering is None:
+            break
+        pivot_row, best = None, None
+        for r, row in enumerate(tableau):
+            if row[entering] > 0:
+                ratio = row[nvars] / row[entering]
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[pivot_row]):
+                    pivot_row, best = r, ratio
+        piv = tableau[pivot_row][entering]
+        prow = tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
+        for r, row in enumerate(tableau):
+            if r != pivot_row and row[entering] != 0:
+                f = row[entering]
+                tableau[r] = [a - f * b for a, b in zip(row, prow)]
+        f = reduced[entering]
+        reduced = [a - f * b for a, b in zip(reduced, prow)]
+        basis[pivot_row] = entering
+    assignment = [Fraction(0)] * nvars
+    for r, b in enumerate(basis):
+        assignment[b] = tableau[r][nvars]
+    raw = [-reduced[v_idx + 1 + j] for j in range(n)]
+    total = sum(raw)
+    return assignment[v_idx], assignment[:m], [x / total for x in raw]
+
+
+def random_games(rng, count, max_m, max_n):
+    for _ in range(count):
+        m, n = rng.randint(1, max_m), rng.randint(1, max_n)
+        p = rng.uniform(0.2, 0.8)
+        yield [[1 if rng.random() < p else 0 for _ in range(n)] for _ in range(m)]
+
+
+def lp_cases():
+    rng = random.Random(20260418)
+    yield from random_games(rng, 200, 8, 8)
+    yield from random_games(rng, 60, 16, 16)
+    for k in range(1, 13):
+        yield [[rng.randint(0, 1) for _ in range(k)]]  # 1 x n
+        yield [[rng.randint(0, 1)] for _ in range(k)]  # m x 1
+        yield [[1] * k for _ in range(k)]  # all equal
+        yield [[0] * (k + 1) for _ in range(k)]  # all zero
+    for game in random_games(rng, 30, 8, 8):
+        yield game + game[:1] + game  # duplicate rows
+
+
+class TestSecurityLevelLP:
+    def test_matches_fraction_reference(self):
+        cases = list(lp_cases())
+        assert len(cases) >= 300
+        for matrix in cases:
+            assert security_level_lp(matrix) == reference_lp(matrix), matrix
+
+    def test_value_matches_support_enumeration(self):
+        for matrix in random_games(random.Random(7), 80, 6, 6):
+            value, _, _ = security_level_lp(matrix)
+            assert value == solve_by_support_enumeration(GameMatrix(matrix)).value, matrix
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, 2.25])
+    def test_non_integral_payoff_raises(self, bad):
+        with pytest.raises(ValueError):
+            security_level_lp([[1, 0], [0, bad]])
+
+    def test_integral_non_int_entries_accepted(self):
+        assert security_level_lp([[Fraction(1), 0.0], [0, 1]])[0] == Fraction(1, 2)
+
+
+def random_system(rng, m, n, entry):
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    return rows, [entry() for _ in range(m)]
+
+
+class TestLinearSystem:
+    def _check(self, rows, rhs):
+        assert solve_linear_system(rows, rhs) == reference_linear_system(rows, rhs), (rows, rhs)
+
+    def test_square_and_rectangular(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            self._check(*random_system(rng, m, n, lambda: rng.randint(-3, 3)))
+
+    def test_singular_systems(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            rows, rhs = random_system(rng, n, n, lambda: rng.randint(0, 1))
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-2, 2)
+            rows[i] = [k * x for x in rows[j]]
+            # Half consistent, half (usually) not.
+            rhs[i] = k * rhs[j] if rng.random() < 0.5 else k * rhs[j] + 1
+            self._check(rows, rhs)
+
+    def test_underdetermined_systems(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            m = rng.randint(1, n - 1)
+            rows, rhs = random_system(rng, m, n, lambda: rng.randint(-2, 2))
+            solved = solve_linear_system(rows, rhs)
+            assert solved is None or solved[1] is False
+            self._check(rows, rhs)
+
+    def test_inconsistent_systems(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            rows, rhs = random_system(rng, n, n, lambda: rng.randint(-2, 2))
+            rows.append([sum(col) for col in zip(*rows)])
+            rhs.append(sum(rhs) + 1)
+            assert solve_linear_system(rows, rhs) is None
+            self._check(rows, rhs)
+
+    def test_fraction_entries(self):
+        rng = random.Random(15)
+
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+        for _ in range(300):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            self._check(*random_system(rng, m, n, entry))
+
+    def test_security_level_support_systems(self):
+        # The equalizing systems support enumeration builds: 0/1 columns, a -1
+        # value column and a probability row.
+        rng = random.Random(16)
+        for _ in range(200):
+            k = rng.randint(1, 6)
+            rows = [[rng.randint(0, 1) for _ in range(k)] + [-1] for _ in range(k)]
+            rows.append([1] * k + [0])
+            self._check(rows, [0] * k + [1])
+
+    def test_empty_and_ragged(self):
+        assert solve_linear_system([], []) == ([], True)
+        with pytest.raises(ValueError):
+            solve_linear_system([[1, 2], [1]], [0, 0])
+        with pytest.raises(ValueError):
+            solve_linear_system([[1]], [0, 0])
