@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from . import applications
@@ -25,7 +26,8 @@ from .errors import (
 )
 from .formula import parse as parse_formula
 from .formula import validate
-from .matrix_game import GameMatrix, MixedStrategy, format_matrix, parse_matrix, reduce, tallies
+from .matrix_game import GameMatrix, MixedStrategy, format_matrix, parse_matrix, reduce
+from .matrix_game import scaled_numerators, tallies
 from .semantic_game import DEFAULT_STRATEGY_BUDGET, build_matrix
 from .structure import load_structure
 from .value_engine import (
@@ -63,7 +65,12 @@ def _frac(x: Fraction) -> str:
 
 
 def _strategy(ms: MixedStrategy) -> str:
-    return " ".join(f"{i}:{_frac(p)}" for i, p in enumerate(ms.probs) if p)
+    nums, den = scaled_numerators(ms)
+    parts = []
+    for i in ms.support():
+        g = gcd(nums[i], den)
+        parts.append(f"{i}:{nums[i] // g}/{den // g}")
+    return " ".join(parts)
 
 
 class _Report:
@@ -143,9 +150,11 @@ def build_parser() -> _Parser:
 
 def _read_input(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise _UsageError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason}", e.start) from None
 
 
 def _case_study(make, *args):
@@ -191,16 +200,10 @@ def solve_game(u: GameMatrix) -> ValueReport:
         reduced, rows, cols = reduce(u)
         if (reduced.m, reduced.n) != (u.m, u.n):
             inner = solve_game(reduced)
-            mu = [Fraction(0)] * u.m
-            for k, i in enumerate(rows):
-                mu[i] = inner.eloise.probs[k]
-            nu = [Fraction(0)] * u.n
-            for k, j in enumerate(cols):
-                nu[j] = inner.abelard.probs[k]
             report = ValueReport(
                 value=inner.value,
-                eloise=MixedStrategy(tuple(mu), "row"),
-                abelard=MixedStrategy(tuple(nu), "column"),
+                eloise=_lift(inner.eloise, rows, u.m),
+                abelard=_lift(inner.abelard, cols, u.n),
                 method=inner.method,
             )
             if not verify_equilibrium(u, report.eloise, report.abelard):
@@ -208,6 +211,15 @@ def solve_game(u: GameMatrix) -> ValueReport:
     if report is None:
         report = solve_value(u)
     return report
+
+
+def _lift(ms: MixedStrategy, kept: tuple[int, ...], k: int) -> MixedStrategy:
+    """`ms` on the kept strategies, zero on the `k - len(kept)` removed ones."""
+    nums, den = scaled_numerators(ms)
+    lifted = [0] * k
+    for q, i in zip(nums, kept):
+        lifted[i] = q
+    return MixedStrategy.from_numerators(lifted, den, ms.side)
 
 
 def _report_game(u: GameMatrix, fmt: str, command: str, verified_line: bool) -> None:

@@ -153,11 +153,32 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# How deeply formulas and terms may nest.  A parenthesis costs the parser five
+# frames, so input at the cap stays near 500 of the default limit of 1000.
+MAX_NESTING = 100
+
+
+def _one_level_down(production):
+    """`production`, refusing to parse deeper than MAX_NESTING levels."""
+
+    def nested(self: "_Parser", env):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", self.peek()[2])
+        self.depth += 1
+        try:
+            return production(self, env)
+        finally:
+            self.depth -= 1
+
+    return nested
+
+
 class _Parser:
     def __init__(self, text: str, vocab: Vocabulary):
         self.tokens = _tokenize(text)
         self.vocab = vocab
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing
 
@@ -184,6 +205,7 @@ class _Parser:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return f
 
+    @_one_level_down
     def formula(self, env: dict[str, str]) -> Formula:
         save = self.pos
         quant = self._try_quant_head(env)
@@ -194,7 +216,10 @@ class _Parser:
             except ParseError as quant_error:
                 # `Adj(x, y)` looks like a quantifier head `A dj`; retry the
                 # whole span as a plain formula and report whichever attempt
-                # got further when both fail.
+                # got further when both fail.  A slashed head is never an
+                # atom, and retrying one would parse it again, without end.
+                if slash:
+                    raise
                 self.pos = save
                 try:
                     return self.disj(env)
@@ -359,6 +384,7 @@ class _Parser:
             terms.append(self.term(env))
         return tuple(terms)
 
+    @_one_level_down
     def term(self, env) -> Term:
         tok = self.expect("ident")
         name = tok[1]

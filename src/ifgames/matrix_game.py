@@ -1,18 +1,22 @@
 """Win-loss zero-sum matrix games: tallies, balance, expected utility, dominance.
 
-Entries are restricted to {0, 1}.  All probabilities and utilities are exact
-`Fraction`s; the numpy array behind a `GameMatrix` only ever holds integers
+Entries are restricted to {0, 1}.  A mixed strategy is carried as nonnegative
+integer numerators over one common denominator, in lowest terms; its `probs`
+tuple of `Fraction`s is a view built on request.  Utilities come out as exact
+`Fraction`s, the numpy array behind a `GameMatrix` only ever holds integers,
 and integer arithmetic on it is exact, so no floating point enters the value
 path.  Matrices built from strategic games can be wide (hundreds of thousands
-of columns), so the bulk operations below work with integer numerators over a
-common denominator instead of elementwise Fractions.
+of columns), so the bulk operations below work on the integer numerators and
+build no Fraction per entry.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,10 +30,12 @@ class GameMatrix:
     """An m x n payoff matrix for the row player, entries in {0, 1}."""
 
     def __init__(self, rows):
-        arr = np.asarray(rows, dtype=np.int64)
+        # Checked without widening: an int64 copy costs eight bytes per cell.
+        narrow = isinstance(rows, np.ndarray) and rows.dtype in (np.uint8, np.bool_)
+        arr = rows if narrow else np.asarray(rows, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("a game matrix needs at least one row and one column")
-        if not np.isin(arr, (0, 1)).all():
+        if not (arr.max() <= 1 if narrow else np.isin(arr, (0, 1)).all()):
             raise ValueError("game matrix entries must be 0 or 1")
         self._a = arr.astype(np.uint8)
         self._a.setflags(write=False)
@@ -94,48 +100,74 @@ class GameMatrix:
         return f"GameMatrix({self.m}x{self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MixedStrategy:
-    """Exact probability vector over one player's pure strategies."""
+    """Exact probability vector over one player's pure strategies: numerators
+    `nums` over `den` in lowest terms, so equal strategies compare equal."""
 
-    probs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     side: str  # "row" | "column"
+
+    def __init__(self, probs: Iterable, side: str):
+        fracs = [Fraction(p) for p in probs]
+        den = math.lcm(*(p.denominator for p in fracs)) if fracs else 1
+        self._store(tuple(p.numerator * (den // p.denominator) for p in fracs), den, side)
+
+    @classmethod
+    def from_numerators(cls, nums: Iterable[int], den: int, side: str) -> "MixedStrategy":
+        """The strategy with probabilities nums[i] / den; entries must be integers."""
+        self = object.__new__(cls)
+        self._store(tuple(map(operator.index, nums)), operator.index(den), side)
+        return self
+
+    def _store(self, nums: tuple[int, ...], den: int, side: str) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "side", side)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.side not in ("row", "column"):
             raise ValueError(f"bad side {self.side!r}")
-        probs = tuple(Fraction(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if any(p < 0 for p in probs):
+        if self.den <= 0 or min(self.nums, default=0) < 0:
             raise ValueError("probabilities must be nonnegative")
-        if sum(probs) != 1:
+        if sum(self.nums) != self.den:
             raise ValueError("probabilities must sum to exactly 1")
+        g = math.gcd(self.den, *self.nums)
+        if g > 1:
+            object.__setattr__(self, "nums", tuple(q // g for q in self.nums))
+            object.__setattr__(self, "den", self.den // g)
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(q, self.den) for q in self.nums)
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self.nums)
 
     def support(self) -> list[int]:
-        return [i for i, p in enumerate(self.probs) if p]
+        return [i for i, q in enumerate(self.nums) if q]
 
     @staticmethod
     def uniform(k: int, side: str) -> "MixedStrategy":
-        return MixedStrategy(tuple(Fraction(1, k) for _ in range(k)), side)
+        return MixedStrategy.from_numerators((1,) * k, k, side)
 
     @staticmethod
     def point_mass(k: int, index: int, side: str) -> "MixedStrategy":
-        probs = [Fraction(0)] * k
-        probs[index] = Fraction(1)
-        return MixedStrategy(tuple(probs), side)
+        nums = [0] * k
+        nums[index] = 1
+        return MixedStrategy.from_numerators(nums, 1, side)
 
     @staticmethod
     def uniform_on(indices: Iterable[int], k: int, side: str) -> "MixedStrategy":
         chosen = sorted(set(indices))
         if not chosen:
             raise ValueError("support must be nonempty")
-        probs = [Fraction(0)] * k
+        nums = [0] * k
         for i in chosen:
-            probs[i] = Fraction(1, len(chosen))
-        return MixedStrategy(tuple(probs), side)
+            nums[i] = 1
+        return MixedStrategy.from_numerators(nums, len(chosen), side)
 
 
 @dataclass(frozen=True)
@@ -180,15 +212,13 @@ def is_balanced(u: GameMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact weighted sums.  Strategies are carried as integer numerators over a
-# common denominator so wide matrices can be handled without per-cell
-# Fractions; the int64 fast path is guarded against overflow.
+# Exact weighted sums over a strategy's integer numerators; the int64 fast
+# path is guarded against overflow.
 
 
-def scaled_numerators(probs: Sequence[Fraction]) -> tuple[list[int], int]:
+def scaled_numerators(ms: MixedStrategy) -> tuple[tuple[int, ...], int]:
     """(numerators, common denominator) with numerators summing to the denominator."""
-    denom = math.lcm(*(p.denominator for p in probs)) if probs else 1
-    return [int(p.numerator * (denom // p.denominator)) for p in probs], denom
+    return ms.nums, ms.den
 
 
 def weighted_col_sums(u: GameMatrix, weights: Sequence[int]) -> list[int]:
@@ -236,24 +266,17 @@ def _check_sides(u: GameMatrix, mu: MixedStrategy | None, nu: MixedStrategy | No
 def expected_utility(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> Fraction:
     """Row player's expected payoff sum_i sum_j mu_i nu_j u[i][j], exactly."""
     _check_sides(u, mu, nu)
-    mu_num, mu_den = scaled_numerators(mu.probs)
-    nu_num, nu_den = scaled_numerators(nu.probs)
-    col_totals = weighted_col_sums(u, mu_num)
-    total = sum(q * c for q, c in zip(nu_num, col_totals) if q)
+    mu_num, mu_den = scaled_numerators(mu)
+    nu_num, nu_den = scaled_numerators(nu)
+    row_totals = weighted_row_sums(u, nu_num)
+    total = sum(p * r for p, r in zip(mu_num, row_totals) if p)
     return Fraction(total, mu_den * nu_den)
-
-
-def pure_response_values(u: GameMatrix, mu: MixedStrategy) -> list[Fraction]:
-    """mu . col(j) for every column j."""
-    _check_sides(u, mu, None)
-    mu_num, mu_den = scaled_numerators(mu.probs)
-    return [Fraction(c, mu_den) for c in weighted_col_sums(u, mu_num)]
 
 
 def best_pure_response_value(u: GameMatrix, mu: MixedStrategy) -> tuple[Fraction, int]:
     """The column player's best reply to `mu`: (min_j mu . col(j), smallest such j)."""
     _check_sides(u, mu, None)
-    mu_num, mu_den = scaled_numerators(mu.probs)
+    mu_num, mu_den = scaled_numerators(mu)
     totals = weighted_col_sums(u, mu_num)
     best = min(totals)
     return Fraction(best, mu_den), totals.index(best)
@@ -304,13 +327,13 @@ def reduce(u: GameMatrix) -> tuple[GameMatrix, tuple[int, ...], tuple[int, ...]]
 
 def _dominance_keep(vectors: np.ndarray, larger_survives: bool) -> list[int]:
     """Indices (ascending) of vectors not weakly dominated by another live vector."""
-    k = vectors.shape[0]
-    # Deduplicate first so wide strategic games stay tractable; the smallest
-    # index is the canonical representative either way.
-    _, first, inverse = np.unique(vectors, axis=0, return_index=True, return_inverse=True)
-    rep_of = first[inverse]
-    alive = [i for i in range(k) if rep_of[i] == i]
-    removed = set(i for i in range(k) if rep_of[i] != i)
+    # Deduplicate first so wide strategic games stay tractable: each vector,
+    # bit-packed, is one fixed-width byte key, and the stable sort behind
+    # return_index makes the smallest index the representative of its copies.
+    packed = np.ascontiguousarray(np.packbits(vectors, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    alive = sorted(np.unique(keys, return_index=True)[1].tolist())
+    removed = set()
     for i in alive:
         vi = vectors[i]
         for j in alive:
@@ -324,7 +347,7 @@ def _dominance_keep(vectors: np.ndarray, larger_survives: bool) -> list[int]:
             if dominated and (not (vi == vj).all() or j < i):
                 removed.add(i)
                 break
-    return [i for i in range(k) if i not in removed]
+    return [i for i in alive if i not in removed]
 
 
 # ---------------------------------------------------------------------------

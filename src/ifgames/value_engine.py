@@ -24,7 +24,6 @@ from .matrix_game import (
     best_pure_response_value,
     expected_utility,
     is_balanced,
-    pure_response_values,
     scaled_numerators,
     tallies,
     weighted_row_sums,
@@ -63,35 +62,31 @@ def _certified(u: GameMatrix, value: Fraction, mu: MixedStrategy, nu: MixedStrat
 
 
 def _max_row_payoff(u: GameMatrix, nu: MixedStrategy) -> Fraction:
-    nums, den = scaled_numerators(nu.probs)
+    nums, den = scaled_numerators(nu)
     return Fraction(max(weighted_row_sums(u, nums)), den)
 
 
 def verify_equilibrium(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> bool:
     """True iff no pure deviation helps either player: checking pure replies
-    suffices because a mixed reply is an average of pure ones."""
+    suffices because a mixed reply is an average of pure ones.  Each side is
+    one integer total per pure reply, so only three Fractions are built."""
     value = expected_utility(u, mu, nu)
-    col_vals = pure_response_values(u, mu)
-    if any(cv < value for cv in col_vals):
-        return False
-    nu_nums, nu_den = scaled_numerators(nu.probs)
-    row_totals = weighted_row_sums(u, nu_nums)
-    return all(Fraction(t, nu_den) <= value for t in row_totals)
+    return best_pure_response_value(u, mu)[0] >= value and _max_row_payoff(u, nu) <= value
 
 
 def detect_trivial(u: GameMatrix) -> ValueReport | None:
-    """Winning pure strategies: an all-ones row means value 1, an all-zeros
-    column means value 0; absent otherwise."""
+    """Pure saddle points: an all-ones row wins against column 0 (value 1), an
+    all-zeros column holds row 0 to nothing (value 0); absent otherwise."""
     row_sums = u.row_sums()
     for i, s in enumerate(row_sums):
         if s == u.n:
             mu = MixedStrategy.point_mass(u.m, i, "row")
-            nu = MixedStrategy.uniform(u.n, "column")
+            nu = MixedStrategy.point_mass(u.n, 0, "column")
             return _certified(u, Fraction(1), mu, nu, METHOD_TRIVIAL_WIN)
     col_sums = u.col_sums()
     for j, s in enumerate(col_sums):
         if s == 0:
-            mu = MixedStrategy.uniform(u.m, "row")
+            mu = MixedStrategy.point_mass(u.m, 0, "row")
             nu = MixedStrategy.point_mass(u.n, j, "column")
             return _certified(u, Fraction(0), mu, nu, METHOD_TRIVIAL_LOSS)
     return None

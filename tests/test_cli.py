@@ -205,3 +205,23 @@ class TestProbes:
         code, err = run_cli_stderr("value", "--matrix", str(empty))
         assert code == EXIT_PARSE
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--formula-file"])
+    def test_input_file_that_is_not_utf8(self, tmp_path, flag):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfe" + "1 1\n1\n".encode("utf-16-le"))
+        inputs = [flag, str(bad)]
+        if flag == "--formula-file":
+            inputs = ["--structure", str(FIXTURES / "cyclic3.json"), *inputs]
+        code, err = run_cli_stderr("value", *inputs)
+        assert code == EXIT_PARSE
+        assert "Traceback" not in err and "not UTF-8" in err
+
+    def test_formula_nested_three_thousand_deep(self, tmp_path):
+        deep = tmp_path / "deep.txt"
+        deep.write_text("Ax " + "(" * 3000 + "x = x" + ")" * 3000)
+        code, err = run_cli_stderr(
+            "value", "--structure", str(FIXTURES / "cyclic3.json"), "--formula-file", str(deep)
+        )
+        assert code == EXIT_PARSE
+        assert "Traceback" not in err and "nested deeper" in err

@@ -4,6 +4,7 @@ import pytest
 
 from ifgames.errors import ParseError
 from ifgames.formula import (
+    MAX_NESTING,
     App,
     Atom,
     Connective,
@@ -15,6 +16,8 @@ from ifgames.formula import (
     parse,
     validate,
 )
+from ifgames.semantic_game import build_matrix
+from ifgames.structure import Structure
 
 from conftest import TEST_VOCAB, random_sentence
 
@@ -83,6 +86,7 @@ class TestParse:
             ("Ax ~(x = x | x = x)", "expected"),
             ("Ax R(x, x)", "arguments"),
             ("\\/_i{R(i), R(c)}", "term"),
+            ("Ax (Ey/x) zz", "unbound"),  # an error under a slashed quantifier
         ],
     )
     def test_errors(self, text, fragment):
@@ -94,6 +98,38 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("Ax x = #", EMPTY)
         assert err.value.position == 7
+
+
+def _nested_sentences(depth: int) -> list[str]:
+    """Sentences whose formulas and terms nest exactly `depth` levels deep:
+    parenthesized groups, a quantifier chain, and a function-term tower."""
+    groups, chain, tower = depth - 3, depth - 2, depth - 3
+    return [
+        "Ax " + "(" * groups + "x = x" + ")" * groups,
+        "".join(f"Ax{k} " for k in range(chain)) + "x0 = x0",
+        "Ax " + "f(" * tower + "x" + ")" * tower + " = x",
+    ]
+
+
+class TestNestingCap:
+    ONE = Structure(size=1, functions={"f": {(0,): 0}})
+
+    @pytest.mark.parametrize("text", _nested_sentences(MAX_NESTING))
+    def test_at_the_cap_every_stage_runs(self, text):
+        vocab = self.ONE.vocabulary()
+        sentence = parse(text, vocab)
+        assert validate(sentence, vocab) == []
+        assert parse(format_formula(sentence), vocab) == sentence
+        assert build_matrix(self.ONE, sentence).matrix.rows() == [(1,)]
+
+    @pytest.mark.parametrize("text", _nested_sentences(MAX_NESTING + 1))
+    def test_one_past_the_cap_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(text, self.ONE.vocabulary())
+
+    def test_three_thousand_parentheses(self):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("Ax " + "(" * 3000 + "x = x" + ")" * 3000, EMPTY)
 
 
 class TestPrint:

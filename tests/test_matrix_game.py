@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ifgames import matrix_game
 from ifgames.errors import IfGamesError
 from ifgames.matrix_game import (
     GameMatrix,
@@ -36,12 +38,64 @@ class TestGameMatrix:
         with pytest.raises(ValueError):
             GameMatrix([[]])
 
+    def test_narrow_arrays_are_checked_too(self):
+        bad = np.zeros((2, 3), dtype=np.uint8)
+        bad[1, 2] = 2
+        with pytest.raises(ValueError):
+            GameMatrix(bad)
+        good = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        assert GameMatrix(good) == GameMatrix(good.astype(bool)) == GameMatrix([[0, 1], [1, 1]])
+
     def test_complement_sums_to_one(self):
         u = M5X6_A
         c = u.complement()
         for i in range(u.m):
             for j in range(u.n):
                 assert u.entry(i, j) + c.entry(i, j) == 1
+
+
+class TestMixedStrategy:
+    def test_probs_round_trip(self, rng):
+        for _ in range(100):
+            ms = _random_mix(rng, rng.randint(1, 9), "row")
+            assert sum(ms.probs) == 1
+            assert MixedStrategy(ms.probs, "row") == ms
+            again = MixedStrategy.from_numerators(ms.nums, ms.den, "row")
+            assert again == ms and again.probs == ms.probs
+
+    def test_numerators_are_kept_in_lowest_terms(self):
+        halves = MixedStrategy.from_numerators([2, 2], 4, "row")
+        assert halves == MixedStrategy.uniform(2, "row")
+        assert hash(halves) == hash(MixedStrategy.uniform(2, "row"))
+        assert (halves.nums, halves.den) == ((1, 1), 2)
+        assert halves.probs == (Fraction(1, 2), Fraction(1, 2))
+        assert halves != MixedStrategy.uniform(2, "column")
+
+    @pytest.mark.parametrize(
+        "nums, den, side",
+        [
+            ([2, -1], 1, "row"),  # a negative entry
+            ([1, 1], 3, "row"),  # numerators not summing to the denominator
+            ([0, 0], 0, "row"),  # no denominator
+            ([], 1, "row"),  # no strategies
+            ([1, 1], 2, "diagonal"),  # bad side
+        ],
+    )
+    def test_rejects_invalid_numerators(self, nums, den, side):
+        with pytest.raises(ValueError):
+            MixedStrategy.from_numerators(nums, den, side)
+
+    @pytest.mark.parametrize(
+        "probs, side",
+        [
+            ((Fraction(3, 2), Fraction(-1, 2)), "row"),
+            ((Fraction(1, 3), Fraction(1, 3)), "column"),
+            ((1,), "diagonal"),
+        ],
+    )
+    def test_rejects_invalid_probabilities(self, probs, side):
+        with pytest.raises(ValueError):
+            MixedStrategy(probs, side)
 
 
 class TestTallies:
@@ -165,6 +219,60 @@ class TestReduce:
             reduced, rows, cols = reduce(u)
             assert solve_value(u).value == solve_value(reduced).value
             assert reduced.m == len(rows) and reduced.n == len(cols)
+
+
+def _dominance_keep_reference(vectors: np.ndarray, larger_survives: bool) -> list[int]:
+    """The earlier `_dominance_keep`, deduplicating with np.unique(axis=0)."""
+    k = vectors.shape[0]
+    _, first, inverse = np.unique(vectors, axis=0, return_index=True, return_inverse=True)
+    rep_of = first[inverse]
+    alive = [i for i in range(k) if rep_of[i] == i]
+    removed = set(i for i in range(k) if rep_of[i] != i)
+    for i in alive:
+        vi = vectors[i]
+        for j in alive:
+            if i == j or j in removed:
+                continue
+            vj = vectors[j]
+            if larger_survives:
+                dominated = bool((vi <= vj).all())
+            else:
+                dominated = bool((vi >= vj).all())
+            if dominated and (not (vi == vj).all() or j < i):
+                removed.add(i)
+                break
+    return [i for i in range(k) if i not in removed]
+
+
+def _games_for_reduction(rng: random.Random):
+    """Random games: wide ones, and ones whose rows and columns repeat a few vectors."""
+    for _ in range(30):
+        yield random_matrix(rng, 5, 300)
+    for _ in range(30):
+        m, n = rng.randint(1, 12), rng.randint(1, 90)
+        pool = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        rows = [list(rng.choice(pool)) for _ in range(m)]
+        for j in range(1, n):
+            if rng.random() < 0.5:
+                source = rng.randrange(j)
+                for row in rows:
+                    row[j] = row[source]
+        yield GameMatrix(rows)
+
+
+class TestReduceAgainstReference:
+    def test_dominance_keep_matches(self, rng):
+        for u in _games_for_reduction(rng):
+            for vectors in (u.array, u.array.T):
+                for larger in (True, False):
+                    expected = _dominance_keep_reference(vectors, larger)
+                    assert matrix_game._dominance_keep(vectors, larger) == expected
+
+    def test_reduce_matches(self, rng, monkeypatch):
+        games = list(_games_for_reduction(rng))
+        got = [reduce(u) for u in games]
+        monkeypatch.setattr(matrix_game, "_dominance_keep", _dominance_keep_reference)
+        assert got == [reduce(u) for u in games]
 
 
 class TestRowSubmatrix:

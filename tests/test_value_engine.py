@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ifgames.cli import solve_game
 from ifgames.errors import SizeLimitError
 from ifgames.linalg import solve_linear_system
 from ifgames.matrix_game import GameMatrix, MixedStrategy, tallies
@@ -13,6 +14,7 @@ from ifgames.value_engine import (
     METHOD_SUPPORT_ENUMERATION,
     METHOD_TRIVIAL_LOSS,
     METHOD_TRIVIAL_WIN,
+    _certified,
     balanced_submatrix_certificate,
     balanced_value,
     detect_trivial,
@@ -232,6 +234,71 @@ class TestDetectTrivial:
 
     def test_undetermined_absent(self):
         assert detect_trivial(identity_matrix(2)) is None
+
+    def test_both_routes_return_certified_pure_pairs(self, rng):
+        routes = set()
+        for _ in range(60):
+            u = random_matrix(rng, 6, 40)
+            rows = [list(r) for r in u.rows()]
+            if rng.random() < 0.5:
+                rows[rng.randrange(u.m)] = [1] * u.n
+            else:
+                j = rng.randrange(u.n)
+                for row in rows:
+                    row[j] = 0
+            u = GameMatrix(rows)
+            report = detect_trivial(u)
+            routes.add(report.method)
+            assert len(report.eloise.support()) == len(report.abelard.support()) == 1
+            assert _certified(u, report.value, report.eloise, report.abelard, report.method) == report
+            assert _verify_reference(u, report.eloise, report.abelard)
+        assert routes == {METHOD_TRIVIAL_WIN, METHOD_TRIVIAL_LOSS}
+
+
+def _verify_reference(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> bool:
+    """The earlier `verify_equilibrium`, one Fraction per cell and per pure reply."""
+    a = u.rows()
+    value = sum(p * q * a[i][j] for i, p in enumerate(mu.probs) for j, q in enumerate(nu.probs))
+    cols = [sum(p * a[i][j] for i, p in enumerate(mu.probs)) for j in range(u.n)]
+    rows = [sum(q * a[i][j] for j, q in enumerate(nu.probs)) for i in range(u.m)]
+    return min(cols) >= value and max(rows) <= value
+
+
+class TestVerifyAgainstReference:
+    def test_random_pairs(self, rng):
+        verdicts = set()
+        for _ in range(150):
+            u = random_matrix(rng, 6, 60)
+            for mu, nu in (
+                (_random_mix(rng, u.m, "row"), _random_mix(rng, u.n, "column")),
+                (MixedStrategy.uniform(u.m, "row"), MixedStrategy.uniform(u.n, "column")),
+            ):
+                verdict = verify_equilibrium(u, mu, nu)
+                assert verdict == _verify_reference(u, mu, nu)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_solved_pairs_and_their_perturbations(self, rng):
+        solved = 0
+        while solved < 30:
+            u = random_matrix(rng, 5, 150)
+            if u.n <= 64 or detect_trivial(u) is not None:
+                continue  # keep the games solve_game reduces and lifts back
+            solved += 1
+            report = solve_game(u)
+            assert verify_equilibrium(u, report.eloise, report.abelard)
+            assert _verify_reference(u, report.eloise, report.abelard)
+            shifted = MixedStrategy.point_mass(u.n, rng.randrange(u.n), "column")
+            assert verify_equilibrium(u, report.eloise, shifted) == _verify_reference(
+                u, report.eloise, shifted
+            )
+
+
+def _random_mix(rng: random.Random, k: int, side: str) -> MixedStrategy:
+    weights = [rng.randint(0, 6) for _ in range(k)]
+    if sum(weights) == 0:
+        weights[rng.randrange(k)] = 1
+    return MixedStrategy.from_numerators(weights, sum(weights), side)
 
 
 class TestDuality:
