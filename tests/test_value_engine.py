@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from ifgames.cli import solve_game
 from ifgames.errors import SizeLimitError
 from ifgames.linalg import solve_linear_system
 from ifgames.matrix_game import GameMatrix, MixedStrategy, tallies
 from ifgames.value_engine import (
+    _GREEDY_RESTARTS,
     METHOD_BALANCED,
     METHOD_BALANCED_SUBMATRIX,
     METHOD_LP,
@@ -19,6 +20,7 @@ from ifgames.value_engine import (
     balanced_value,
     detect_trivial,
     solve_by_support_enumeration,
+    solve_game,
     solve_value,
     submatrix_lower_bound,
     uniform_bounds,
@@ -199,6 +201,119 @@ class TestBalancedSubmatrixCertificate:
         report = balanced_submatrix_certificate(identity_matrix(17))
         if report is not None:
             assert report.value == Fraction(1, 17)
+
+
+class TestLocalSearchAgainstReference:
+    """The shared local search gives what the two searches it replaced gave."""
+
+    def test_greedy_lower_bound(self, rng):
+        for _ in range(12):
+            u = random_matrix_with_rows(rng, rng.randint(16, 20), rng.randint(3, 8))
+            assert submatrix_lower_bound(u, "greedy") == _reference_greedy_search(
+                u, lambda subset: _reference_floor(u, subset)
+            )
+
+    def test_certificate_on_many_max_sum_rows(self, rng):
+        games = [identity_matrix(17), GameMatrix([[1, 1, 0]] * 17)]
+        for _ in range(24):
+            m, n = rng.randint(16, 20), rng.randint(3, 6)
+            k = rng.randint(1, n - 1)
+            # Most rows share the maximum sum k, so more than 15 candidates
+            # send the certificate down its local-search branch.
+            rows = [rng.sample(range(n), k) for _ in range(m)]
+            rows = [row if rng.random() < 0.95 else row[:-1] for row in rows]
+            games.append(GameMatrix([[1 if j in row else 0 for j in range(n)] for row in rows]))
+        greedy_runs = hits = 0
+        for u in games:
+            greedy_runs += len(tallies(u).rowargmax) > 15
+            report = balanced_submatrix_certificate(u)
+            assert report == _reference_certificate(u)
+            hits += report is not None
+        assert greedy_runs >= 12 and 3 <= hits < len(games)
+
+
+def random_matrix_with_rows(rng, m, n):
+    p = rng.uniform(0.2, 0.8)
+    return GameMatrix([[1 if rng.random() < p else 0 for _ in range(n)] for _ in range(m)])
+
+
+def _reference_floor(u, subset):
+    cols = u.array[list(subset), :].sum(axis=0, dtype=int)
+    return Fraction(int(cols.min()), len(subset))
+
+
+def _reference_spread(u, subset):
+    cols = u.array[list(subset), :].sum(axis=0, dtype=int)
+    return int(cols.max() - cols.min())
+
+
+def _reference_greedy_search(u, score):
+    """The row-submatrix local search as it stood on its own."""
+    rng = random.Random(0)
+    best = None
+    for _ in range(_GREEDY_RESTARTS):
+        current = frozenset(i for i in range(u.m) if rng.random() < 0.5) or frozenset({rng.randrange(u.m)})
+        current_score = score(current)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(u.m):
+                candidate = current - {i} if i in current else current | {i}
+                if not candidate:
+                    continue
+                s = score(candidate)
+                if s > current_score:
+                    current, current_score = frozenset(candidate), s
+                    improved = True
+        if best is None or current_score > best[0]:
+            best = (current_score, current)
+    return best
+
+
+def _reference_certificate(u):
+    """The balanced-row-submatrix certificate with its own inline search."""
+    t = tallies(u)
+    candidates = sorted(t.rowargmax)
+    nu = MixedStrategy.uniform(u.n, "column")
+    value = Fraction(t.rowmax, u.n)
+
+    def attempt(subset):
+        if _reference_spread(u, subset) != 0:
+            return None
+        mu = MixedStrategy.uniform_on(subset, u.m, "row")
+        if not verify_equilibrium(u, mu, nu):
+            return None
+        return _certified(u, value, mu, nu, METHOD_BALANCED_SUBMATRIX)
+
+    if len(candidates) <= 15:
+        for size in range(1, len(candidates) + 1):
+            for subset in combinations(candidates, size):
+                report = attempt(subset)
+                if report is not None:
+                    return report
+        return None
+    rng = random.Random(0)
+    for _ in range(_GREEDY_RESTARTS):
+        subset = frozenset(i for i in candidates if rng.random() < 0.5) or frozenset(
+            {candidates[rng.randrange(len(candidates))]}
+        )
+        spread = _reference_spread(u, subset)
+        improved = True
+        while improved and spread > 0:
+            improved = False
+            for i in candidates:
+                candidate = subset - {i} if i in subset else subset | {i}
+                if not candidate:
+                    continue
+                s = _reference_spread(u, candidate)
+                if s < spread:
+                    subset, spread = frozenset(candidate), s
+                    improved = True
+        if spread == 0:
+            report = attempt(sorted(subset))
+            if report is not None:
+                return report
+    return None
 
 
 class TestVerifyEquilibrium:
