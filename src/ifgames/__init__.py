@@ -43,6 +43,7 @@ from .matrix_game import (
     parse_matrix,
     reduce,
     row_submatrix,
+    security_levels,
     tallies,
 )
 from .semantic_game import (

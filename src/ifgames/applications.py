@@ -19,7 +19,6 @@ from .formula import App, Atom, Connective, Equals, Formula, Quant, Var
 from .matrix_game import MixedStrategy, expected_utility
 from .semantic_game import (
     ABELARD,
-    DEFAULT_STRATEGY_BUDGET,
     GameBuildReport,
     build_matrix,
     decision_points,
@@ -121,24 +120,21 @@ class HashingEquilibrium:
     adversary_pairs: frozenset[int]  # column indices realizing distinct key pairs
 
 
-def hash_structure(
-    key_count: int,
-    value_count: int,
-    max_universe: int = 64,
-    max_functions: int = 4096,
-) -> tuple[Structure, HashStructureSpec]:
+_MAX_UNIVERSE = 64
+_MAX_FUNCTIONS = 4096
+
+
+def hash_structure(key_count: int, value_count: int) -> tuple[Structure, HashStructureSpec]:
     """Keys 0..k-1 marked by the unary relation U, values after them, and one
     unary function symbol per table (identity off the key block, which never
     matters because the sentence guards with U)."""
     if key_count < 1 or value_count < 1:
         raise ValueError("need at least one key and one value")
-    if key_count + value_count > max_universe:
-        raise SizeLimitError(
-            f"universe of {key_count + value_count} exceeds the {max_universe} cap"
-        )
+    if key_count + value_count > _MAX_UNIVERSE:
+        raise SizeLimitError(f"universe of {key_count + value_count} exceeds the {_MAX_UNIVERSE} cap")
     total = value_count**key_count
-    if total > max_functions:
-        raise SizeLimitError(f"{total} hash functions exceed the {max_functions} cap")
+    if total > _MAX_FUNCTIONS:
+        raise SizeLimitError(f"{total} hash functions exceed the {_MAX_FUNCTIONS} cap")
     tables = tuple(product(range(value_count), repeat=key_count))
     spec = HashStructureSpec(key_count=key_count, value_count=value_count, functions=tables)
     size = spec.universe_size
@@ -245,15 +241,13 @@ def adversary_pair_columns(spec: HashStructureSpec, structure: Structure) -> fro
     return frozenset(chosen)
 
 
-def hashing_equilibrium(
-    spec: HashStructureSpec, max_strategies: int = DEFAULT_STRATEGY_BUDGET
-) -> HashingEquilibrium:
+def hashing_equilibrium(spec: HashStructureSpec) -> HashingEquilibrium:
     """The claimed equilibrium on the pipeline-built game: uniform over the
     minimal-degree indices against uniform over the distinct-key adversary
     strategies, checked against every pure deviation."""
     structure, spec = hash_structure(spec.key_count, spec.value_count)
     sentence = hashing_sentence(spec)
-    build = build_matrix(structure, sentence, collapse=True, max_strategies=max_strategies)
+    build = build_matrix(structure, sentence, collapse=True)
     u = build.matrix
     chosen_rows = minimal_degree_indices(spec)
     mu = MixedStrategy.uniform_on(chosen_rows, u.m, "row")

@@ -1,19 +1,30 @@
 """Exact linear algebra on Python ints: Gauss-Jordan elimination and a tableau simplex.
 
-Both share one integer-preserving (Edmonds/Bareiss) pivot: the table holds
-integers over a common denominator, and no `Fraction` is built per cell; the
-results come out as exact `Fraction`s.  The simplex is specialized to the
-security-level program of a nonnegative integer payoff matrix: maximize v
-subject to mu . col(j) >= v for every column, the mu_i forming a probability
-vector.  The smallest-index (Bland) pivot rule makes it terminate, and both the
-optimum and the dual certificate come out exact.
+Both entry points take integer coefficients (integral `Fraction`s and floats
+pass) and return integers: numerators over one positive common denominator,
+the pair a `MixedStrategy` stores.  They share one integer-preserving
+(Edmonds/Bareiss) pivot, so no `Fraction` is built per cell or per variable.
+The simplex is specialized to the security-level program of a nonnegative
+integer payoff matrix: maximize v subject to mu . col(j) >= v for every
+column, the mu_i forming a probability vector.  The smallest-index (Bland)
+pivot rule makes it terminate, and both the optimum and the dual certificate
+come out exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """`rows` as lists of ints; ragged rows or a non-integral entry raise ValueError."""
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("ragged coefficient matrix")
+    ints = [[int(x) for x in row] for row in rows]
+    if ints != [list(row) for row in rows]:
+        raise ValueError("coefficients must be integers")
+    return ints
 
 
 def _pivot(table: list[list[int]], r: int, c: int, d: int) -> int:
@@ -34,28 +45,20 @@ def _pivot(table: list[list[int]], r: int, c: int, d: int) -> int:
 
 
 def solve_linear_system(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> tuple[list[Fraction], bool] | None:
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[tuple[list[int], int], bool] | None:
     """Solve rows . x = rhs exactly.
 
-    Returns None when the system is inconsistent; otherwise (solution, unique)
-    where free variables, if any, are set to 0 and `unique` says whether the
-    solution is the only one.
+    Returns None when the system is inconsistent; otherwise ((nums, den),
+    unique) with x[c] = nums[c] / den and den > 0, where free variables, if
+    any, are set to 0 and `unique` says whether the solution is the only one.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     if not rows:
-        return [], True
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged coefficient matrix")
-    # Each row is scaled by the lcm of its denominators, which leaves its
-    # solution set alone and makes every entry an integer.
-    aug: list[list[int]] = []
-    for row, b in zip(rows, rhs):
-        fracs = [Fraction(x) for x in row] + [Fraction(b)]
-        scale = lcm(*(x.denominator for x in fracs))
-        aug.append([x.numerator * (scale // x.denominator) for x in fracs])
+        return ([], 1), True
+    aug = _integer_rows([[*row, b] for row, b in zip(rows, rhs)])
+    ncols = len(aug[0]) - 1
 
     d = 1
     pivots: list[tuple[int, int]] = []  # (row, column)
@@ -71,31 +74,29 @@ def solve_linear_system(
             break
     if any(aug[i][ncols] != 0 for i in open_rows):
         return None
-    # Every pivot row ends with the final d on its pivot column.
-    solution = [Fraction(0)] * ncols
+    # Every pivot row ends with the final d on its pivot column; a negative d
+    # flips the signs of all numerators with it.
+    sign = 1 if d > 0 else -1
+    nums = [0] * ncols
     for r, c in pivots:
-        solution[c] = Fraction(aug[r][ncols], d)
-    return solution, len(pivots) == ncols
+        nums[c] = sign * aug[r][ncols]
+    return (nums, sign * d), len(pivots) == ncols
 
 
 def security_level_lp(
     matrix: Sequence[Sequence[int]],
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+) -> tuple[Fraction, tuple[list[int], int], tuple[list[int], int]]:
     """Exact optimum of: maximize v s.t. mu.col(j) >= v for all j, sum mu = 1, mu >= 0.
 
     `matrix` is the m x n payoff array with nonnegative integer entries
     (which makes the optimal v nonnegative, so v needs no sign split); a
-    non-integral entry raises ValueError.  Returns (v, mu, nu) where mu
-    attains the maximum and nu is the normalized dual vector read off the
-    optimal tableau: a column mixture with max_i row(i).nu == v.
+    non-integral entry raises ValueError.  Returns (v, (mu_nums, d),
+    (nu_raw, total)): mu_i = mu_nums[i] / d attains the maximum, and nu_j =
+    nu_raw[j] / total is the dual vector read off the optimal tableau, a
+    column mixture with max_i row(i).nu == v.  Both denominators are positive.
     """
-    m = len(matrix)
-    n = len(matrix[0])
-    if any(len(row) != n for row in matrix):
-        raise ValueError("ragged payoff matrix")
-    u = [[int(x) for x in row] for row in matrix]
-    if u != [list(row) for row in matrix]:
-        raise ValueError("payoff entries must be integers")
+    u = _integer_rows(matrix)
+    m, n = len(u), len(u[0])
     if any(x < 0 for row in u for x in row):
         raise ValueError("this LP form requires nonnegative entries")
 
@@ -138,14 +139,14 @@ def security_level_lp(
                     pivot_row = r
         if pivot_row is None:
             raise RuntimeError("security-level LP cannot be unbounded")
+        # Every pivot is positive, so d stays positive.
         d = _pivot(tableau, pivot_row, entering, d)
         basis[pivot_row] = entering
 
-    assignment = [Fraction(0)] * nvars
+    # Basic values share the denominator d; nonbasic ones are 0.
+    assignment = [0] * nvars
     for r, b in enumerate(basis):
-        assignment[b] = Fraction(tableau[r][nvars], d)
-    value = assignment[v_idx]
-    mu = assignment[:m]
+        assignment[b] = tableau[r][nvars]
 
     # Duals of the column constraints sit in the slack reduced costs; they
     # form an unnormalized column mixture whose normalization caps the value.
@@ -153,5 +154,4 @@ def security_level_lp(
     total = sum(raw)
     if total <= 0:
         raise RuntimeError("optimal tableau yielded no dual mixture")
-    nu = [Fraction(x, total) for x in raw]
-    return value, mu, nu
+    return Fraction(assignment[v_idx], d), (assignment[:m], d), (raw, total)

@@ -64,9 +64,6 @@ class GameMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self._a[i])
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._a[:, j])
-
     def rows(self) -> list[tuple[int, ...]]:
         return [self.row(i) for i in range(self.m)]
 
@@ -100,7 +97,7 @@ class GameMatrix:
         return f"GameMatrix({self.m}x{self.n})"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MixedStrategy:
     """Exact probability vector over one player's pure strategies: numerators
     `nums` over `den` in lowest terms, so equal strategies compare equal."""
@@ -109,35 +106,19 @@ class MixedStrategy:
     den: int
     side: str  # "row" | "column"
 
-    def __init__(self, probs: Iterable, side: str):
-        fracs = [Fraction(p) for p in probs]
-        den = math.lcm(*(p.denominator for p in fracs)) if fracs else 1
-        self._store(tuple(p.numerator * (den // p.denominator) for p in fracs), den, side)
-
-    @classmethod
-    def from_numerators(cls, nums: Iterable[int], den: int, side: str) -> "MixedStrategy":
-        """The strategy with probabilities nums[i] / den; entries must be integers."""
-        self = object.__new__(cls)
-        self._store(tuple(map(operator.index, nums)), operator.index(den), side)
-        return self
-
-    def _store(self, nums: tuple[int, ...], den: int, side: str) -> None:
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "side", side)
-        self.__post_init__()
-
     def __post_init__(self):
+        nums, den = tuple(map(operator.index, self.nums)), operator.index(self.den)
         if self.side not in ("row", "column"):
             raise ValueError(f"bad side {self.side!r}")
-        if self.den <= 0 or min(self.nums, default=0) < 0:
+        if den <= 0 or min(nums, default=0) < 0:
             raise ValueError("probabilities must be nonnegative")
-        if sum(self.nums) != self.den:
+        if sum(nums) != den:
             raise ValueError("probabilities must sum to exactly 1")
-        g = math.gcd(self.den, *self.nums)
+        g = math.gcd(den, *nums)
         if g > 1:
-            object.__setattr__(self, "nums", tuple(q // g for q in self.nums))
-            object.__setattr__(self, "den", self.den // g)
+            nums, den = tuple(q // g for q in nums), den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @cached_property
     def probs(self) -> tuple[Fraction, ...]:
@@ -151,13 +132,13 @@ class MixedStrategy:
 
     @staticmethod
     def uniform(k: int, side: str) -> "MixedStrategy":
-        return MixedStrategy.from_numerators((1,) * k, k, side)
+        return MixedStrategy((1,) * k, k, side)
 
     @staticmethod
     def point_mass(k: int, index: int, side: str) -> "MixedStrategy":
         nums = [0] * k
         nums[index] = 1
-        return MixedStrategy.from_numerators(nums, 1, side)
+        return MixedStrategy(nums, 1, side)
 
     @staticmethod
     def uniform_on(indices: Iterable[int], k: int, side: str) -> "MixedStrategy":
@@ -167,7 +148,7 @@ class MixedStrategy:
         nums = [0] * k
         for i in chosen:
             nums[i] = 1
-        return MixedStrategy.from_numerators(nums, len(chosen), side)
+        return MixedStrategy(nums, len(chosen), side)
 
 
 @dataclass(frozen=True)
@@ -259,20 +240,27 @@ def _check_sides(u: GameMatrix, mu: MixedStrategy | None, nu: MixedStrategy | No
 def expected_utility(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> Fraction:
     """Row player's expected payoff sum_i sum_j mu_i nu_j u[i][j], exactly."""
     _check_sides(u, mu, nu)
-    mu_num, mu_den = scaled_numerators(mu)
-    nu_num, nu_den = scaled_numerators(nu)
-    row_totals = weighted_row_sums(u, nu_num)
-    total = sum(p * r for p, r in zip(mu_num, row_totals) if p)
-    return Fraction(total, mu_den * nu_den)
+    total = sum(p * r for p, r in zip(mu.nums, weighted_row_sums(u, nu.nums)) if p)
+    return Fraction(total, mu.den * nu.den)
+
+
+def security_levels(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> tuple[Fraction, Fraction]:
+    """(guarantee, cap): the least payoff `mu` secures against any column and
+    the most any row earns against `nu`.  Every pair has guarantee <=
+    expected_utility <= cap, so the two meet exactly at an equilibrium, and
+    then at the value."""
+    _check_sides(u, mu, nu)
+    guarantee = Fraction(min(weighted_col_sums(u, mu.nums)), mu.den)
+    cap = Fraction(max(weighted_row_sums(u, nu.nums)), nu.den)
+    return guarantee, cap
 
 
 def best_pure_response_value(u: GameMatrix, mu: MixedStrategy) -> tuple[Fraction, int]:
     """The column player's best reply to `mu`: (min_j mu . col(j), smallest such j)."""
     _check_sides(u, mu, None)
-    mu_num, mu_den = scaled_numerators(mu)
-    totals = weighted_col_sums(u, mu_num)
+    totals = weighted_col_sums(u, mu.nums)
     best = min(totals)
-    return Fraction(best, mu_den), totals.index(best)
+    return Fraction(best, mu.den), totals.index(best)
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +314,13 @@ def _dominance_keep(vectors: np.ndarray, larger_survives: bool) -> list[int]:
     packed = np.ascontiguousarray(np.packbits(vectors, axis=1))
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     alive = sorted(np.unique(keys, return_index=True)[1].tolist())
+    # Live vectors are pairwise distinct, so a weak dominance never ties.
+    dominated_by = np.less_equal if larger_survives else np.greater_equal
     removed = set()
     for i in alive:
         vi = vectors[i]
-        for j in alive:
-            if i == j or j in removed:
-                continue
-            vj = vectors[j]
-            if larger_survives:
-                dominated = bool((vi <= vj).all())
-            else:
-                dominated = bool((vi >= vj).all())
-            if dominated and (not (vi == vj).all() or j < i):
-                removed.add(i)
-                break
+        if any(j != i and j not in removed and dominated_by(vi, vectors[j]).all() for j in alive):
+            removed.add(i)
     return [i for i in alive if i not in removed]
 
 

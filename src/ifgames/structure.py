@@ -126,17 +126,11 @@ def load_structure(text: str) -> Structure:
     if unknown:
         raise StructureFormatError(f"unknown fields {sorted(unknown)}")
     size = doc.get("size")
-    if not isinstance(size, int):
+    if type(size) is not int:  # a JSON true or false is no size
         raise StructureFormatError("field 'size' must be an integer")
-    relations = {}
-    for sym, rows in (doc.get("relations") or {}).items():
-        if not isinstance(rows, list):
-            raise StructureFormatError(f"relation {sym!r} must be a list of tuples")
-        relations[sym] = frozenset(tuple(row) for row in rows)
+    relations = {sym: frozenset(map(tuple, rows)) for sym, rows in _tables(doc, "relations", 0).items()}
     functions = {}
-    for sym, rows in (doc.get("functions") or {}).items():
-        if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) >= 1 for r in rows):
-            raise StructureFormatError(f"function {sym!r} must be a list of [args..., value] rows")
+    for sym, rows in _tables(doc, "functions", 1).items():
         table = {}
         for row in rows:
             args, value = tuple(row[:-1]), row[-1]
@@ -145,6 +139,23 @@ def load_structure(text: str) -> Structure:
             table[args] = value
         functions[sym] = table
     return Structure(size=size, relations=relations, functions=functions)
+
+
+def _tables(doc: dict, key: str, min_len: int) -> dict[str, list[list[int]]]:
+    """doc[key], empty when absent or null, checked to map every symbol to a
+    list of rows of at least `min_len` integers (booleans excluded)."""
+    tables = doc.get(key)
+    if tables is None:
+        return {}
+    if not isinstance(tables, dict):
+        raise StructureFormatError(f"field {key!r} must be an object")
+    for sym, rows in tables.items():
+        if not isinstance(rows, list) or not all(
+            isinstance(r, list) and len(r) >= min_len and all(type(x) is int for x in r) for r in rows
+        ):
+            shape = "[args..., value] rows" if min_len else "integer tuples"
+            raise StructureFormatError(f"{key[:-1]} {sym!r} must be a list of {shape}")
+    return tables
 
 
 def save_structure(s: Structure) -> str:

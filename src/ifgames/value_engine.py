@@ -6,8 +6,8 @@ solves the equalizing linear system for every square support pair instead.
 The remaining operations are shortcuts: uniform-strategy bounds, the balanced
 shortcut, the row-submatrix lower bound, and the balanced-row-submatrix
 certificate.  `solve_game` is the one solve policy that chains them.  Every
-report handed out is verified against pure deviations before it leaves this
-module.
+report handed out is certified before it leaves this module: what Eloise's
+strategy guarantees and what Abelard's caps both equal the reported value.
 """
 
 from __future__ import annotations
@@ -23,13 +23,10 @@ from .linalg import security_level_lp, solve_linear_system
 from .matrix_game import (
     GameMatrix,
     MixedStrategy,
-    best_pure_response_value,
-    expected_utility,
     is_balanced,
     reduce,
-    scaled_numerators,
+    security_levels,
     tallies,
-    weighted_row_sums,
 )
 
 METHOD_LP = "lp"
@@ -42,6 +39,7 @@ METHOD_SUPPORT_ENUMERATION = "support-enumeration"
 _GREEDY_RESTARTS = 100
 _EXHAUSTIVE_ROW_LIMIT = 15
 _SOLVE_DIRECTLY_LIMIT = 64
+_SUPPORT_ENUMERATION_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -56,26 +54,18 @@ class ValueReport:
 
 def _certified(u: GameMatrix, value: Fraction, mu: MixedStrategy, nu: MixedStrategy, method: str) -> ValueReport:
     """Build a report, refusing to emit one whose certificates do not check out."""
-    guarantee, _ = best_pure_response_value(u, mu)
-    if guarantee != value:
-        raise RuntimeError(f"{method}: row strategy guarantees {guarantee}, claimed {value}")
-    cap = _max_row_payoff(u, nu)
-    if cap != value:
-        raise RuntimeError(f"{method}: column strategy caps at {cap}, claimed {value}")
+    guarantee, cap = security_levels(u, mu, nu)
+    if (guarantee, cap) != (value, value):
+        raise RuntimeError(f"{method}: guarantee {guarantee} and cap {cap} must both equal {value}")
     return ValueReport(value=value, eloise=mu, abelard=nu, method=method)
 
 
-def _max_row_payoff(u: GameMatrix, nu: MixedStrategy) -> Fraction:
-    nums, den = scaled_numerators(nu)
-    return Fraction(max(weighted_row_sums(u, nums)), den)
-
-
 def verify_equilibrium(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> bool:
-    """True iff no pure deviation helps either player: checking pure replies
-    suffices because a mixed reply is an average of pure ones.  Each side is
-    one integer total per pure reply, so only three Fractions are built."""
-    value = expected_utility(u, mu, nu)
-    return best_pure_response_value(u, mu)[0] >= value and _max_row_payoff(u, nu) <= value
+    """True iff no pure deviation helps either player, that is iff what `mu`
+    guarantees meets what `nu` caps: the expected utility lies between them,
+    and a mixed reply is an average of pure ones."""
+    guarantee, cap = security_levels(u, mu, nu)
+    return guarantee == cap
 
 
 def detect_trivial(u: GameMatrix) -> ValueReport | None:
@@ -113,24 +103,24 @@ def balanced_value(u: GameMatrix) -> ValueReport | None:
 
 
 def solve_value(u: GameMatrix) -> ValueReport:
-    """The exact value by linear programming, with both optimal strategies."""
-    value, mu_list, nu_list = security_level_lp(u.rows())
-    mu = MixedStrategy(tuple(mu_list), "row")
-    nu = MixedStrategy(tuple(nu_list), "column")
+    """The exact value by linear programming, with both optimal strategies
+    built from the final tableau's integers."""
+    value, (mu_nums, d), (nu_raw, total) = security_level_lp(u.rows())
+    mu = MixedStrategy(mu_nums, d, "row")
+    nu = MixedStrategy(nu_raw, total, "column")
     return _certified(u, value, mu, nu, METHOD_LP)
 
 
-def solve_by_support_enumeration(u: GameMatrix, max_size: int = 7) -> ValueReport:
+def solve_by_support_enumeration(u: GameMatrix) -> ValueReport:
     """Independent oracle: solve the equalizing system for each square support pair.
 
     Trivial wins and losses are peeled off first; for any other value some
     square support pair admits a unique equalizing solution that passes the
     deviation checks, so the scan below always returns.
     """
-    if u.m > max_size or u.n > max_size:
-        raise SizeLimitError(
-            f"support enumeration is capped at {max_size}x{max_size}, got {u.m}x{u.n}"
-        )
+    cap = _SUPPORT_ENUMERATION_LIMIT
+    if u.m > cap or u.n > cap:
+        raise SizeLimitError(f"support enumeration is capped at {cap}x{cap}, got {u.m}x{u.n}")
     trivial = detect_trivial(u)
     if trivial is not None:
         return replace(trivial, method=METHOD_SUPPORT_ENUMERATION)
@@ -146,27 +136,26 @@ def solve_by_support_enumeration(u: GameMatrix, max_size: int = 7) -> ValueRepor
 
 def _try_support_pair(u, rows, support_i, support_j) -> ValueReport | None:
     k = len(support_i)
-    # mu restricted to support_i equalizes the support_j columns at v.
-    a = [[Fraction(rows[i][j]) for i in support_i] + [Fraction(-1)] for j in support_j]
-    a.append([Fraction(1)] * k + [Fraction(0)])
-    solved = solve_linear_system(a, [0] * k + [1])
-    if solved is None or not solved[1]:
-        return None
-    mu_part, value = solved[0][:k], solved[0][k]
-    if any(p < 0 for p in mu_part):
-        return None
-    b = [[Fraction(rows[i][j]) for j in support_j] + [Fraction(-1)] for i in support_i]
-    b.append([Fraction(1)] * k + [Fraction(0)])
-    solved = solve_linear_system(b, [0] * k + [1])
-    if solved is None or not solved[1]:
-        return None
-    nu_part, w = solved[0][:k], solved[0][k]
-    if w != value or any(q < 0 for q in nu_part):
-        return None
-    mu = _lift(MixedStrategy(mu_part, "row"), support_i, u.m)
-    nu = _lift(MixedStrategy(nu_part, "column"), support_j, u.n)
-    guarantee, _ = best_pure_response_value(u, mu)
-    if guarantee != value or _max_row_payoff(u, nu) != value:
+    # mu on support_i equalizes the support_j columns at v, and nu on
+    # support_j the support_i rows at w.  Each mixture sums to 1, so v and w
+    # both equal the pair's expected utility.
+    solutions = []
+    for system in (
+        [[rows[i][j] for i in support_i] + [-1] for j in support_j],
+        [[rows[i][j] for j in support_j] + [-1] for i in support_i],
+    ):
+        solved = solve_linear_system(system + [[1] * k + [0]], [0] * k + [1])
+        if solved is None or not solved[1]:
+            return None
+        (nums, den), _ = solved
+        if min(nums[:k]) < 0:
+            return None
+        solutions.append((nums, den))
+    (mu_nums, mu_den), (nu_nums, nu_den) = solutions
+    value = Fraction(mu_nums[k], mu_den)
+    mu = _lift(MixedStrategy(mu_nums[:k], mu_den, "row"), support_i, u.m)
+    nu = _lift(MixedStrategy(nu_nums[:k], nu_den, "column"), support_j, u.n)
+    if security_levels(u, mu, nu) != (value, value):
         return None
     return ValueReport(value=value, eloise=mu, abelard=nu, method=METHOD_SUPPORT_ENUMERATION)
 
@@ -175,32 +164,27 @@ def _try_support_pair(u, rows, support_i, support_j) -> ValueReport | None:
 # Row-submatrix machinery
 
 
-def submatrix_lower_bound(
-    u: GameMatrix, mode: str = "exhaustive"
-) -> tuple[Fraction, frozenset[int]]:
+def submatrix_lower_bound(u: GameMatrix) -> tuple[Fraction, frozenset[int]]:
     """The best floor over nonempty row submatrices; always a lower bound on the value.
 
-    `exhaustive` scans every subset (rows <= 15); `greedy` runs a seeded local
-    search with single-row adds and drops from random starts.
+    Every subset is scanned when there are at most 15 rows; above that, a
+    seeded local search with single-row adds and drops from random starts.
     """
-    if mode not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive":
-        if u.m > _EXHAUSTIVE_ROW_LIMIT:
-            raise SizeLimitError(
-                f"exhaustive submatrix search is capped at {_EXHAUSTIVE_ROW_LIMIT} rows, got {u.m}"
-            )
-        scored = ((_floor_of_rows(u, s), frozenset(s)) for s in _subsets(range(u.m)))
-    else:
-        scored = _local_optima(range(u.m), lambda subset: _floor_of_rows(u, subset))
+    scored = _scored_subsets(range(u.m), lambda subset: _floor_of_rows(u, subset))
     return max(scored, key=itemgetter(0))  # the first of the best
 
 
-def _subsets(items):
-    """Every nonempty subset of `items`, by size, then in combination order."""
+def _scored_subsets(items, score):
+    """(score, subset) pairs over nonempty subsets of `items`: every subset, by
+    size and then in combination order, for at most 15 items; otherwise each
+    seeded restart's local optimum."""
     items = list(items)
+    if len(items) > _EXHAUSTIVE_ROW_LIMIT:
+        yield from _local_optima(items, score)
+        return
     for size in range(1, len(items) + 1):
-        yield from combinations(items, size)
+        for subset in combinations(items, size):
+            yield score(subset), frozenset(subset)
 
 
 def _local_optima(items, score):
@@ -239,25 +223,20 @@ def _col_spread(u: GameMatrix, subset) -> int:
 
 
 def balanced_submatrix_certificate(u: GameMatrix) -> ValueReport | None:
-    """A verified equilibrium from a balanced row submatrix with the full row maximum.
+    """A certified equilibrium from a balanced row submatrix with the full row maximum.
 
     Row balance plus the row-maximum condition force every candidate row to be
-    a maximum-sum row, so the search runs over subsets of those: exhaustively
-    when there are at most 15, otherwise by a seeded local search toward equal
-    column sums.  Returns None when no verified certificate is found.
+    a maximum-sum row, so the search runs over subsets of those, toward equal
+    column sums.  Returns None when no certified pair is found.
     """
     t = tallies(u)
-    candidates = sorted(t.rowargmax)
-    if len(candidates) <= _EXHAUSTIVE_ROW_LIMIT:
-        balanced = (s for s in _subsets(candidates) if _col_spread(u, s) == 0)
-    else:
-        optima = _local_optima(candidates, lambda subset: -_col_spread(u, subset))
-        balanced = (s for score, s in optima if score == 0)
+    value = Fraction(t.rowmax, u.n)
     nu = MixedStrategy.uniform(u.n, "column")
-    for subset in balanced:
-        mu = MixedStrategy.uniform_on(subset, u.m, "row")
-        if verify_equilibrium(u, mu, nu):
-            return _certified(u, Fraction(t.rowmax, u.n), mu, nu, METHOD_BALANCED_SUBMATRIX)
+    for spread, subset in _scored_subsets(sorted(t.rowargmax), lambda s: -_col_spread(u, s)):
+        if spread == 0:
+            mu = MixedStrategy.uniform_on(subset, u.m, "row")
+            if security_levels(u, mu, nu) == (value, value):
+                return ValueReport(value=value, eloise=mu, abelard=nu, method=METHOD_BALANCED_SUBMATRIX)
     return None
 
 
@@ -285,8 +264,7 @@ def solve_game(u: GameMatrix) -> ValueReport:
 
 def _lift(ms: MixedStrategy, kept: tuple[int, ...], k: int) -> MixedStrategy:
     """`ms` on the kept strategies, zero on the `k - len(kept)` removed ones."""
-    nums, den = scaled_numerators(ms)
     lifted = [0] * k
-    for q, i in zip(nums, kept):
+    for q, i in zip(ms.nums, kept):
         lifted[i] = q
-    return MixedStrategy.from_numerators(lifted, den, ms.side)
+    return MixedStrategy(lifted, ms.den, ms.side)

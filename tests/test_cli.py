@@ -237,6 +237,24 @@ class TestProbes:
         assert code == EXIT_BUDGET
         assert "Traceback" not in err and "eloise would have at least 2^" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"size": 2, "relations": {"R": [1, 2]}}',
+            '{"size": 2, "relations": {"R": [[[0]]]}}',
+            '{"size": 2, "functions": {"f": [[[0], 1], [[1], 0]]}}',
+            '{"size": 2, "relations": [["R"]]}',
+            '{"size": true}',
+        ],
+        ids=["rows-not-lists", "nested-row", "nested-function-args", "relations-not-object", "bool-size"],
+    )
+    def test_malformed_structure_is_validation_error(self, tmp_path, text):
+        structure = tmp_path / "s.json"
+        structure.write_text(text)
+        code, err = run_cli_stderr("value", "--structure", str(structure), "--formula", "Ax Ey x = y")
+        assert code == EXIT_VALIDATION
+        assert "Traceback" not in err and "validation error" in err
+
     def test_formula_nested_three_thousand_deep(self, tmp_path):
         deep = tmp_path / "deep.txt"
         deep.write_text("Ax " + "(" * 3000 + "x = x" + ")" * 3000)

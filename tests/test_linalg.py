@@ -1,6 +1,7 @@
 """Differential tests: the integer-preserving solvers in `ifgames.linalg`
 against plain `Fraction` references kept here, and the LP value against the
-support-enumeration oracle."""
+support-enumeration oracle.  The solvers return numerators over a positive
+common denominator; the comparisons read them back as `Fraction`s."""
 
 import random
 from fractions import Fraction
@@ -109,12 +110,18 @@ def lp_cases():
         yield game + game[:1] + game  # duplicate rows
 
 
+def lp_as_fractions(matrix):
+    value, (mu_nums, d), (nu_raw, total) = security_level_lp(matrix)
+    assert d > 0 and total > 0
+    return value, [Fraction(q, d) for q in mu_nums], [Fraction(x, total) for x in nu_raw]
+
+
 class TestSecurityLevelLP:
     def test_matches_fraction_reference(self):
         cases = list(lp_cases())
         assert len(cases) >= 300
         for matrix in cases:
-            assert security_level_lp(matrix) == reference_lp(matrix), matrix
+            assert lp_as_fractions(matrix) == reference_lp(matrix), matrix
 
     def test_value_matches_support_enumeration(self):
         for matrix in random_games(random.Random(7), 80, 6, 6):
@@ -137,7 +144,12 @@ def random_system(rng, m, n, entry):
 
 class TestLinearSystem:
     def _check(self, rows, rhs):
-        assert solve_linear_system(rows, rhs) == reference_linear_system(rows, rhs), (rows, rhs)
+        solved = solve_linear_system(rows, rhs)
+        if solved is not None:
+            (nums, den), unique = solved
+            assert den > 0
+            solved = [Fraction(q, den) for q in nums], unique
+        assert solved == reference_linear_system(rows, rhs), (rows, rhs)
 
     def test_square_and_rectangular(self):
         rng = random.Random(11)
@@ -178,14 +190,18 @@ class TestLinearSystem:
             self._check(rows, rhs)
 
     def test_fraction_entries(self):
+        for bad in (Fraction(1, 2), 0.5, 2.25):
+            with pytest.raises(ValueError):
+                solve_linear_system([[1, 0], [0, bad]], [1, 1])
+            with pytest.raises(ValueError):
+                solve_linear_system([[1, 0], [0, 1]], [1, bad])
         rng = random.Random(15)
-
-        def entry():
-            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-
-        for _ in range(300):
+        for _ in range(100):
             m, n = rng.randint(1, 7), rng.randint(1, 7)
-            self._check(*random_system(rng, m, n, entry))
+            rows, rhs = random_system(rng, m, n, lambda: rng.randint(-6, 6))
+            integral = [[rng.choice((int, Fraction, float))(x) for x in row] for row in rows]
+            assert solve_linear_system(integral, rhs) == solve_linear_system(rows, rhs)
+            self._check(integral, rhs)
 
     def test_security_level_support_systems(self):
         # The equalizing systems support enumeration builds: 0/1 columns, a -1
@@ -198,7 +214,7 @@ class TestLinearSystem:
             self._check(rows, [0] * k + [1])
 
     def test_empty_and_ragged(self):
-        assert solve_linear_system([], []) == ([], True)
+        assert solve_linear_system([], []) == (([], 1), True)
         with pytest.raises(ValueError):
             solve_linear_system([[1, 2], [1]], [0, 0])
         with pytest.raises(ValueError):

@@ -26,9 +26,7 @@ from ifgames.value_engine import solve_value
 
 from conftest import FIXTURES, M4_WIN, M5X6_A, M5X6_B, identity_matrix, random_matrix
 
-PAPER_MIX = MixedStrategy(
-    (Fraction(1, 7), Fraction(1, 7), Fraction(2, 7), Fraction(1, 7), Fraction(2, 7)), "row"
-)
+PAPER_MIX = MixedStrategy((1, 1, 2, 1, 2), 7, "row")
 
 
 class TestGameMatrix:
@@ -61,12 +59,11 @@ class TestMixedStrategy:
         for _ in range(100):
             ms = _random_mix(rng, rng.randint(1, 9), "row")
             assert sum(ms.probs) == 1
-            assert MixedStrategy(ms.probs, "row") == ms
-            again = MixedStrategy.from_numerators(ms.nums, ms.den, "row")
+            again = MixedStrategy(list(ms.nums), ms.den, "row")
             assert again == ms and again.probs == ms.probs
 
     def test_numerators_are_kept_in_lowest_terms(self):
-        halves = MixedStrategy.from_numerators([2, 2], 4, "row")
+        halves = MixedStrategy([2, 2], 4, "row")
         assert halves == MixedStrategy.uniform(2, "row")
         assert hash(halves) == hash(MixedStrategy.uniform(2, "row"))
         assert (halves.nums, halves.den) == ((1, 1), 2)
@@ -85,19 +82,7 @@ class TestMixedStrategy:
     )
     def test_rejects_invalid_numerators(self, nums, den, side):
         with pytest.raises(ValueError):
-            MixedStrategy.from_numerators(nums, den, side)
-
-    @pytest.mark.parametrize(
-        "probs, side",
-        [
-            ((Fraction(3, 2), Fraction(-1, 2)), "row"),
-            ((Fraction(1, 3), Fraction(1, 3)), "column"),
-            ((1,), "diagonal"),
-        ],
-    )
-    def test_rejects_invalid_probabilities(self, probs, side):
-        with pytest.raises(ValueError):
-            MixedStrategy(probs, side)
+            MixedStrategy(nums, den, side)
 
 
 class TestTallies:
@@ -243,7 +228,7 @@ class TestWeightedSums:
                 den = 2**63 + rng.randrange(2**40)
                 cuts = [1, *sorted(rng.randrange(2, den) for _ in range(k - 2))]  # nums[0] = 1: lowest terms
                 nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
-                strategies.append(MixedStrategy.from_numerators(nums, den, side))
+                strategies.append(MixedStrategy(nums, den, side))
             mu, nu = strategies
             expected = sum(
                 p * q * u.entry(i, j) for i, p in enumerate(mu.probs) for j, q in enumerate(nu.probs)
@@ -369,8 +354,7 @@ class TestTextFormat:
 
 
 def _random_mix(rng: random.Random, k: int, side: str) -> MixedStrategy:
-    weights = [Fraction(rng.randint(0, 6)) for _ in range(k)]
+    weights = [rng.randint(0, 6) for _ in range(k)]
     if sum(weights) == 0:
-        weights[rng.randrange(k)] = Fraction(1)
-    total = sum(weights)
-    return MixedStrategy(tuple(w / total for w in weights), side)
+        weights[rng.randrange(k)] = 1
+    return MixedStrategy(weights, sum(weights), side)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
@@ -16,6 +17,7 @@ from ifgames.value_engine import (
     METHOD_TRIVIAL_LOSS,
     METHOD_TRIVIAL_WIN,
     _certified,
+    _local_optima,
     balanced_submatrix_certificate,
     balanced_value,
     detect_trivial,
@@ -133,30 +135,30 @@ class TestBalancedValue:
 
 class TestSubmatrixLowerBound:
     def test_winning_row_found(self):
-        bound, rows = submatrix_lower_bound(M4_WIN, "exhaustive")
+        bound, rows = submatrix_lower_bound(M4_WIN)
         assert bound == 1 and rows == frozenset({3})
 
     def test_identity_needs_all_rows(self):
-        bound, rows = submatrix_lower_bound(identity_matrix(3), "exhaustive")
+        bound, rows = submatrix_lower_bound(identity_matrix(3))
         assert bound == Fraction(1, 3) and rows == frozenset({0, 1, 2})
 
     def test_zero_row(self):
-        assert submatrix_lower_bound(GameMatrix([[0, 0]]), "exhaustive")[0] == 0
+        assert submatrix_lower_bound(GameMatrix([[0, 0]]))[0] == 0
 
     def test_exhaustive_size_cap(self):
+        # Past 15 rows the bound comes from the local search.
         big = GameMatrix([[1] * 2 for _ in range(16)])
-        with pytest.raises(SizeLimitError):
-            submatrix_lower_bound(big, "exhaustive")
-        bound, _ = submatrix_lower_bound(big, "greedy")
+        bound, _ = submatrix_lower_bound(big)
         assert bound == 1
 
     def test_bounds_value_on_random_corpus(self, rng):
         for _ in range(60):
             u = random_matrix(rng, 10, 8)
             value = solve_value(u).value
-            bound, _ = submatrix_lower_bound(u, "exhaustive")
+            bound, _ = submatrix_lower_bound(u)
             assert bound <= value
-            greedy_bound, _ = submatrix_lower_bound(u, "greedy")
+            greedy = _local_optima(range(u.m), lambda subset: _reference_floor(u, subset))
+            greedy_bound, _ = max(greedy, key=itemgetter(0))
             assert greedy_bound <= bound
 
 
@@ -209,7 +211,7 @@ class TestLocalSearchAgainstReference:
     def test_greedy_lower_bound(self, rng):
         for _ in range(12):
             u = random_matrix_with_rows(rng, rng.randint(16, 20), rng.randint(3, 8))
-            assert submatrix_lower_bound(u, "greedy") == _reference_greedy_search(
+            assert submatrix_lower_bound(u) == _reference_greedy_search(
                 u, lambda subset: _reference_floor(u, subset)
             )
 
@@ -335,6 +337,40 @@ class TestVerifyEquilibrium:
             u, MixedStrategy.point_mass(1, 0, "row"), MixedStrategy.point_mass(1, 0, "column")
         )
 
+    @pytest.mark.parametrize(
+        "nu",
+        [MixedStrategy.uniform(2, "row"), MixedStrategy.uniform(3, "column")],
+        ids=["wrong-side", "wrong-length"],
+    )
+    def test_rejects_a_mismatched_column_strategy(self, nu):
+        with pytest.raises(ValueError):
+            verify_equilibrium(identity_matrix(2), MixedStrategy.uniform(2, "row"), nu)
+
+
+class TestCertified:
+    """`_certified` refuses any pair whose security levels miss the claimed value."""
+
+    def test_accepts_the_uniform_pair_on_identity(self):
+        mu, nu = MixedStrategy.uniform(2, "row"), MixedStrategy.uniform(2, "column")
+        report = _certified(identity_matrix(2), Fraction(1, 2), mu, nu, METHOD_LP)
+        assert (report.value, report.eloise, report.abelard) == (Fraction(1, 2), mu, nu)
+
+    @pytest.mark.parametrize(
+        "mu, nu, value",
+        [
+            # mu guarantees 0 against column 1, less than the claimed 1/2
+            (MixedStrategy.point_mass(2, 0, "row"), MixedStrategy.uniform(2, "column"), Fraction(1, 2)),
+            # nu lets row 0 earn 1, above the claimed 1/2
+            (MixedStrategy.uniform(2, "row"), MixedStrategy.point_mass(2, 0, "column"), Fraction(1, 2)),
+            # an equilibrium pair, but the value 1/3 is wrong
+            (MixedStrategy.uniform(2, "row"), MixedStrategy.uniform(2, "column"), Fraction(1, 3)),
+        ],
+        ids=["low-guarantee", "high-cap", "wrong-value"],
+    )
+    def test_refuses(self, mu, nu, value):
+        with pytest.raises(RuntimeError, match="guarantee .* and cap .* must both equal"):
+            _certified(identity_matrix(2), value, mu, nu, METHOD_LP)
+
 
 class TestDetectTrivial:
     def test_all_zero_column_means_loss(self):
@@ -413,7 +449,7 @@ def _random_mix(rng: random.Random, k: int, side: str) -> MixedStrategy:
     weights = [rng.randint(0, 6) for _ in range(k)]
     if sum(weights) == 0:
         weights[rng.randrange(k)] = 1
-    return MixedStrategy.from_numerators(weights, sum(weights), side)
+    return MixedStrategy(weights, sum(weights), side)
 
 
 class TestDuality:
@@ -453,8 +489,9 @@ class TestEqualitySystem:
         assert solve_linear_system(rows, [0] * 6 + [1]) is None
 
     def test_solver_finds_unique_solutions(self):
-        solved = solve_linear_system([[1, 1], [1, -1]], [3, 1])
-        assert solved == ([Fraction(2), Fraction(1)], True)
+        (nums, den), unique = solve_linear_system([[1, 1], [1, -1]], [3, 1])
+        assert den > 0 and unique
+        assert [Fraction(q, den) for q in nums] == [2, 1]
 
     def test_underdetermined_flagged(self):
         solved = solve_linear_system([[1, 1]], [2])
