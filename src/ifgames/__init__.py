@@ -1,8 +1,9 @@
 """Exact equilibrium values of independence-friendly sentences on finite structures.
 
 The pipeline: parse a sentence, pair it with a structure, enumerate each
-player's uniform pure strategies into a win-loss matrix game, and solve that
-game exactly with rational linear programming, bounds, and equilibrium
+player's uniform pure strategies into a win-loss matrix game (or its reduced
+strategic form, one strategy per class of payoff-identical copies), and solve
+that game exactly with rational linear programming, bounds, and equilibrium
 certificates.
 """
 
@@ -51,9 +52,13 @@ from .semantic_game import (
     DEFAULT_STRATEGY_BUDGET,
     ELOISE,
     DecisionPoint,
+    Game,
     GameBuildReport,
     PureStrategy,
+    ReducedForm,
+    ReducedStrategies,
     build_matrix,
+    build_reduced,
     decision_points,
     enumerate_strategies,
     play,

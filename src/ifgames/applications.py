@@ -16,16 +16,9 @@ from math import factorial
 
 from .errors import SizeLimitError
 from .formula import App, Atom, Connective, Equals, Formula, Quant, Var
-from .matrix_game import MixedStrategy, expected_utility
-from .semantic_game import (
-    ABELARD,
-    GameBuildReport,
-    build_matrix,
-    decision_points,
-    iter_strategy_tables,
-)
+from .matrix_game import MixedStrategy, expected_utility, security_levels
+from .semantic_game import ReducedForm, build_reduced
 from .structure import Structure, total_function_table
-from .value_engine import verify_equilibrium
 
 # ---------------------------------------------------------------------------
 # Matching Pennies
@@ -111,13 +104,21 @@ class HashFunctionAnalysis:
 
 @dataclass(frozen=True)
 class HashingEquilibrium:
+    """The claimed pair on the reduced strategic form `build`: `eloise` on its
+    rows (one per hash function), `abelard` on its columns."""
+
     eloise: MixedStrategy
     abelard: MixedStrategy
     verified: bool
     value: Fraction
-    build: GameBuildReport
+    build: ReducedForm
     minimal_degree: frozenset[int]
-    adversary_pairs: frozenset[int]  # column indices realizing distinct key pairs
+    adversary_pairs: frozenset[int]  # reduced columns realizing distinct key pairs
+
+    @property
+    def adversary_pair_count(self) -> int:
+        """Full adversary strategies realizing distinct key pairs."""
+        return sum(self.build.abelard.weights[j] for j in self.adversary_pairs)
 
 
 _MAX_UNIVERSE = 64
@@ -223,17 +224,14 @@ def minimal_degree_indices(spec: HashStructureSpec) -> frozenset[int]:
     )
 
 
-def adversary_pair_columns(spec: HashStructureSpec, structure: Structure) -> frozenset[int]:
-    """Column indices of adversary strategies that realize two distinct keys.
+def adversary_pair_columns(spec: HashStructureSpec, form: ReducedForm) -> frozenset[int]:
+    """Reduced columns of the hashing game whose adversary realizes two distinct keys.
 
     The adversary's decision points are the merged first and second universal;
-    a strategy's realized play is its constant first pick c and its second-pick
-    table entry at c.  The sentence has no conjunction, so collapsing removes
-    only Eloise's points and the full list orders Abelard's columns as the game does."""
-    points = decision_points(hashing_sentence(spec), structure)
-    indices = [i for i, p in enumerate(points) if p.owner == ABELARD]
+    a reduced strategy assigns exactly its first pick c and its second-pick
+    table entry at c."""
     chosen = []
-    for j, tables in enumerate(iter_strategy_tables(points, indices)):
+    for j, tables in enumerate(form.abelard.tables):
         first = tables[0][0]
         second = tables[1][first]
         if first < spec.key_count and second < spec.key_count and first != second:
@@ -244,27 +242,29 @@ def adversary_pair_columns(spec: HashStructureSpec, structure: Structure) -> fro
 def hashing_equilibrium(spec: HashStructureSpec) -> HashingEquilibrium:
     """The claimed equilibrium on the pipeline-built game: uniform over the
     minimal-degree indices against uniform over the distinct-key adversary
-    strategies, checked against every pure deviation."""
+    strategies, checked against every pure deviation.  Both are built on the
+    reduced strategic form, where the adversary's mix weighs each reduced
+    column by the full strategies it stands for."""
     structure, spec = hash_structure(spec.key_count, spec.value_count)
-    sentence = hashing_sentence(spec)
-    build = build_matrix(structure, sentence, collapse=True)
-    u = build.matrix
+    form = build_reduced(structure, hashing_sentence(spec))
+    u = form.matrix
+    row_of = {rep: i for i, rep in enumerate(form.eloise.reps)}
     chosen_rows = minimal_degree_indices(spec)
-    mu = MixedStrategy.uniform_on(chosen_rows, u.m, "row")
-    pair_cols = adversary_pair_columns(spec, structure)
-    if pair_cols:
-        nu = MixedStrategy.uniform_on(pair_cols, u.n, "column")
-    else:
-        # A single key admits no distinct pair: every adversary strategy is
-        # losing and payoff-equivalent, so mix over all of them.
-        nu = MixedStrategy.uniform(u.n, "column")
-    verified = verify_equilibrium(u, mu, nu)
+    mu = MixedStrategy.uniform_on((row_of[c] for c in chosen_rows), u.m, "row")
+    pair_cols = adversary_pair_columns(spec, form)
+    # A single key admits no distinct pair: every adversary strategy is
+    # losing and payoff-equivalent, so mix over all of them.
+    mixed = pair_cols or range(u.n)
+    nums = [w if j in mixed else 0 for j, w in enumerate(form.abelard.weights)]
+    nu = MixedStrategy(nums, sum(nums), "column")
+    guarantee, cap = security_levels(u, mu, nu)
+    verified = guarantee == cap
     return HashingEquilibrium(
         eloise=mu,
         abelard=nu,
         verified=verified,
-        value=expected_utility(u, mu, nu),
-        build=build,
+        value=guarantee if verified else expected_utility(u, mu, nu),
+        build=form,
         minimal_degree=chosen_rows,
         adversary_pairs=pair_cols,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .errors import (
 from .formula import parse as parse_formula
 from .matrix_game import Bounds, GameMatrix, MixedStrategy, format_matrix, parse_matrix, reduce
 from .matrix_game import scaled_numerators, tallies
-from .semantic_game import DEFAULT_STRATEGY_BUDGET, build_matrix
+from .semantic_game import DEFAULT_STRATEGY_BUDGET, ReducedForm, build_matrix, build_reduced
 from .structure import load_structure
 from .value_engine import solve_game, verify_equilibrium
 from .value_engine import solve_value  # noqa: F401  (the benchmark's tracer reads cli.solve_value)
@@ -52,12 +53,14 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _strategy(ms: MixedStrategy) -> str:
+def _strategy(ms: MixedStrategy, reps: tuple[int, ...] | None = None) -> str:
+    """The support as `index:p/q` pairs; `reps` renumbers reduced strategies
+    by their full-form representatives."""
     nums, den = scaled_numerators(ms)
     parts = []
     for i in ms.support():
         g = gcd(nums[i], den)
-        parts.append(f"{i}:{nums[i] // g}/{den // g}")
+        parts.append(f"{i if reps is None else reps[i]}:{nums[i] // g}/{den // g}")
     return " ".join(parts)
 
 
@@ -136,6 +139,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The one parser of the process, built on first use."""
+    return build_parser()
+
+
 def _read_input(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -154,13 +163,16 @@ def _case_study(make, *args):
         raise _UsageError(str(e)) from None
 
 
-def _load_game(args) -> GameMatrix:
+def _load_game(args, full: bool = False) -> tuple[GameMatrix, ReducedForm | None]:
+    """The game the input flags name: a --matrix file as it stands, a
+    sentence as its reduced strategic form (returned beside its matrix), or
+    with `full` as its full strategic form."""
     from_matrix = args.matrix is not None
     from_sentence = args.structure is not None or args.formula is not None or args.formula_file is not None
     if from_matrix == from_sentence:
         raise _UsageError("provide either --matrix or a --structure with a formula")
     if from_matrix:
-        return parse_matrix(_read_input(args.matrix))
+        return parse_matrix(_read_input(args.matrix)), None
     if args.structure is None:
         raise _UsageError("--formula needs --structure")
     if (args.formula is None) == (args.formula_file is None):
@@ -168,30 +180,40 @@ def _load_game(args) -> GameMatrix:
     structure = load_structure(_read_input(args.structure))
     text = args.formula if args.formula is not None else _read_input(args.formula_file)
     sentence = parse_formula(text, structure.vocabulary())
-    return build_matrix(
-        structure, sentence, collapse=not args.no_collapse, max_strategies=args.max_strategies
-    ).matrix
+    collapse = not args.no_collapse
+    if full:
+        return build_matrix(structure, sentence, collapse=collapse, max_strategies=args.max_strategies).matrix, None
+    form = build_reduced(structure, sentence, collapse=collapse, max_strategies=args.max_strategies)
+    return form.matrix, form
 
 
-def _header(u: GameMatrix, fmt: str, command: str) -> tuple[_Report, Bounds]:
-    """A report opened with the command, the shape and the uniform bounds."""
+def _header(u: GameMatrix, form: ReducedForm | None, fmt: str, command: str) -> tuple[_Report, Bounds]:
+    """A report opened with the command, the shape and the uniform bounds,
+    all of the full game when `u` is the reduced form `form`."""
     out = _Report(fmt)
     out.add("command", command)
-    out.add("rows", u.m)
-    out.add("cols", u.n)
-    t = tallies(u)
+    if form is None:
+        out.add("rows", u.m)
+        out.add("cols", u.n)
+        t = tallies(u)
+    else:
+        out.add("rows", form.eloise.count)
+        out.add("cols", form.abelard.count)
+        t = tallies(u, form.eloise.weights, form.abelard.weights)
     out.add_frac("floor", t.floor)
     out.add_frac("ceil", t.ceil)
     return out, t
 
 
-def _report_game(u: GameMatrix, fmt: str, command: str, verified_line: bool) -> None:
-    out, _ = _header(u, fmt, command)
+def _report_game(u: GameMatrix, form: ReducedForm | None, fmt: str, command: str, verified_line: bool) -> None:
+    out, _ = _header(u, form, fmt, command)
+    # Every full row and column copies one of R's, so R's value and
+    # certificates are the full game's, with each strategy on its representative.
     solved = solve_game(u)
     out.add_frac("value", solved.value)
     out.add("method", solved.method)
-    out.add("eloise", _strategy(solved.eloise))
-    out.add("abelard", _strategy(solved.abelard))
+    out.add("eloise", _strategy(solved.eloise, None if form is None else form.eloise.reps))
+    out.add("abelard", _strategy(solved.abelard, None if form is None else form.abelard.reps))
     if verified_line:
         out.add("verified", str(verify_equilibrium(u, solved.eloise, solved.abelard)).lower())
     out.print()
@@ -200,17 +222,17 @@ def _report_game(u: GameMatrix, fmt: str, command: str, verified_line: bool) -> 
 def _run(args) -> int:
     fmt = getattr(args, "format", "text")
     if args.command in ("value", "equilibrium"):
-        u = _load_game(args)
-        _report_game(u, fmt, args.command, verified_line=args.command == "equilibrium")
+        u, form = _load_game(args)
+        _report_game(u, form, fmt, args.command, verified_line=args.command == "equilibrium")
         return EXIT_OK
     if args.command == "bounds":
-        out, t = _header(_load_game(args), fmt, "bounds")
+        out, t = _header(*_load_game(args), fmt, "bounds")
         out.add("colmin", t.colmin)
         out.add("rowmax", t.rowmax)
         out.print()
         return EXIT_OK
     if args.command == "reduce":
-        u = _load_game(args)
+        u, _ = _load_game(args, full=True)
         reduced, rows, cols = reduce(u)
         out = _Report(fmt)
         out.add("command", "reduce")
@@ -222,20 +244,20 @@ def _run(args) -> int:
         sys.stdout.write(format_matrix(reduced))
         return EXIT_OK
     if args.command == "matrix":
-        u = _load_game(args)
+        u, _ = _load_game(args, full=True)
         sys.stdout.write(format_matrix(u))
         return EXIT_OK
     if args.command == "mp":
         sentence, structure = _case_study(applications.matching_pennies, args.n)
-        u = build_matrix(structure, sentence).matrix
-        _report_game(u, fmt, "mp", verified_line=False)
+        form = build_reduced(structure, sentence)
+        _report_game(form.matrix, form, fmt, "mp", verified_line=False)
         return EXIT_OK
     if args.command == "birthday":
         sentence = _case_study(applications.birthday_sentence, args.m)
         structure = _case_study(applications.cyclic_structure, args.n)
-        u = build_matrix(structure, sentence).matrix
+        form = build_reduced(structure, sentence)
         all_distinct, duplicate = applications.birthday_closed_form(args.n, args.m)
-        _report_game(u, fmt, "birthday", verified_line=False)
+        _report_game(form.matrix, form, fmt, "birthday", verified_line=False)
         out = _Report(fmt)
         out.add_frac("all_distinct", all_distinct)
         out.add_frac("duplicate_prob", duplicate)
@@ -244,8 +266,9 @@ def _run(args) -> int:
     if args.command == "hashing":
         _, spec = _case_study(applications.hash_structure, args.keys, args.values)
         eq = applications.hashing_equilibrium(spec)
-        u = eq.build.matrix
-        out, _ = _header(u, fmt, "hashing")
+        form = eq.build
+        u = form.matrix
+        out, _ = _header(u, form, fmt, "hashing")
         # An unverified pair certifies nothing, so the value then comes from
         # the general solver and is labelled with the route that produced it.
         if eq.verified:
@@ -257,17 +280,16 @@ def _run(args) -> int:
         out.add("method", method)
         out.add("verified", str(eq.verified).lower())
         out.add("minimal_degree_indices", ",".join(map(str, sorted(eq.minimal_degree))))
-        out.add("eloise", _strategy(eloise))
-        out.add("adversary_pair_count", len(eq.adversary_pairs))
+        out.add("eloise", _strategy(eloise, form.eloise.reps))
+        out.add("adversary_pair_count", eq.adversary_pair_count)
         out.print()
         return EXIT_OK
     raise _UsageError(f"unknown command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _run(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

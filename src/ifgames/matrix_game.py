@@ -163,14 +163,21 @@ class Bounds:
     rowargmax: frozenset[int]
 
 
-def tallies(u: GameMatrix) -> Bounds:
-    col = u.col_sums()
-    row = u.row_sums()
+def tallies(
+    u: GameMatrix, row_weights: Sequence[int] | None = None, col_weights: Sequence[int] | None = None
+) -> Bounds:
+    """Column minimum, row maximum and the uniform bounds they give.  With
+    weights, row i stands for `row_weights[i]` copies of itself and column j
+    for `col_weights[j]`, as in a reduced strategic form, and the tallies are
+    those of the game with the copies: column sums weigh rows, the floor
+    divides by the total row weight, and likewise for rows."""
+    col = u.col_sums() if row_weights is None else weighted_col_sums(u, row_weights)
+    row = u.row_sums() if col_weights is None else weighted_row_sums(u, col_weights)
     colmin = min(col)
     rowmax = max(row)
     return Bounds(
-        floor=Fraction(colmin, u.m),
-        ceil=Fraction(rowmax, u.n),
+        floor=Fraction(colmin, u.m if row_weights is None else sum(row_weights)),
+        ceil=Fraction(rowmax, u.n if col_weights is None else sum(col_weights)),
         colmin=colmin,
         rowmax=rowmax,
         colargmin=frozenset(j for j, s in enumerate(col) if s == colmin),

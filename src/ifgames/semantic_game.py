@@ -3,8 +3,20 @@
 The extensive game tree is never materialized.  Decision points (information
 sets) are read off the formula; each player's pure strategies are total choice
 tables over the value combinations visible at their points (uniformity: a
-choice may depend only on visible values); the payoff matrix is filled by
-resolving every play.
+choice may depend only on visible values).
+
+Most of a pure strategy is never consulted: a cell its owner's own earlier
+choices never lead to (a y-table cell for an x the owner did not pick, a
+branch the owner did not take) cannot change a payoff.  The reduced strategic
+form R (Kuhn's reduced normal form) keeps one strategy per class of
+payoff-identical copies: a partial table that assigns exactly the cells
+reachable under it against every opponent play.  Each reduced strategy
+carries its multiplicity, the number of full strategies in its class, and its
+representative, the full strategy with every unassigned cell at 0, which is
+the smallest full index in the class.  R's rows and columns are ordered by
+representative, so R is the full game restricted to the representatives, and
+every full row and column is a copy of one in R.  `build_reduced` builds R
+directly; `build_matrix` builds R and expands it to the full game.
 
 A quantifier that slashes the choice variable of an enclosing branching
 disjunction cannot tell the branches apart, so structurally corresponding
@@ -23,7 +35,8 @@ dominated strategy padding without changing the game's value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -35,6 +48,7 @@ from .structure import Structure, holds_qf
 
 ELOISE = "eloise"
 ABELARD = "abelard"
+_PLAYERS = (ELOISE, ABELARD)
 
 DEFAULT_STRATEGY_BUDGET = 2**20
 _MAX_MATRIX_CELLS = 2**28
@@ -77,16 +91,66 @@ class GameBuildReport:
     collapsed_loci: tuple[Path, ...]
 
 
-@dataclass
-class _Plan:
-    structure: Structure
-    formula: Formula
-    collapse: bool
-    points: list[DecisionPoint] = field(default_factory=list)
-    point_at: dict[Path, int] = field(default_factory=dict)  # every instance path
-    canon_map: dict[tuple, int] = field(default_factory=dict)
-    collapsed: list[Path] = field(default_factory=list)
-    owner_points: dict[str, list[int]] = field(default_factory=lambda: {ELOISE: [], ABELARD: []})
+@dataclass(frozen=True, eq=False)
+class ReducedStrategies:
+    """One player's reduced strategies, in order of representative.
+
+    `cells[s]` is strategy s's flat choice table (the owner's point tables
+    concatenated in point order) with -1 at every cell it leaves unassigned; `reps[s]` is the full-form index of the strategy with those
+    cells at 0, and `weights[s]` the number of full strategies in its class."""
+
+    owner: str
+    cells: tuple[tuple[int, ...], ...]
+    table_sizes: tuple[int, ...]
+    reps: tuple[int, ...]
+    weights: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        """The owner's full pure-strategy count."""
+        return sum(self.weights)
+
+    @cached_property
+    def tables(self) -> tuple[tuple[tuple[int | None, ...], ...], ...]:
+        """Per strategy, one tuple per decision point like `PureStrategy.tables`,
+        None where unassigned."""
+        bounds = [0]
+        for size in self.table_sizes:
+            bounds.append(bounds[-1] + size)
+        return tuple(
+            tuple(tuple(None if k < 0 else k for k in row[a:b]) for a, b in zip(bounds, bounds[1:]))
+            for row in self.cells
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedForm:
+    """The reduced strategic form: `matrix` is R, Eloise's reduced strategies
+    on the rows and Abelard's on the columns, equal to the full game at
+    rows `eloise.reps` and columns `abelard.reps`."""
+
+    matrix: GameMatrix
+    eloise: ReducedStrategies
+    abelard: ReducedStrategies
+    collapsed_loci: tuple[Path, ...]
+
+
+class _Node:
+    """A compiled position.  At an end of play `formula` is evaluated
+    classically; otherwise `side` (0 Eloise, 1 Abelard) moves at the flat
+    table cell `base` + the mixed-radix code of the `visible` (name, range)
+    pairs, and option k binds `var` (if any) to k and continues at
+    `children[k]`."""
+
+    __slots__ = ("formula", "side", "base", "visible", "var", "children")
+
+    def __init__(self, formula, side=0, base=0, visible=(), var=None, children=()):
+        self.formula = formula
+        self.side = side
+        self.base = base
+        self.visible = visible
+        self.var = var
+        self.children = children
 
 
 def _owner_of(node: Quant | Connective) -> str:
@@ -95,119 +159,336 @@ def _owner_of(node: Quant | Connective) -> str:
     return ABELARD if node.kind == "and" else ELOISE
 
 
-def _build_plan(s: Structure, f: Formula, collapse: bool) -> _Plan:
-    violations = validate(f, s.vocabulary())
-    if violations:
-        details = "; ".join(str(v) for v in violations)
-        raise GameBuildError(f"sentence is not well formed over this structure: {details}")
-    plan = _Plan(structure=s, formula=f, collapse=collapse)
-    _walk_plan(plan, f, (), (), ())
-    return plan
+class Game:
+    """A sentence on a structure, validated, planned and compiled once.
 
+    `points` lists the decision points in formula order and `owner_points`
+    each player's point indices; a player's flat choice table concatenates
+    their points' tables in that order, the layout `iter_strategy_tables`
+    numbers full strategies in."""
 
-def _walk_plan(plan, node, path: Path, stack, bound) -> None:
-    """`stack` holds (component, enclosing choice var) per path step; `bound`
-    holds (identifier, range) pairs in binding order."""
-    if isinstance(node, Quant):
-        if any(name == node.var for name, _ in bound):
-            raise GameBuildError(
-                f"variable {node.var!r} is rebound on one path; games need distinct names"
+    def __init__(self, structure: Structure, formula: Formula, collapse: bool = True):
+        violations = validate(formula, structure.vocabulary())
+        if violations:
+            details = "; ".join(str(v) for v in violations)
+            raise GameBuildError(f"sentence is not well formed over this structure: {details}")
+        self.structure = structure
+        self.formula = formula
+        self.collapse = collapse
+        self.points: list[DecisionPoint] = []
+        self.point_at: dict[Path, int] = {}  # every instance path
+        self.collapsed: list[Path] = []
+        self.owner_points: dict[str, list[int]] = {ELOISE: [], ABELARD: []}
+        self._canon: dict[tuple, int] = {}
+        self._base: list[int] = []  # per point, its first cell in the owner's flat table
+        self._cells = [0, 0]  # flat table length per side
+        self._root = self._compile(formula, (), (), ())
+
+    # -- planning ------------------------------------------------------------
+
+    def _compile(self, node, path: Path, stack, bound) -> _Node:
+        """`stack` holds (component, enclosing choice var) per path step;
+        `bound` holds (identifier, range) pairs in binding order."""
+        if isinstance(node, Quant):
+            if any(name == node.var for name, _ in bound):
+                raise GameBuildError(
+                    f"variable {node.var!r} is rebound on one path; games need distinct names"
+                )
+            canon = tuple("*" if cv is not None and cv in node.slash else idx for idx, cv in stack)
+            visible = tuple((name, rng) for name, rng in bound if name not in node.slash)
+            size = self.structure.size
+            idx = self._register(canon, path, _owner_of(node), visible, size)
+            body = self._compile(node.body, path + (0,), stack + ((0, None),), bound + ((node.var, size),))
+            return self._move(idx, visible, node.var, (body,) * size)
+        if isinstance(node, Connective):
+            if len(node.branches) == 1:
+                return self._compile(node.branches[0], path + (0,), stack + ((0, None),), bound)
+            if self.collapse and is_quantifier_free(node):
+                self.collapsed.append(path)
+                return _Node(node)
+            idx = self._register(tuple(i for i, _ in stack), path, _owner_of(node), bound, len(node.branches))
+            inner = bound
+            if node.choice_var is not None:
+                inner = bound + ((node.choice_var, len(node.branches)),)
+            children = tuple(
+                self._compile(branch, path + (b,), stack + ((b, node.choice_var),), inner)
+                for b, branch in enumerate(node.branches)
             )
-        canon = tuple(
-            "*" if cv is not None and cv in node.slash else idx for idx, cv in stack
-        )
-        visible = tuple((name, rng) for name, rng in bound if name not in node.slash)
-        _register_point(
-            plan,
-            canon,
-            path,
-            owner=_owner_of(node),
-            visible=tuple(n for n, _ in visible),
-            options=plan.structure.size,
-            visible_ranges=tuple(r for _, r in visible),
-        )
-        _walk_plan(plan, node.body, path + (0,), stack + ((0, None),), bound + ((node.var, plan.structure.size),))
-        return
-    if isinstance(node, Connective):
-        if len(node.branches) == 1:
-            _walk_plan(plan, node.branches[0], path + (0,), stack + ((0, None),), bound)
-            return
-        if plan.collapse and is_quantifier_free(node):
-            plan.collapsed.append(path)
-            return
-        _register_point(
-            plan,
-            canon=tuple(idx for idx, _ in stack),
-            path=path,
-            owner=_owner_of(node),
-            visible=tuple(n for n, _ in bound),
-            options=len(node.branches),
-            visible_ranges=tuple(r for _, r in bound),
-        )
-        inner_bound = bound
-        if node.choice_var is not None:
-            inner_bound = bound + ((node.choice_var, len(node.branches)),)
-        for b, branch in enumerate(node.branches):
-            _walk_plan(plan, branch, path + (b,), stack + ((b, node.choice_var),), inner_bound)
-        return
-    # Atoms and equalities generate no decision points.
+            return self._move(idx, bound, node.choice_var, children)
+        # Atoms and equalities end the play.
+        return _Node(node)
 
+    def _move(self, idx: int, visible, var, children) -> _Node:
+        side = _PLAYERS.index(self.points[idx].owner)
+        return _Node(None, side, self._base[idx], visible, var, children)
 
-def _register_point(plan: _Plan, canon, path: Path, owner, visible, options, visible_ranges):
-    if canon in plan.canon_map:
-        idx = plan.canon_map[canon]
-        point = plan.points[idx]
-        if (point.owner, point.visible, point.options, point.visible_ranges) != (
-            owner,
-            visible,
-            options,
-            visible_ranges,
-        ):
+    def _register(self, canon, path: Path, owner: str, visible, options: int) -> int:
+        names = tuple(n for n, _ in visible)
+        ranges = tuple(r for _, r in visible)
+        if canon in self._canon:
+            idx = self._canon[canon]
+            point = self.points[idx]
+            if (point.owner, point.visible, point.options, point.visible_ranges) != (
+                owner,
+                names,
+                options,
+                ranges,
+            ):
+                raise GameBuildError(
+                    f"indistinguishable positions at {path} disagree on owner or information"
+                )
+            self.point_at[path] = idx
+            return idx
+        idx = len(self.points)
+        point = DecisionPoint(locus=path, owner=owner, visible=names, options=options, visible_ranges=ranges)
+        self.points.append(point)
+        self._canon[canon] = idx
+        self.point_at[path] = idx
+        self.owner_points[owner].append(idx)
+        side = _PLAYERS.index(owner)
+        self._base.append(self._cells[side])
+        self._cells[side] += point.table_size
+        return idx
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[list[int], list[int], tuple[int, ...]], ...]:
+        """Per side: the options of each flat table cell, the place value of
+        each cell in the mixed radix of full indices (leftmost cell most
+        significant), and the table size of each point.  Only for games
+        within a budget, whose tables are small."""
+        layout = []
+        for player in _PLAYERS:
+            points = [self.points[i] for i in self.owner_points[player]]
+            radices = [p.options for p in points for _ in range(p.table_size)]
+            strides = [1] * len(radices)
+            for q in range(len(radices) - 2, -1, -1):
+                strides[q] = strides[q + 1] * radices[q + 1]
+            layout.append((radices, strides, tuple(p.table_size for p in points)))
+        return tuple(layout)
+
+    # -- strategy counts -----------------------------------------------------
+
+    def strategy_count(self, player: str, budget: int) -> int:
+        """The player's pure-strategy count, which must be within `budget`.  A
+        point with two or more options has at least 2 ** table_size tables, so a
+        point that wide is refused without forming a count too long to print."""
+        points = [self.points[i] for i in self.owner_points[player]]
+        widest = max((p.table_size for p in points if p.options > 1), default=0)
+        if widest > max(budget.bit_length(), BudgetExceededError.SHOWN_BITS):
+            raise BudgetExceededError(player, None, budget, log2_floor=widest)
+        count = math.prod(p.options ** p.table_size for p in points)
+        if count > budget:
+            raise BudgetExceededError(player, count, budget)
+        return count
+
+    def _checked_shape(self, budget: int) -> tuple[int, int]:
+        """The full game's shape, refused past the budget or the cell cap."""
+        n_rows = self.strategy_count(ELOISE, budget)
+        n_cols = self.strategy_count(ABELARD, budget)
+        if n_rows * n_cols > _MAX_MATRIX_CELLS:
             raise GameBuildError(
-                f"indistinguishable positions at {path} disagree on owner or information"
+                f"matrix would hold {n_rows * n_cols} cells "
+                f"(over the {_MAX_MATRIX_CELLS} safety cap) for {format_formula(self.formula)!r}"
             )
-        plan.point_at[path] = idx
-        return
-    idx = len(plan.points)
-    plan.points.append(
-        DecisionPoint(
-            locus=path,
-            owner=owner,
-            visible=visible,
-            options=options,
-            visible_ranges=visible_ranges,
+        return n_rows, n_cols
+
+    # -- the walker ----------------------------------------------------------
+
+    def _resolve(self, tables, won) -> tuple[tuple[list[int], list[int]], tuple[dict, dict]]:
+        """Walk every play of the candidate strategies in `tables`.
+
+        `tables[0]` and `tables[1]` hold Eloise's and Abelard's candidates,
+        flat choice tables with -1 at unassigned cells.  At a move, the
+        mover's candidates split by their option at the cell reached; a
+        candidate without one is first replaced by one copy per option,
+        appended to its list.  The opponent's candidates pass through each
+        option's subtree in turn, so every candidate comes out assigned at
+        each cell it can reach against some opponent play.  At an end of play
+        that Eloise wins, `won((eloise, abelard))` gets the indices of the
+        candidates playing it; a candidate replaced afterwards stands for its
+        copies.  Returns both sides' final indices and, per side, each replaced
+        index's copies."""
+        structure = self.structure
+        replaced: tuple[dict, dict] = ({}, {})
+
+        def walk(node: _Node, a: dict, pair):
+            if node.formula is not None:
+                if holds_qf(structure, a, node.formula):
+                    won(pair)
+                return pair
+            side = node.side
+            code = 0
+            for name, r in node.visible:
+                code = code * r + a[name]
+            cell = node.base + code
+            table = tables[side]
+            var = node.var
+            mine = pair[side]
+            if len(mine) == 1 and table[mine[0]][cell] >= 0:  # nothing to split
+                k = table[mine[0]][cell]
+                if var is not None:
+                    a[var] = k
+                pair = walk(node.children[k], a, pair)
+                if var is not None:
+                    del a[var]
+                return pair
+            groups = [[] for _ in node.children]
+            for i in mine:
+                k = table[i][cell]
+                if k >= 0:
+                    groups[k].append(i)
+                    continue
+                copies = replaced[side][i] = []
+                for k, group in enumerate(groups):
+                    copy = table[i].copy()
+                    copy[cell] = k
+                    group.append(len(table))
+                    copies.append(len(table))
+                    table.append(copy)
+            own, other = [], pair[1 - side]
+            for k, group in enumerate(groups):
+                if group:
+                    if var is not None:
+                        a[var] = k
+                    sub = walk(node.children[k], a, (group, other) if side == 0 else (other, group))
+                    own += sub[side]
+                    other = sub[1 - side]
+            if var is not None:
+                del a[var]
+            return (own, other) if side == 0 else (other, own)
+
+        final = walk(self._root, {}, ([0], [0]))
+        del walk  # it reaches itself through its closure; do not leave the cycle to gc
+        return final, replaced
+
+    # -- strategic forms -----------------------------------------------------
+
+    def reduced_form(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
+        """R, refused exactly when the full game would be."""
+        self._checked_shape(max_strategies)
+        tables = tuple([[-1] * len(radices)] for radices, _, _ in self._layout)
+        wins = []
+        final, replaced = self._resolve(tables, wins.append)
+        eloise, row_order = self._sorted(0, tables[0], final[0])
+        abelard, col_order = self._sorted(1, tables[1], final[1])
+        row_of = _positions(row_order, replaced[0])
+        col_of = _positions(col_order, replaced[1])
+        out = np.zeros((len(row_order), len(col_order)), dtype=np.uint8)
+        single = []  # flat indices of the wins of one row against one column
+        for rows, cols in wins:
+            rows, cols = row_of(rows), col_of(cols)
+            if len(rows) == 1 and len(cols) == 1:
+                single.append(rows[0] * len(col_order) + cols[0])
+            else:
+                out[np.ix_(rows, cols)] = 1
+        out.flat[single] = 1
+        return ReducedForm(
+            matrix=GameMatrix._from_array(out),
+            eloise=eloise,
+            abelard=abelard,
+            collapsed_loci=tuple(self.collapsed),
         )
-    )
-    plan.canon_map[canon] = idx
-    plan.point_at[path] = idx
-    plan.owner_points[owner].append(idx)
+
+    def _sorted(self, side: int, table: list[list[int]], final: list[int]):
+        """The side's reduced strategies in order of representative, and the
+        candidate indices in that order."""
+        radices, strides, table_sizes = self._layout[side]
+        keyed = []
+        for i in final:
+            rep, weight = 0, 1
+            for k, s, r in zip(table[i], strides, radices):
+                if k < 0:
+                    weight *= r
+                else:
+                    rep += k * s
+            keyed.append((rep, weight, i))
+        keyed.sort()
+        player = _PLAYERS[side]
+        reduced = ReducedStrategies(
+            owner=player,
+            cells=tuple(tuple(table[i]) for _, _, i in keyed),
+            table_sizes=table_sizes,
+            reps=tuple(rep for rep, _, _ in keyed),
+            weights=tuple(weight for _, weight, _ in keyed),
+        )
+        return reduced, [i for _, _, i in keyed]
+
+    def build_matrix(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> GameBuildReport:
+        """The full strategic game, R expanded: each full row and column is
+        the one of its class."""
+        form = self.reduced_form(max_strategies)
+        n_rows, n_cols = form.eloise.count, form.abelard.count
+        row_class = self._classes(0, form.eloise, n_rows)
+        col_class = self._classes(1, form.abelard, n_cols)
+        matrix = form.matrix.array[np.ix_(row_class, col_class)]
+        return GameBuildReport(
+            matrix=GameMatrix._from_array(matrix),
+            eloise_strategy_count=n_rows,
+            abelard_strategy_count=n_cols,
+            collapsed_loci=form.collapsed_loci,
+        )
+
+    def _classes(self, side: int, reduced: ReducedStrategies, count: int) -> np.ndarray:
+        """The reduced strategy of every full strategy, by full index: a
+        class is its representative plus every combination of options at the
+        cells it leaves unassigned."""
+        radices, strides, _ = self._layout[side]
+        cells = np.array(reduced.cells, dtype=np.int64).reshape(len(reduced.cells), len(radices))
+        reps = np.array(reduced.reps, dtype=np.int64)
+        patterns, members_of = np.unique(cells < 0, axis=0, return_inverse=True)
+        out = np.full(count, -1, dtype=np.intp)
+        for p, unassigned in enumerate(patterns):
+            offsets = np.zeros(1, dtype=np.int64)
+            for q in np.flatnonzero(unassigned).tolist():
+                offsets = (offsets[:, None] + np.arange(radices[q], dtype=np.int64) * strides[q]).ravel()
+            members = np.flatnonzero(members_of.ravel() == p)
+            out[(reps[members, None] + offsets).ravel()] = np.repeat(members, len(offsets))
+        assert out.min() >= 0, "the classes miss a full strategy"
+        return out
+
+    def play(self, sigma: PureStrategy, tau: PureStrategy) -> int:
+        """Eloise's payoff (0 or 1) when `sigma` meets `tau`; both strategies
+        must come from this game's collapse mode."""
+        if sigma.owner != ELOISE or tau.owner != ABELARD:
+            raise ValueError("play expects an Eloise strategy then an Abelard strategy")
+        tables = []
+        for strategy in (sigma, tau):
+            sizes = [self.points[i].table_size for i in self.owner_points[strategy.owner]]
+            if [len(t) for t in strategy.tables] != sizes:
+                raise ValueError(
+                    f"{strategy.owner} strategy tables do not fit this game's decision points; "
+                    "was it enumerated under the same collapse mode?"
+                )
+            tables.append([[k for t in strategy.tables for k in t]])
+        wins = []
+        self._resolve(tables, wins.append)
+        return len(wins)
+
+
+def _positions(order: list[int], replaced: dict[int, list[int]]):
+    """Map candidate indices a play saw to the R indices they stand for: a
+    final candidate's own, or those of the copies that replaced it."""
+    at = {i: r for r, i in enumerate(order)}
+
+    def of(candidates: list[int]) -> list[int]:
+        if len(candidates) == 1 and candidates[0] in at:
+            return [at[candidates[0]]]
+        out, stack = [], list(candidates)
+        while stack:
+            i = stack.pop()
+            if i in at:
+                out.append(at[i])
+            else:
+                stack.extend(replaced[i])
+        return out
+
+    return of
 
 
 def decision_points(f: Formula, s: Structure) -> list[DecisionPoint]:
     """All decision points of the game of `f` on `s`, in formula order
     (collapsing is a strategy-enumeration concern and does not apply here)."""
-    return _build_plan(s, f, collapse=False).points
-
-
-def _radix(values, ranges) -> int:
-    idx = 0
-    for v, r in zip(values, ranges):
-        idx = idx * r + v
-    return idx
-
-
-def _check_budget(plan: _Plan, player: str, budget: int) -> int:
-    """The player's pure-strategy count, which must be within `budget`.  A
-    point with two or more options has at least 2 ** table_size tables, so a
-    point that wide is refused without forming a count too long to print."""
-    points = [plan.points[i] for i in plan.owner_points[player]]
-    widest = max((p.table_size for p in points if p.options > 1), default=0)
-    if widest > max(budget.bit_length(), BudgetExceededError.SHOWN_BITS):
-        raise BudgetExceededError(player, None, budget, log2_floor=widest)
-    count = math.prod(p.options ** p.table_size for p in points)
-    if count > budget:
-        raise BudgetExceededError(player, count, budget)
-    return count
+    return Game(s, f, collapse=False).points
 
 
 def iter_strategy_tables(plan_points, point_indices):
@@ -236,13 +517,13 @@ def enumerate_strategies(
     max_strategies: int = DEFAULT_STRATEGY_BUDGET,
 ) -> list[PureStrategy]:
     """All uniform pure strategies of `player`, lexicographic by choice table."""
-    if player not in (ELOISE, ABELARD):
+    if player not in _PLAYERS:
         raise ValueError(f"unknown player {player!r}")
-    plan = _build_plan(s, f, collapse)
-    _check_budget(plan, player, max_strategies)
+    game = Game(s, f, collapse)
+    game.strategy_count(player, max_strategies)
     return [
         PureStrategy(owner=player, tables=tables)
-        for tables in iter_strategy_tables(plan.points, plan.owner_points[player])
+        for tables in iter_strategy_tables(game.points, game.owner_points[player])
     ]
 
 
@@ -253,89 +534,19 @@ def play(
     tau: PureStrategy,
     collapse: bool = True,
 ) -> int:
-    """Eloise's payoff (0 or 1) when `sigma` meets `tau`; both strategies must
-    come from the same collapse mode."""
-    if sigma.owner != ELOISE or tau.owner != ABELARD:
-        raise ValueError("play expects an Eloise strategy then an Abelard strategy")
-    plan = _build_plan(s, f, collapse)
-    fixed = {}
-    for strategy in (sigma, tau):
-        indices = plan.owner_points[strategy.owner]
-        if [len(t) for t in strategy.tables] != [plan.points[i].table_size for i in indices]:
-            raise ValueError(
-                f"{strategy.owner} strategy tables do not fit this game's decision points; "
-                "was it enumerated under the same collapse mode?"
-            )
-        fixed.update(zip(indices, strategy.tables))
-    out = np.zeros((), dtype=np.uint8)
-    _resolve(plan, fixed, out, {})
-    return int(out)
+    """`Game(s, f, collapse).play(sigma, tau)`; compile the game once to play many."""
+    return Game(s, f, collapse).play(sigma, tau)
 
 
-def _resolve(plan: _Plan, fixed: dict, out: np.ndarray, cell_dim: dict) -> None:
-    """Resolve every play that follows the choice tables in `fixed` (point
-    index -> table) and write Eloise's payoff into `out`.  A point without a
-    table branches over all its options; at cell c of point p, option k sets
-    index k on axis `cell_dim[(p, c)]` of `out` (None: one option, no axis)."""
-    points, point_at, structure = plan.points, plan.point_at, plan.structure
-    collapsed = set(plan.collapsed)
-    index: list = [slice(None)] * out.ndim
-
-    def walk(node, path: Path, a) -> None:
-        if isinstance(node, Quant):
-            idx = point_at[path]
-            point = points[idx]
-            cell = _radix((a[name] for name in point.visible), point.visible_ranges)
-            table = fixed.get(idx)
-            if table is None:
-                branch(node, path, a, idx, cell, point.options)
-                return
-            a[node.var] = table[cell]
-            walk(node.body, path + (0,), a)
-            del a[node.var]
-            return
-        if isinstance(node, Connective):
-            if len(node.branches) == 1:
-                walk(node.branches[0], path + (0,), a)
-                return
-            if path in collapsed:
-                out[tuple(index)] = 1 if holds_qf(structure, a, node) else 0
-                return
-            idx = point_at[path]
-            point = points[idx]
-            cell = _radix((a[name] for name in point.visible), point.visible_ranges)
-            table = fixed.get(idx)
-            if table is None:
-                branch(node, path, a, idx, cell, point.options)
-                return
-            option = table[cell]
-            if node.choice_var is not None:
-                a[node.choice_var] = option
-            walk(node.branches[option], path + (option,), a)
-            if node.choice_var is not None:
-                del a[node.choice_var]
-            return
-        out[tuple(index)] = 1 if holds_qf(structure, a, node) else 0
-
-    def branch(node, path: Path, a, idx: int, cell: int, options: int) -> None:
-        # Only Abelard's points branch, and conjunctions bind no choice variable.
-        dim = cell_dim[(idx, cell)]
-        is_quant = isinstance(node, Quant)
-        for option in range(options):
-            if dim is not None:
-                index[dim] = option
-            if is_quant:
-                a[node.var] = option
-                walk(node.body, path + (0,), a)
-                del a[node.var]
-            else:
-                walk(node.branches[option], path + (option,), a)
-        if dim is not None:
-            index[dim] = slice(None)
-
-    walk(plan.formula, (), {})
-    # The closures reach each other through their cells; clear them or each row's pair waits for gc.
-    del walk, branch
+def build_reduced(
+    s: Structure,
+    f: Formula,
+    collapse: bool = True,
+    max_strategies: int = DEFAULT_STRATEGY_BUDGET,
+) -> ReducedForm:
+    """The reduced strategic form R; the budget and the cell cap apply to the
+    full strategy counts, as in `build_matrix`."""
+    return Game(s, f, collapse).reduced_form(max_strategies)
 
 
 def build_matrix(
@@ -346,39 +557,4 @@ def build_matrix(
 ) -> GameBuildReport:
     """The strategic game: rows are Eloise's strategies, columns Abelard's,
     entry (i, j) Eloise's payoff, rows and columns in enumeration order."""
-    plan = _build_plan(s, f, collapse)
-    n_rows = _check_budget(plan, ELOISE, max_strategies)
-    n_cols = _check_budget(plan, ABELARD, max_strategies)
-    if n_rows * n_cols > _MAX_MATRIX_CELLS:
-        raise GameBuildError(
-            f"matrix would hold {n_rows * n_cols} cells "
-            f"(over the {_MAX_MATRIX_CELLS} safety cap) for {format_formula(f)!r}"
-        )
-
-    # Column index = mixed radix over Abelard's table cells in order.  Cells
-    # with a single option contribute nothing and stay out of the numpy shape
-    # (which is capped at 32 dimensions).
-    cell_dim: dict[tuple[int, int], int | None] = {}
-    dims: list[int] = []
-    for idx in plan.owner_points[ABELARD]:
-        p = plan.points[idx]
-        for cell in range(p.table_size):
-            if p.options > 1:
-                cell_dim[(idx, cell)] = len(dims)
-                dims.append(p.options)
-            else:
-                cell_dim[(idx, cell)] = None
-
-    matrix = np.zeros((n_rows, n_cols), dtype=np.uint8)
-    eloise = plan.owner_points[ELOISE]
-    for r, tables in enumerate(iter_strategy_tables(plan.points, eloise)):
-        _resolve(plan, dict(zip(eloise, tables)), matrix[r].reshape(dims), cell_dim)
-
-    report = GameBuildReport(
-        matrix=GameMatrix(matrix),
-        eloise_strategy_count=n_rows,
-        abelard_strategy_count=n_cols,
-        collapsed_loci=tuple(plan.collapsed),
-    )
-    assert (report.matrix.m, report.matrix.n) == (n_rows, n_cols)
-    return report
+    return Game(s, f, collapse).build_matrix(max_strategies)

@@ -20,8 +20,8 @@ from ifgames.applications import (
 )
 from ifgames.errors import SizeLimitError
 from ifgames.formula import Connective, Equals, Quant, format_formula, parse, validate
-from ifgames.matrix_game import GameMatrix, reduce as mg_reduce
-from ifgames.semantic_game import build_matrix
+from ifgames.matrix_game import GameMatrix, MixedStrategy, reduce as mg_reduce
+from ifgames.semantic_game import build_matrix, build_reduced
 from ifgames.value_engine import solve_value, verify_equilibrium
 
 from conftest import identity_matrix
@@ -247,6 +247,18 @@ class TestLambdaStep:
                 assert function_degree(current, values).degree == target
 
 
+def _on_full_form(result, full):
+    """The pair of `result`, built on the reduced form, with each strategy's
+    weight on its full-form representative."""
+    lifted = []
+    for ms, reps, k in ((result.eloise, result.build.eloise.reps, full.m), (result.abelard, result.build.abelard.reps, full.n)):
+        nums = [0] * k
+        for q, rep in zip(ms.nums, reps):
+            nums[rep] = q
+        lifted.append(MixedStrategy(nums, ms.den, ms.side))
+    return lifted
+
+
 def _specs_within(limit):
     for keys in range(1, 9):
         for values in range(1, limit + 1):
@@ -289,12 +301,14 @@ class TestHashingEquilibrium:
         [(2, 2, Fraction(1)), (3, 2, Fraction(2, 3)), (4, 2, Fraction(2, 3))],
     )
     def test_uniform_pair_is_verified_equilibrium(self, keys, values, expected):
-        _, spec = hash_structure(keys, values)
+        structure, spec = hash_structure(keys, values)
         result = hashing_equilibrium(spec)
         assert result.verified
         assert result.value == expected
-        reduced, _, _ = mg_reduce(result.build.matrix)
+        full = build_matrix(structure, hashing_sentence(spec)).matrix
+        reduced, _, _ = mg_reduce(full)
         assert solve_value(reduced).value == expected
+        assert verify_equilibrium(full, *_on_full_form(result, full))
 
     def test_matches_directly_tabulated_game(self):
         for keys, values in ((2, 2), (3, 2)):
@@ -314,15 +328,21 @@ class TestHashingEquilibrium:
             (5, 1),
         ]
         for keys, values in sweep:
-            _, spec = hash_structure(keys, values)
+            structure, spec = hash_structure(keys, values)
             result = hashing_equilibrium(spec)
             assert result.verified, (keys, values)
-            reduced, _, _ = mg_reduce(result.build.matrix)
+            full = build_matrix(structure, hashing_sentence(spec)).matrix
+            reduced, _, _ = mg_reduce(full)
             assert solve_value(reduced).value == result.value, (keys, values)
+            assert verify_equilibrium(full, *_on_full_form(result, full)), (keys, values)
 
     def test_adversary_pair_columns_count(self):
         structure, spec = hash_structure(3, 2)
-        pairs = adversary_pair_columns(spec, structure)
-        # 3 choices for the first key, 2 for a distinct second, times the 5^4
-        # unconstrained second-pick table entries.
-        assert len(pairs) == 3 * 2 * 5**4
+        form = build_reduced(structure, hashing_sentence(spec))
+        pairs = adversary_pair_columns(spec, form)
+        # 3 choices for the first key and 2 for a distinct second are 6
+        # reduced columns, each standing for the 5^4 unconstrained second-pick
+        # table entries.
+        assert len(pairs) == 3 * 2
+        assert {form.abelard.weights[j] for j in pairs} == {5**4}
+        assert hashing_equilibrium(spec).adversary_pair_count == 3 * 2 * 5**4

@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
 import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ifgames import applications
-from ifgames.cli import EXIT_BUDGET, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
+from ifgames import applications, cli
+from ifgames.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
+from ifgames.formula import format_formula
+from ifgames.structure import Structure, save_structure
 from ifgames.matrix_game import MixedStrategy, expected_utility
 from ifgames.value_engine import solve_game
 
@@ -263,3 +266,214 @@ class TestProbes:
         )
         assert code == EXIT_PARSE
         assert "Traceback" not in err and "nested deeper" in err
+
+
+# ---------------------------------------------------------------------------
+# Sentence games are solved on the reduced strategic form; what the CLI prints
+# about the full form is a contract.  The figures below were recorded from the
+# builder of the full form alone, before the reduced form existed.
+
+CONTRACT_GAMES = {
+    "mp3": ("Ax (Ey/x) x = y", lambda: Structure(size=3)),
+    "ae2": ("Ax Ey x = y", lambda: Structure(size=2)),
+    "ae_or": ("Ax Ey (x = y | ~x = y)", lambda: Structure(size=2)),
+    "hidden_r": ("Ax (Ey/x) (R(x) & x = y)", lambda: Structure(size=2, relations={"R": frozenset({(1,)})})),
+    "birthday": (format_formula(applications.birthday_sentence(2)), lambda: applications.cyclic_structure(2)),
+    "hashing22": (
+        format_formula(applications.hashing_sentence(applications.hash_structure(2, 2)[1])),
+        lambda: applications.hash_structure(2, 2)[0],
+    ),
+    "hash32": (
+        format_formula(applications.hashing_sentence(applications.hash_structure(3, 2)[1])),
+        lambda: applications.hash_structure(3, 2)[0],
+    ),
+    "hash42": (
+        format_formula(applications.hashing_sentence(applications.hash_structure(4, 2)[1])),
+        lambda: applications.hash_structure(4, 2)[0],
+    ),
+}
+
+# sha256 of the `matrix` output and of the `reduce --format machine` output.
+FULL_FORM_DIGESTS = {
+    "mp3": (
+        "6e119be3425fd0e38152c8c6ef714a4a3033d37e32e856002e1d9f053f6ba985",
+        "98cd707ef66b762ab306376509ab415d9bcffd99d83fa03b1c65a98de9c328f6",
+    ),
+    "mp3/nc": (
+        "6e119be3425fd0e38152c8c6ef714a4a3033d37e32e856002e1d9f053f6ba985",
+        "98cd707ef66b762ab306376509ab415d9bcffd99d83fa03b1c65a98de9c328f6",
+    ),
+    "ae2": (
+        "fa454bf24c15752b27ea1b727d35be9cf982c420b70262101a129732d165429d",
+        "e891c8b9b614c066c3d0de5fc23aef297abd0f7454602bd0499545a7b996af90",
+    ),
+    "ae2/nc": (
+        "fa454bf24c15752b27ea1b727d35be9cf982c420b70262101a129732d165429d",
+        "e891c8b9b614c066c3d0de5fc23aef297abd0f7454602bd0499545a7b996af90",
+    ),
+    "ae_or": (
+        "c724a301a9ab163be675a2d83eb2151aeb453beadc85cc1194ec37049f363a3c",
+        "ac62c881d8180e48e5409ff032539c30601fe8003e50d7f1d3b7fb93964c9f99",
+    ),
+    "ae_or/nc": (
+        "2764374debda2b1ccf9c2bdaf5c9edf77ad40dcae7c08f13d946cf90f20b618e",
+        "bbb3ece1e60831898ece09bfd6804d06d39c4c8c67dc17a09369dee1accee0e6",
+    ),
+    "hidden_r": (
+        "1ae95006c2485c45b453b2a4909d69230f4111309aa5699e71e60f13fcc08a64",
+        "8ae9dc129a177602b6a46d4c06f0366f1c4f519814624984225812206b2104e1",
+    ),
+    "hidden_r/nc": (
+        "0ae9d0229379ec025a3fa5080281050e7864246a66048ceefa0dcaf69b5dc241",
+        "4006b7c5a838f3bd6b61c757d3431997b7241c1171e6ac63c5d169810b433124",
+    ),
+    "birthday": (
+        "87379e68b248b8595befaf3f815fe0c109d54a7bb347f3f34ec2d078d452f50a",
+        "a4863811bf968c25e68514aa65a38a7334158f45eda275408dfddc820ccc24a0",
+    ),
+    "birthday/nc": (
+        "87379e68b248b8595befaf3f815fe0c109d54a7bb347f3f34ec2d078d452f50a",
+        "a4863811bf968c25e68514aa65a38a7334158f45eda275408dfddc820ccc24a0",
+    ),
+    "hashing22": (
+        "23ba79de3b71ceaf5610ffbfe0d4abef9dc43eadf9d590b21c1065570307c2ea",
+        "24e68712b376596a02d8ed1e44cfee3b3eeb44e765000fde61ddb1a5fc4af5ac",
+    ),
+}
+
+# rows cols floor ceil colmin rowmax, as `bounds` prints them.
+FULL_FORM_BOUNDS = {
+    "mp3": "3 3 1/3 1/3 1 1",
+    "mp3/nc": "3 3 1/3 1/3 1 1",
+    "ae2": "4 2 1/2 1/1 2 2",
+    "ae2/nc": "4 2 1/2 1/1 2 2",
+    "ae_or": "4 2 1/1 1/1 4 2",
+    "ae_or/nc": "64 2 1/2 1/1 32 2",
+    "hidden_r": "2 2 0/1 1/2 0 1",
+    "hidden_r/nc": "2 32 0/1 1/2 0 16",
+    "birthday": "4 4 1/2 1/2 2 2",
+    "birthday/nc": "4 4 1/2 1/2 2 2",
+    "hash32": "8 15625 1/2 23/25 4 14375",
+    "hash42": "16 279936 1/2 8/9 8 248832",
+}
+
+
+def _contract_argv(tmp_path, key: str) -> list[str]:
+    name, _, mode = key.partition("/")
+    text, structure = CONTRACT_GAMES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(save_structure(structure()))
+    return ["--structure", str(path), "--formula", text] + (["--no-collapse"] if mode == "nc" else [])
+
+
+def run_cli_all(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFullFormContract:
+    @pytest.mark.parametrize("key", sorted(FULL_FORM_DIGESTS))
+    def test_matrix_and_reduce_bytes_unchanged(self, tmp_path, key):
+        argv = _contract_argv(tmp_path, key)
+        _, matrix, _ = run_cli_all("matrix", *argv)
+        _, reduced, _ = run_cli_all("reduce", *argv, "--format", "machine")
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (matrix, reduced))
+        assert digests == FULL_FORM_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", sorted(FULL_FORM_BOUNDS))
+    def test_shape_and_bounds_are_the_full_forms(self, tmp_path, key):
+        argv = _contract_argv(tmp_path, key)
+        code, out, _ = run_cli_all("bounds", *argv, "--format", "machine")
+        assert code == 0
+        fields = dict(line.split("=") for line in out.splitlines())
+        assert " ".join(fields[k] for k in ("rows", "cols", "floor", "ceil", "colmin", "rowmax")) == FULL_FORM_BOUNDS[key]
+        # value prints the same shape and uniform bounds from the reduced form.
+        code, out, _ = run_cli_all("value", *argv, "--format", "machine")
+        assert code == 0
+        assert out.split("value=")[0] == "command=value\n" + "".join(
+            f"{k}={v}\n" for k, v in zip(("rows", "cols", "floor", "ceil"), FULL_FORM_BOUNDS[key].split())
+        )
+
+    @pytest.mark.parametrize(
+        "keys, values, header",
+        [(3, 2, "rows=8\ncols=15625\nfloor=1/2\nceil=23/25\n"), (4, 2, "rows=16\ncols=279936\nfloor=1/2\nceil=8/9\n")],
+    )
+    def test_hashing_header_is_the_full_forms(self, keys, values, header):
+        code, out, _ = run_cli_all("hashing", keys, values, "--format", "machine")
+        assert code == 0
+        assert out.startswith("command=hashing\n" + header)
+        assert "verified=true\n" in out
+
+    @pytest.mark.parametrize("command", ["value", "bounds", "equilibrium", "matrix", "reduce"])
+    def test_budget_refusal_unchanged(self, tmp_path, command):
+        four = tmp_path / "four.json"
+        four.write_text('{"size": 4}')
+        argv = [command, "--structure", four, "--formula", "Ax Ey x = y", "--no-collapse", "--max-strategies", "3"]
+        assert run_cli_all(*argv) == (
+            EXIT_BUDGET, "", "budget error: eloise would have 256 pure strategies, over the budget of 3\n"
+        )
+
+    @pytest.mark.parametrize("argv", [("hashing", "5", "2"), ("hashing", "3", "4", "--format", "machine")])
+    def test_hashing_refusal_unchanged(self, argv):
+        assert run_cli_all(*argv) == (
+            EXIT_BUDGET, "", "budget error: abelard would have 5764801 pure strategies, over the budget of 1048576\n"
+        )
+
+    def test_wide_refusal_unchanged(self, tmp_path):
+        s16 = tmp_path / "s16.json"
+        s16.write_text('{"size": 16}')
+        argv = ["value", "--structure", s16, "--formula", "Ax1 Ax2 Ax3 Ax4 Ax5 Ey y = x1"]
+        assert run_cli_all(*argv) == (
+            EXIT_BUDGET, "", "budget error: eloise would have at least 2^1048576 pure strategies, over the budget of 1048576\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, size, expected",
+        [
+            ('Ax Ey x = y', 3, 'command=value\nrows=27\ncols=3\nfloor=1/3\nceil=1/1\nvalue=1/1\nmethod=trivial-win\neloise=5:1/1\nabelard=0:1/1\n'),
+            ('Ex Ay x = y', 2, 'command=value\nrows=2\ncols=4\nfloor=0/1\nceil=1/2\nvalue=0/1\nmethod=trivial-loss\neloise=0:1/1\nabelard=2:1/1\n'),
+            ('Ex Ay (x = y | ~x = y)', 3, 'command=value\nrows=3\ncols=27\nfloor=1/1\nceil=1/1\nvalue=1/1\nmethod=trivial-win\neloise=0:1/1\nabelard=0:1/1\n'),
+        ],
+        ids=["trivial-win", "trivial-loss", "trivial-win-wide"],
+    )
+    def test_trivial_outputs_unchanged(self, tmp_path, text, size, expected):
+        structure = tmp_path / "s.json"
+        structure.write_text(f'{{"size": {size}}}')
+        argv = ["--structure", structure, "--formula", text]
+        assert run_cli_all("value", *argv, "--format", "machine") == (0, expected, "")
+        equilibrium = expected.replace("command=value", "command=equilibrium") + "verified=true\n"
+        assert run_cli_all("equilibrium", *argv, "--format", "machine") == (0, equilibrium, "")
+        text_format = run_cli_all("value", *argv)[1]
+        assert [line.split(" ")[:2] for line in text_format.splitlines() if "method" in line or ":" in line] == [
+            line.split("=") for line in expected.splitlines() if line.startswith(("method", "eloise", "abelard"))
+        ]
+
+
+class TestParserBuiltOnce:
+    CALLS = [
+        ("value", "--matrix", FIXTURES / "m5x6_b.txt", "--format", "machine"),
+        ("bounds", "--matrix", FIXTURES / "m5x6_a.txt"),
+        ("equilibrium", "--matrix", FIXTURES / "m4_mixed.txt", "--format", "machine"),
+        ("reduce", "--matrix", FIXTURES / "m4_win.txt"),
+        ("mp", "3", "--format", "machine"),
+        ("birthday", "3", "2"),
+        ("hashing", "2", "2", "--format", "machine"),
+        ("value",),  # usage error: no game
+        ("value", "--matrix"),  # usage error from the argument parser
+        ("frobnicate", "1"),  # usage error: no such command
+        ("value", "--structure", FIXTURES / "cyclic3.json", "--formula", "Ax x ="),  # parse error
+        ("value", "--structure", FIXTURES / "cyclic3.json", "--formula", "Ax (Ey/x) x = y", "--format", "machine"),
+    ]
+
+    def test_every_call_matches_a_first_call(self):
+        expected = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            expected.append(run_cli_all(*argv))
+        assert {code for code, _, _ in expected} == {EXIT_OK, EXIT_USAGE, EXIT_PARSE}
+        cli._parser.cache_clear()
+        again = [run_cli_all(*argv) for _ in range(3) for argv in self.CALLS]
+        assert again == expected * 3
+        assert cli._parser.cache_info().misses == 1

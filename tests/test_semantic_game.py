@@ -18,7 +18,7 @@ from ifgames.matrix_game import GameMatrix
 from ifgames.semantic_game import (
     ABELARD,
     ELOISE,
-    _build_plan,
+    Game,
     build_matrix,
     decision_points,
     enumerate_strategies,
@@ -320,7 +320,7 @@ def _reference_matrix(s, f, collapse) -> GameMatrix:
     """The game by resolving each play on its own: one path through the
     formula, every move read off a choice table, as `play` did before it
     shared a walker with `build_matrix`."""
-    plan = _build_plan(s, f, collapse)
+    plan = Game(s, f, collapse)
     eloise = enumerate_strategies(s, f, ELOISE, collapse=collapse)
     abelard = enumerate_strategies(s, f, ABELARD, collapse=collapse)
     return GameMatrix(
