@@ -66,6 +66,7 @@ from .semantic_game import (
 from .structure import (
     Assignment,
     Structure,
+    compile_qf,
     eval_term,
     holds_qf,
     load_structure,

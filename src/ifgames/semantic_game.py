@@ -44,7 +44,7 @@ import numpy as np
 from .errors import BudgetExceededError, GameBuildError
 from .formula import Connective, Formula, Quant, format_formula, is_quantifier_free, validate
 from .matrix_game import GameMatrix
-from .structure import Structure, holds_qf
+from .structure import Structure, compile_qf
 
 ELOISE = "eloise"
 ABELARD = "abelard"
@@ -136,16 +136,20 @@ class ReducedForm:
 
 
 class _Node:
-    """A compiled position.  At an end of play `formula` is evaluated
-    classically; otherwise `side` (0 Eloise, 1 Abelard) moves at the flat
-    table cell `base` + the mixed-radix code of the `visible` (name, range)
-    pairs, and option k binds `var` (if any) to k and continues at
-    `children[k]`."""
+    """A compiled position in a play, whose values sit in a list of slots:
+    an identifier's slot is its binding depth.  An end of play has no
+    `children`, and `holds`, its compiled quantifier-free formula, tells on
+    that list whether Eloise wins.  Otherwise `side` (0 Eloise, 1 Abelard)
+    moves at the flat table cell `base` + the mixed-radix code of the
+    `visible` (slot, range) pairs, and option k is written to slot `var` and
+    continues at `children[k]`.  A connective without a choice variable
+    writes to the next free slot, which nothing reads before a deeper
+    quantifier rebinds it."""
 
-    __slots__ = ("formula", "side", "base", "visible", "var", "children")
+    __slots__ = ("holds", "side", "base", "visible", "var", "children")
 
-    def __init__(self, formula, side=0, base=0, visible=(), var=None, children=()):
-        self.formula = formula
+    def __init__(self, holds, side=0, base=0, visible=(), var=0, children=()):
+        self.holds = holds
         self.side = side
         self.base = base
         self.visible = visible
@@ -182,13 +186,17 @@ class Game:
         self._canon: dict[tuple, int] = {}
         self._base: list[int] = []  # per point, its first cell in the owner's flat table
         self._cells = [0, 0]  # flat table length per side
+        self._slots = 1  # length of the value list a play writes
+        self._ends: list[tuple[_Node, Formula, tuple]] = []  # not compiled yet, with their bindings
         self._root = self._compile(formula, (), (), ())
 
     # -- planning ------------------------------------------------------------
 
     def _compile(self, node, path: Path, stack, bound) -> _Node:
         """`stack` holds (component, enclosing choice var) per path step;
-        `bound` holds (identifier, range) pairs in binding order."""
+        `bound` holds (identifier, range) pairs in binding order, so an
+        identifier's slot is its index there and a move's `var` is the next
+        slot."""
         if isinstance(node, Quant):
             if any(name == node.var for name, _ in bound):
                 raise GameBuildError(
@@ -199,13 +207,14 @@ class Game:
             size = self.structure.size
             idx = self._register(canon, path, _owner_of(node), visible, size)
             body = self._compile(node.body, path + (0,), stack + ((0, None),), bound + ((node.var, size),))
-            return self._move(idx, visible, node.var, (body,) * size)
+            slots = tuple((slot, rng) for slot, (name, rng) in enumerate(bound) if name not in node.slash)
+            return self._move(idx, slots, len(bound), (body,) * size)
         if isinstance(node, Connective):
             if len(node.branches) == 1:
                 return self._compile(node.branches[0], path + (0,), stack + ((0, None),), bound)
             if self.collapse and is_quantifier_free(node):
                 self.collapsed.append(path)
-                return _Node(node)
+                return self._end(node, bound)
             idx = self._register(tuple(i for i, _ in stack), path, _owner_of(node), bound, len(node.branches))
             inner = bound
             if node.choice_var is not None:
@@ -214,11 +223,27 @@ class Game:
                 self._compile(branch, path + (b,), stack + ((b, node.choice_var),), inner)
                 for b, branch in enumerate(node.branches)
             )
-            return self._move(idx, bound, node.choice_var, children)
+            slots = tuple((slot, rng) for slot, (_, rng) in enumerate(bound))
+            return self._move(idx, slots, len(bound), children)
         # Atoms and equalities end the play.
-        return _Node(node)
+        return self._end(node, bound)
 
-    def _move(self, idx: int, visible, var, children) -> _Node:
+    def _end(self, formula: Formula, bound) -> _Node:
+        node = _Node(None)
+        self._ends.append((node, formula, bound))
+        return node
+
+    def _compile_ends(self) -> None:
+        """Compile each end of play once, before the first walk, so that a
+        game the budget refuses compiles none.  Every move on the way to an
+        end writes a slot no higher than the end's binding count."""
+        for node, formula, bound in self._ends:
+            slots = {name: slot for slot, (name, _) in enumerate(bound)}
+            node.holds = compile_qf(self.structure, formula, slots)
+            self._slots = max(self._slots, len(bound) + 1)
+        self._ends.clear()
+
+    def _move(self, idx: int, visible, var: int, children) -> _Node:
         side = _PLAYERS.index(self.points[idx].owner)
         return _Node(None, side, self._base[idx], visible, var, children)
 
@@ -294,93 +319,99 @@ class Game:
 
     # -- the walker ----------------------------------------------------------
 
-    def _resolve(self, tables, won) -> tuple[tuple[list[int], list[int]], tuple[dict, dict]]:
+    def _resolve(self, tables, keys, won) -> tuple[tuple[list[int], list[int]], tuple[dict, dict]]:
         """Walk every play of the candidate strategies in `tables`.
 
         `tables[0]` and `tables[1]` hold Eloise's and Abelard's candidates,
-        flat choice tables with -1 at unassigned cells.  At a move, the
+        flat choice tables with -1 at unassigned cells, and `keys[side][i]`
+        candidate i's (representative, multiplicity).  At a move, the
         mover's candidates split by their option at the cell reached; a
         candidate without one is first replaced by one copy per option,
-        appended to its list.  The opponent's candidates pass through each
-        option's subtree in turn, so every candidate comes out assigned at
-        each cell it can reach against some opponent play.  At an end of play
-        that Eloise wins, `won((eloise, abelard))` gets the indices of the
-        candidates playing it; a candidate replaced afterwards stands for its
-        copies.  Returns both sides' final indices and, per side, each replaced
-        index's copies."""
-        structure = self.structure
+        appended to its list with its key.  The opponent's candidates pass
+        through each option's subtree in turn, so every candidate comes out
+        assigned at each cell it can reach against some opponent play.  At an
+        end of play that Eloise wins, `won((eloise, abelard))` gets the indices
+        of the candidates playing it; a candidate replaced afterwards stands
+        for its copies.  Returns both sides' final indices and, per side, each
+        replaced index's copies."""
+        self._compile_ends()
         replaced: tuple[dict, dict] = ({}, {})
+        values = [0] * self._slots
 
-        def walk(node: _Node, a: dict, pair):
-            if node.formula is not None:
-                if holds_qf(structure, a, node.formula):
-                    won(pair)
-                return pair
-            side = node.side
-            code = 0
-            for name, r in node.visible:
-                code = code * r + a[name]
-            cell = node.base + code
-            table = tables[side]
-            var = node.var
-            mine = pair[side]
-            if len(mine) == 1 and table[mine[0]][cell] >= 0:  # nothing to split
-                k = table[mine[0]][cell]
-                if var is not None:
-                    a[var] = k
-                pair = walk(node.children[k], a, pair)
-                if var is not None:
-                    del a[var]
-                return pair
-            groups = [[] for _ in node.children]
-            for i in mine:
-                k = table[i][cell]
-                if k >= 0:
-                    groups[k].append(i)
+        def walk(node: _Node, pair):
+            while node.children:
+                side = node.side
+                code = 0
+                for slot, r in node.visible:
+                    code = code * r + values[slot]
+                cell = node.base + code
+                table = tables[side]
+                mine = pair[side]
+                if len(mine) == 1 and (k := table[mine[0]][cell]) >= 0:  # nothing to split
+                    values[node.var] = k
+                    node = node.children[k]
                     continue
-                copies = replaced[side][i] = []
+                groups = [[] for _ in node.children]
+                for i in mine:
+                    k = table[i][cell]
+                    if k >= 0:
+                        groups[k].append(i)
+                    else:
+                        self._copy(side, table, keys[side], i, cell, groups, replaced[side])
+                own, other = [], pair[1 - side]
                 for k, group in enumerate(groups):
-                    copy = table[i].copy()
-                    copy[cell] = k
-                    group.append(len(table))
-                    copies.append(len(table))
-                    table.append(copy)
-            own, other = [], pair[1 - side]
-            for k, group in enumerate(groups):
-                if group:
-                    if var is not None:
-                        a[var] = k
-                    sub = walk(node.children[k], a, (group, other) if side == 0 else (other, group))
-                    own += sub[side]
-                    other = sub[1 - side]
-            if var is not None:
-                del a[var]
-            return (own, other) if side == 0 else (other, own)
+                    if group:
+                        values[node.var] = k
+                        sub = walk(node.children[k], (group, other) if side == 0 else (other, group))
+                        own += sub[side]
+                        other = sub[1 - side]
+                return (own, other) if side == 0 else (other, own)
+            if node.holds(values):
+                won(pair)
+            return pair
 
-        final = walk(self._root, {}, ([0], [0]))
+        final = walk(self._root, ([0], [0]))
         del walk  # it reaches itself through its closure; do not leave the cycle to gc
         return final, replaced
+
+    def _copy(self, side: int, table, keys, i: int, cell: int, groups, replaced: dict) -> None:
+        """Replace candidate i, unassigned at `cell`, by one copy per option,
+        each added to its option's group.  The copy with option k has i's
+        representative plus k times the cell's place value, and i's
+        multiplicity over the cell's option count."""
+        radices, strides, _ = self._layout[side]
+        rep, weight = keys[i]
+        weight //= radices[cell]
+        first = len(table)
+        for k, group in enumerate(groups):
+            copy = table[i].copy()
+            copy[cell] = k
+            table.append(copy)
+            keys.append((rep + k * strides[cell], weight))
+            group.append(first + k)
+        replaced[i] = range(first, len(table))
 
     # -- strategic forms -----------------------------------------------------
 
     def reduced_form(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
         """R, refused exactly when the full game would be."""
-        self._checked_shape(max_strategies)
+        n_rows, n_cols = self._checked_shape(max_strategies)
         tables = tuple([[-1] * len(radices)] for radices, _, _ in self._layout)
+        keys = ([(0, n_rows)], [(0, n_cols)])  # all cells unassigned: rep 0, every full strategy
         wins = []
-        final, replaced = self._resolve(tables, wins.append)
-        eloise, row_order = self._sorted(0, tables[0], final[0])
-        abelard, col_order = self._sorted(1, tables[1], final[1])
-        row_of = _positions(row_order, replaced[0])
-        col_of = _positions(col_order, replaced[1])
-        out = np.zeros((len(row_order), len(col_order)), dtype=np.uint8)
+        final, replaced = self._resolve(tables, keys, wins.append)
+        eloise, row_order = self._sorted(0, tables[0], keys[0], final[0])
+        abelard, col_order = self._sorted(1, tables[1], keys[1], final[1])
+        row_at, row_of = _positions(row_order, replaced[0], len(tables[0]))
+        col_at, col_of = _positions(col_order, replaced[1], len(tables[1]))
+        width = len(col_order)
+        out = np.zeros((len(row_order), width), dtype=np.uint8)
         single = []  # flat indices of the wins of one row against one column
         for rows, cols in wins:
-            rows, cols = row_of(rows), col_of(cols)
-            if len(rows) == 1 and len(cols) == 1:
-                single.append(rows[0] * len(col_order) + cols[0])
+            if len(rows) == 1 == len(cols) and row_at[rows[0]] >= 0 and col_at[cols[0]] >= 0:
+                single.append(row_at[rows[0]] * width + col_at[cols[0]])
             else:
-                out[np.ix_(rows, cols)] = 1
+                out[np.ix_(row_of(rows), col_of(cols))] = 1
         out.flat[single] = 1
         return ReducedForm(
             matrix=GameMatrix._from_array(out),
@@ -389,29 +420,18 @@ class Game:
             collapsed_loci=tuple(self.collapsed),
         )
 
-    def _sorted(self, side: int, table: list[list[int]], final: list[int]):
+    def _sorted(self, side: int, table: list[list[int]], keys: list[tuple[int, int]], final: list[int]):
         """The side's reduced strategies in order of representative, and the
         candidate indices in that order."""
-        radices, strides, table_sizes = self._layout[side]
-        keyed = []
-        for i in final:
-            rep, weight = 0, 1
-            for k, s, r in zip(table[i], strides, radices):
-                if k < 0:
-                    weight *= r
-                else:
-                    rep += k * s
-            keyed.append((rep, weight, i))
-        keyed.sort()
-        player = _PLAYERS[side]
+        order = sorted(final, key=keys.__getitem__)
         reduced = ReducedStrategies(
-            owner=player,
-            cells=tuple(tuple(table[i]) for _, _, i in keyed),
-            table_sizes=table_sizes,
-            reps=tuple(rep for rep, _, _ in keyed),
-            weights=tuple(weight for _, weight, _ in keyed),
+            owner=_PLAYERS[side],
+            cells=tuple(tuple(table[i]) for i in order),
+            table_sizes=self._layout[side][2],
+            reps=tuple(keys[i][0] for i in order),
+            weights=tuple(keys[i][1] for i in order),
         )
-        return reduced, [i for _, _, i in keyed]
+        return reduced, order
 
     def build_matrix(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> GameBuildReport:
         """The full strategic game, R expanded: each full row and column is
@@ -461,28 +481,29 @@ class Game:
                 )
             tables.append([[k for t in strategy.tables for k in t]])
         wins = []
-        self._resolve(tables, wins.append)
+        self._resolve(tables, ([None], [None]), wins.append)  # full tables are never copied
         return len(wins)
 
 
-def _positions(order: list[int], replaced: dict[int, list[int]]):
-    """Map candidate indices a play saw to the R indices they stand for: a
+def _positions(order: list[int], replaced: dict[int, range], count: int):
+    """Each of the `count` candidates' R index, -1 for a replaced one, and a
+    map from the candidates a play saw to the R indices they stand for: a
     final candidate's own, or those of the copies that replaced it."""
-    at = {i: r for r, i in enumerate(order)}
+    at = [-1] * count
+    for r, i in enumerate(order):
+        at[i] = r
 
     def of(candidates: list[int]) -> list[int]:
-        if len(candidates) == 1 and candidates[0] in at:
-            return [at[candidates[0]]]
         out, stack = [], list(candidates)
         while stack:
             i = stack.pop()
-            if i in at:
+            if at[i] >= 0:
                 out.append(at[i])
             else:
                 stack.extend(replaced[i])
         return out
 
-    return of
+    return at, of
 
 
 def decision_points(f: Formula, s: Structure) -> list[DecisionPoint]:

@@ -3,13 +3,22 @@
 Universe elements are the canonical integers 0..size-1.  The on-disk format is
 JSON: ``{"size": n, "relations": {sym: [[...], ...]}, "functions": {sym:
 [[arg..., value], ...]}}`` with every function table total on the universe.
+
+Formulas are evaluated by compiling them once: `compile_qf` resolves every node
+kind, symbol and variable, folds ground terms to constants and returns a test
+on a list of values, in which each identifier has a fixed slot.  A game
+compiles each end of play once and runs the test on every play that reaches
+it; `holds_qf` and `eval_term` compile for one assignment and evaluate once.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import EvaluationError, StructureFormatError
 from .formula import App, Atom, Connective, Equals, Formula, Quant, Term, Var, Vocabulary
@@ -17,10 +26,15 @@ from .formula import App, Atom, Connective, Equals, Formula, Quant, Term, Var, V
 # Maps both object variables and choice variables to values; the two
 # namespaces are disjoint by the formula invariants.
 Assignment = dict[str, int]
+# A compiled formula reads identifier values by position (`compile_qf`'s slots).
+Values = Sequence[int]
 
 
 @dataclass
 class Structure:
+    """Relations are kept as given when they are frozensets and function
+    tables when they are dicts; other containers are converted."""
+
     size: int
     relations: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict)
     functions: dict[str, dict[tuple[int, ...], int]] = field(default_factory=dict)
@@ -28,8 +42,13 @@ class Structure:
     def __post_init__(self):
         if self.size < 1:
             raise StructureFormatError(f"universe size must be positive, got {self.size}")
-        self.relations = {sym: frozenset(map(tuple, rows)) for sym, rows in self.relations.items()}
-        self.functions = {sym: dict(table) for sym, table in self.functions.items()}
+        self.relations = {
+            sym: rows if type(rows) is frozenset else frozenset(map(tuple, rows))
+            for sym, rows in self.relations.items()
+        }
+        self.functions = {
+            sym: table if type(table) is dict else dict(table) for sym, table in self.functions.items()
+        }
         for sym, rows in self.relations.items():
             arities = {len(t) for t in rows}
             if len(arities) > 1:
@@ -69,45 +88,162 @@ class Structure:
         )
 
 
-def eval_term(s: Structure, a: Assignment, t: Term) -> int:
-    """Value of `t` in `s` under `a`; raises EvaluationError on missing pieces."""
-    if isinstance(t, Var):
-        try:
-            return a[t.name]
-        except KeyError:
-            raise EvaluationError(f"variable {t.name!r} has no assigned value") from None
-    if isinstance(t, App):
-        try:
-            table = s.functions[t.fn]
-        except KeyError:
-            raise EvaluationError(f"function {t.fn!r} is not interpreted") from None
-        args = tuple(eval_term(s, a, x) for x in t.args)
-        try:
-            return table[args]
-        except KeyError:
-            raise EvaluationError(f"function {t.fn!r} has no row for {args}") from None
-    raise EvaluationError(f"not a term: {t!r}")
+def compile_qf(s: Structure, f: Formula, slots: Mapping[str, int]) -> Callable[[Values], bool]:
+    """`f` as a test on value lists: `values[slots[name]]` is the value of
+    identifier `name`.  Node kinds, symbols and variables are resolved and
+    ground terms folded here, so every EvaluationError but a missing function
+    row is raised before any value is seen."""
+    test = _Compiler(s, slots).formula(f)
+    if callable(test):
+        return test
+    return (lambda values: True) if test else (lambda values: False)
 
 
 def holds_qf(s: Structure, a: Assignment, f: Formula) -> bool:
     """Classical truth of a quantifier-free formula under a total assignment."""
-    if isinstance(f, Atom):
+    return compile_qf(s, f, {name: i for i, name in enumerate(a)})(list(a.values()))
+
+
+def eval_term(s: Structure, a: Assignment, t: Term) -> int:
+    """Value of `t` in `s` under `a`; raises EvaluationError on missing pieces."""
+    compiler = _Compiler(s, {name: i for i, name in enumerate(a)})
+    value = compiler.term(t)
+    return value if isinstance(value, int) else compiler.reader(value)(list(a.values()))
+
+
+class _Rows(dict):
+    """A function table whose missing rows raise EvaluationError."""
+
+    __slots__ = ("fn",)
+
+    def __missing__(self, args):
+        raise EvaluationError(f"function {self.fn!r} has no row for {args}")
+
+
+class _Lookup(NamedTuple):
+    """A function application: its value is `rows[key(values)]`."""
+
+    rows: _Rows
+    key: Callable[[Values], tuple[int, ...]]
+
+
+# A compiled term: its value when ground, a lookup, or a function of values.
+_Term = int | _Lookup | Callable[[Values], int]
+
+
+class _Compiler:
+    """Compiles the formulas and terms of one structure over one slot map."""
+
+    def __init__(self, s: Structure, slots: Mapping[str, int]):
+        self.s = s
+        self.slots = slots
+        self.tables: dict[str, _Rows] = {}
+
+    def formula(self, f: Formula) -> Callable[[Values], bool] | bool:
+        """A test on value lists, or the formula's truth value when it is constant."""
+        if isinstance(f, Atom):
+            try:
+                rows = self.s.relations[f.rel]
+            except KeyError:
+                raise EvaluationError(f"relation {f.rel!r} is not interpreted") from None
+            key = self.key(f.args)
+            if isinstance(key, tuple):
+                return (key in rows) != f.negated
+            if f.negated:
+                return lambda values: key(values) not in rows
+            return lambda values: key(values) in rows
+        if isinstance(f, Equals):
+            lhs, rhs = self.term(f.lhs), self.term(f.rhs)
+            if isinstance(lhs, int) and isinstance(rhs, int):
+                return (lhs == rhs) != f.negated
+            if isinstance(lhs, _Lookup) and isinstance(rhs, _Lookup):  # f(...) = g(...) in one call
+                (left, left_key), (right, right_key) = lhs, rhs
+                if f.negated:
+                    return lambda values: left[left_key(values)] != right[right_key(values)]
+                return lambda values: left[left_key(values)] == right[right_key(values)]
+            lhs, rhs = self.reader(lhs), self.reader(rhs)
+            if f.negated:
+                return lambda values: lhs(values) != rhs(values)
+            return lambda values: lhs(values) == rhs(values)
+        if isinstance(f, Connective):
+            return self.connective(f)
+        if isinstance(f, Quant):
+            raise EvaluationError("holds_qf applied to a quantified formula")
+        raise EvaluationError(f"not a formula: {f!r}")
+
+    def connective(self, f: Connective) -> Callable[[Values], bool] | bool:
+        settles = f.kind == "or"  # one true branch settles a disjunction, one false a conjunction
+        tests = []
+        for branch in f.branches:
+            test = self.formula(branch)
+            if callable(test):
+                tests.append(test)
+            elif test == settles:
+                return settles
+        if len(tests) < 2:
+            return tests[0] if tests else not settles
+        if len(tests) == 2:
+            first, second = tests
+            if settles:
+                return lambda values: first(values) or second(values)
+            return lambda values: first(values) and second(values)
+        if len(tests) == 3:
+            first, second, third = tests
+            if settles:
+                return lambda values: first(values) or second(values) or third(values)
+            return lambda values: first(values) and second(values) and third(values)
+
+        def test(values) -> bool:
+            for branch in tests:
+                if branch(values) == settles:
+                    return settles
+            return not settles
+
+        return test
+
+    def slot(self, t: Var) -> int:
         try:
-            rows = s.relations[f.rel]
+            return self.slots[t.name]
         except KeyError:
-            raise EvaluationError(f"relation {f.rel!r} is not interpreted") from None
-        args = tuple(eval_term(s, a, t) for t in f.args)
-        return (args in rows) != f.negated
-    if isinstance(f, Equals):
-        same = eval_term(s, a, f.lhs) == eval_term(s, a, f.rhs)
-        return same != f.negated
-    if isinstance(f, Connective):
-        if f.kind == "or":
-            return any(holds_qf(s, a, b) for b in f.branches)
-        return all(holds_qf(s, a, b) for b in f.branches)
-    if isinstance(f, Quant):
-        raise EvaluationError("holds_qf applied to a quantified formula")
-    raise EvaluationError(f"not a formula: {f!r}")
+            raise EvaluationError(f"variable {t.name!r} has no assigned value") from None
+
+    def term(self, t: Term) -> _Term:
+        if isinstance(t, Var):
+            return itemgetter(self.slot(t))
+        if isinstance(t, App):
+            rows = self.tables.get(t.fn)
+            if rows is None:
+                try:
+                    rows = self.tables[t.fn] = _Rows(self.s.functions[t.fn])
+                except KeyError:
+                    raise EvaluationError(f"function {t.fn!r} is not interpreted") from None
+                rows.fn = t.fn
+            key = self.key(t.args)
+            return rows[key] if isinstance(key, tuple) else _Lookup(rows, key)
+        raise EvaluationError(f"not a term: {t!r}")
+
+    def key(self, args: tuple[Term, ...]) -> Callable[[Values], tuple[int, ...]] | tuple[int, ...]:
+        """The tuple of the `args`' values as a function of value lists, or
+        as a constant when every argument is ground."""
+        if len(args) > 1 and all(isinstance(t, Var) for t in args):
+            return itemgetter(*[self.slot(t) for t in args])  # builds the tuple in C
+        parts = [self.term(t) for t in args]
+        if all(isinstance(part, int) for part in parts):
+            return tuple(parts)
+        readers = [self.reader(part) for part in parts]
+        if len(readers) == 1:
+            (only,) = readers
+            return lambda values: (only(values),)
+        return lambda values: tuple([read(values) for read in readers])
+
+    @staticmethod
+    def reader(term: _Term) -> Callable[[Values], int]:
+        if isinstance(term, _Lookup):
+            rows, key = term
+            return lambda values: rows[key(values)]
+        if isinstance(term, int):
+            return lambda values: term
+        return term
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +267,14 @@ def load_structure(text: str) -> Structure:
     relations = {sym: frozenset(map(tuple, rows)) for sym, rows in _tables(doc, "relations", 0).items()}
     functions = {}
     for sym, rows in _tables(doc, "functions", 1).items():
-        table = {}
-        for row in rows:
-            args, value = tuple(row[:-1]), row[-1]
-            if args in table:
-                raise StructureFormatError(f"function {sym!r} has duplicate row for {args}")
-            table[args] = value
-        functions[sym] = table
+        table = functions[sym] = {tuple(row[:-1]): row[-1] for row in rows}
+        if len(table) < len(rows):
+            seen = set()
+            for row in rows:
+                args = tuple(row[:-1])
+                if args in seen:
+                    raise StructureFormatError(f"function {sym!r} has duplicate row for {args}")
+                seen.add(args)
     return Structure(size=size, relations=relations, functions=functions)
 
 

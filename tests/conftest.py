@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked matrices, seeded generators, fixture paths."""
+"""Shared fixtures: the worked matrices, seeded generators, fixture paths, and
+an evaluator of quantifier-free formulas that shares no code with the package."""
 
 import random
 from pathlib import Path
@@ -117,6 +118,41 @@ def random_sentence(rng: random.Random, fresh=None, bound=None, choosable=None, 
             branches.append(Quant(kind, var, slash, inner))
         return Connective("or", cv, tuple(branches))
     return random_qf(rng, bound, 2)
+
+
+def _naive_term(s, a, t):
+    """Independent term evaluator: an explicit worklist, no recursion."""
+    stack = [(t, False)]
+    values = []
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Var):
+            values.append(a[node.name])
+        elif not expanded:
+            stack.append((node, True))
+            for arg in reversed(node.args):
+                stack.append((arg, False))
+        else:
+            args = tuple(values[len(values) - len(node.args) :]) if node.args else ()
+            if node.args:
+                del values[len(values) - len(node.args) :]
+            values.append(s.functions[node.fn][args])
+    return values[0]
+
+
+def _naive_eval(s, a, f):
+    """Independent evaluator of quantifier-free formulas under the assignment
+    dict `a`, the reference the package's compiled evaluator is tested against."""
+    if isinstance(f, Atom):
+        result = tuple(_naive_term(s, a, t) for t in f.args) in s.relations[f.rel]
+        return not result if f.negated else result
+    if isinstance(f, Equals):
+        result = _naive_term(s, a, f.lhs) == _naive_term(s, a, f.rhs)
+        return not result if f.negated else result
+    if isinstance(f, Connective):
+        results = [_naive_eval(s, a, b) for b in f.branches]
+        return any(results) if f.kind == "or" else all(results)
+    raise AssertionError(f"unexpected node {f!r}")
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 import dataclasses
+import functools
 import hashlib
 import io
+import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifgames import applications, cli
 from ifgames.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
@@ -477,3 +481,96 @@ class TestParserBuiltOnce:
         again = [run_cli_all(*argv) for _ in range(3) for argv in self.CALLS]
         assert again == expected * 3
         assert cli._parser.cache_info().misses == 1
+
+
+# Formula texts from the sentence grammar's tokens: sentences built from its
+# productions, perhaps cut or spliced with a token, and plain token strings.
+_TOKENS = ("A", "E", "x", "y", "w", "(", ")", "/", "&", "|", "~", "=", ",", "{", "}", "\\/_", "i", "f", "S", " ")
+
+
+@functools.cache
+def _bodies(names: tuple[str, ...]):
+    name = st.sampled_from(names)
+    term = st.one_of(
+        name, name.map("f({})".format), st.tuples(name, name).map(lambda ab: "add({}, {})".format(*ab))
+    )
+    atom = st.one_of(
+        st.tuples(term, term).map(lambda ab: "P({}, {})".format(*ab)),
+        st.tuples(st.sampled_from(["R", "Q"]), term).map(lambda rt: "{}({})".format(*rt)),
+        st.tuples(term, term).map(lambda ab: "{} = {}".format(*ab)),
+    )
+    literal = st.tuples(st.sampled_from(["", "~"]), atom).map("".join)
+    joined = st.tuples(literal, st.sampled_from([" & ", " | "]), literal).map(lambda t: "({}{}{})".format(*t))
+    return st.one_of(literal, joined, st.tuples(joined, st.sampled_from([" & ", " | "]), literal).map("".join))
+
+
+@st.composite
+def _sentences(draw):
+    """A quantifier prefix with slash sets over x, y and z, then a body or a
+    choice disjunction whose branches hide the branch index from `w`."""
+    names = draw(st.permutations(["x", "y", "z"]))[: draw(st.integers(1, 3))]
+    text = ""
+    for k, name in enumerate(names):
+        slash = draw(st.lists(st.sampled_from(names[:k]), unique=True)) if k else []
+        head = draw(st.sampled_from("AE")) + name
+        text += f"({head}/{' '.join(slash)}) " if slash else head + " "
+    if draw(st.booleans()):
+        return text + draw(_bodies((*names, "c")))
+    first, second = draw(st.sampled_from(["AA", "EE", "AE"]))  # differing kinds cannot share a point
+    bodies = _bodies((*names, "w", "c"))
+    return text + f"\\/_i{{({first}w/i) {draw(bodies)}, ({second}w/i) {draw(bodies)}}}"
+
+
+@st.composite
+def _formula_texts(draw):
+    text = draw(st.one_of(_sentences(), _sentences(), st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)))
+    edit = draw(st.sampled_from(["keep", "keep", "keep", "cut", "splice"]))
+    if edit != "keep" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        middle = draw(st.sampled_from(_TOKENS)) if edit == "splice" else ""
+        text = text[:at] + middle + text[at + 1 :]
+    return text
+
+
+_FUZZ_STRUCTURES = {
+    "one": {"size": 1, "relations": {"P": [], "R": [[0]], "Q": []},
+            "functions": {"f": [[0, 0]], "c": [[0]], "add": [[0, 0, 0]]}},
+    "two": {"size": 2, "relations": {"P": [[0, 1], [1, 1]], "R": [[1]], "Q": []},
+            "functions": {"f": [[0, 1], [1, 1]], "c": [[1]], "add": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]}},
+    "two_small": {"size": 2, "relations": {"P": [[0, 0]], "Q": [[1]]}, "functions": {"c": [[0]]}},
+    "three": {"size": 3, "relations": {"P": [[0, 0], [2, 1]], "R": [], "Q": [[1]]},
+              "functions": {"f": [[0, 2], [1, 0], [2, 2]], "c": [[2]],
+                            "add": [[a, b, (a + b) % 3] for a in range(3) for b in range(3)]}},
+}
+_EXIT_CODES = (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_VALIDATION, EXIT_BUDGET)
+
+
+@pytest.fixture(scope="module")
+def fuzz_structures(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, doc in _FUZZ_STRUCTURES.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+class TestFormulaFuzz:
+    """Drawn formula texts on small structures exit with a documented code and
+    never print a traceback; every sentence that validates is also compiled."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(
+        text=_formula_texts(),
+        command=st.sampled_from(["value", "equilibrium", "bounds", "reduce", "matrix"]),
+        structure=st.sampled_from(sorted(_FUZZ_STRUCTURES)),
+        collapse=st.booleans(),
+    )
+    def test_exit_codes_are_documented(self, fuzz_structures, text, command, structure, collapse):
+        argv = [command, "--structure", str(fuzz_structures[structure]), "--formula", text]
+        argv += ["--max-strategies", "64", "--format", "machine"]
+        if not collapse:
+            argv.append("--no-collapse")
+        code, err = run_cli_stderr(*argv)
+        assert code in _EXIT_CODES
+        assert "Traceback" not in err

@@ -24,10 +24,10 @@ from ifgames.semantic_game import (
     enumerate_strategies,
     play,
 )
-from ifgames.structure import Structure, holds_qf, total_function_table
+from ifgames.structure import Structure, total_function_table
 from ifgames.value_engine import solve_value
 
-from conftest import TEST_VOCAB, identity_matrix, random_sentence
+from conftest import TEST_VOCAB, _naive_eval, identity_matrix, random_sentence
 
 EMPTY = Vocabulary()
 
@@ -306,7 +306,7 @@ def _eloise_wins(s, f, assignment):
         if f.kind == "or":
             return any(_eloise_wins(s, b, assignment) for b in f.branches)
         return all(_eloise_wins(s, b, assignment) for b in f.branches)
-    return holds_qf(s, assignment, f)
+    return _naive_eval(s, assignment, f)
 
 
 RANDOM_STRUCTURE = Structure(
@@ -348,11 +348,11 @@ def _reference_play(plan, strategies) -> int:
             if len(node.branches) == 1:
                 return walk(node.branches[0], path + (0,), a)
             if path in collapsed:
-                return 1 if holds_qf(plan.structure, a, node) else 0
+                return 1 if _naive_eval(plan.structure, a, node) else 0
             option = lookup(path, a)
             if node.choice_var is not None:
                 a[node.choice_var] = option
             return walk(node.branches[option], path + (option,), a)
-        return 1 if holds_qf(plan.structure, a, node) else 0
+        return 1 if _naive_eval(plan.structure, a, node) else 0
 
     return walk(plan.formula, (), {})

@@ -1,13 +1,18 @@
 import random
+import re
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifgames.applications import cyclic_structure
 from ifgames.errors import EvaluationError, StructureFormatError
 from ifgames.formula import App, Atom, Connective, Equals, Quant, Var
 from ifgames.structure import (
     Structure,
+    compile_qf,
     eval_term,
     holds_qf,
     load_structure,
@@ -15,7 +20,7 @@ from ifgames.structure import (
     total_function_table,
 )
 
-from conftest import FIXTURES, TEST_VOCAB, random_atom, random_qf
+from conftest import FIXTURES, _naive_eval, _naive_term, random_qf
 
 
 def psi_two():
@@ -97,37 +102,124 @@ class TestHoldsQF:
             assert holds_qf(s, a, f) == _naive_eval(s, a, f)
 
 
-def _naive_eval(s, a, f):
-    """Independent evaluator: explicit worklist over a truth table of leaves."""
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the independent one, on every assignment
 
-    def term_value(t):
-        stack = [(t, False)]
-        values = []
-        while stack:
-            node, expanded = stack.pop()
-            if isinstance(node, Var):
-                values.append(a[node.name])
-            elif not expanded:
-                stack.append((node, True))
-                for arg in reversed(node.args):
-                    stack.append((arg, False))
-            else:
-                args = tuple(values[len(values) - len(node.args) :]) if node.args else ()
-                if node.args:
-                    del values[len(values) - len(node.args) :]
-                values.append(s.functions[node.fn][args])
-        return values[0]
+FIXED = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+NAMES = ("x", "y", "z")
 
-    if isinstance(f, Atom):
-        result = tuple(term_value(t) for t in f.args) in s.relations[f.rel]
-        return not result if f.negated else result
-    if isinstance(f, Equals):
-        result = term_value(f.lhs) == term_value(f.rhs)
-        return not result if f.negated else result
-    if isinstance(f, Connective):
-        results = [_naive_eval(s, a, b) for b in f.branches]
-        return any(results) if f.kind == "or" else all(results)
-    raise AssertionError(f"unexpected node {f!r}")
+
+@st.composite
+def structures(draw):
+    """One to three elements; `E` is empty, so its arity is None and it takes
+    any argument count, and `R` and `P` may be empty too."""
+    n = draw(st.integers(1, 3))
+    element = st.integers(0, n - 1)
+
+    def relation(arity):
+        return draw(st.frozensets(st.tuples(*[element] * arity), max_size=n**arity))
+
+    def function(arity):
+        return {args: draw(element) for args in product(range(n), repeat=arity)}
+
+    return Structure(
+        size=n,
+        relations={"R": relation(1), "P": relation(2), "E": frozenset()},
+        functions={"add": function(2), "s": function(1), "c": function(0)},
+    )
+
+
+def _terms(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda args: App("add", args)),
+            inner.map(lambda arg: App("s", (arg,))),
+        ),
+        max_leaves=5,
+    )
+
+
+def _formulas(terms):
+    atoms = st.one_of(
+        st.builds(lambda t, neg: Atom("R", (t,), neg), terms, st.booleans()),
+        st.builds(lambda a, b, neg: Atom("P", (a, b), neg), terms, terms, st.booleans()),
+        st.builds(lambda args, neg: Atom("E", tuple(args), neg), st.lists(terms, min_size=1, max_size=2), st.booleans()),
+        st.builds(lambda a, b, neg: Equals(a, b, neg), terms, terms, st.booleans()),
+    )
+    return st.recursive(
+        atoms,
+        lambda inner: st.builds(
+            lambda kind, branches: Connective(kind, None, tuple(branches)),
+            st.sampled_from(["and", "or"]),
+            st.lists(inner, min_size=1, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+GROUND_TERMS = _terms(st.just(App("c", ())))
+TERMS = _terms(st.sampled_from([Var(name) for name in NAMES] + [App("c", ())]))
+
+
+def _assignments(s):
+    for combo in product(range(s.size), repeat=len(NAMES)):
+        yield dict(zip(NAMES, combo))
+
+
+class TestCompiledEvaluator:
+    @FIXED
+    @given(structures(), _formulas(TERMS), st.permutations(range(5)))
+    def test_agrees_with_naive_evaluator_on_every_assignment(self, s, f, order):
+        # Three of five slots hold the identifiers; the other two hold values
+        # outside the universe, which no lookup may read.
+        slots = dict(zip(NAMES, order))
+        test = compile_qf(s, f, slots)
+        for a in _assignments(s):
+            values = [s.size + 5] * 5
+            for name, value in a.items():
+                values[slots[name]] = value
+            expected = _naive_eval(s, a, f)
+            assert test(values) is expected
+            assert holds_qf(s, a, f) is expected
+
+    @settings(FIXED, max_examples=100)
+    @given(structures(), TERMS)
+    def test_terms_agree_with_naive_evaluator(self, s, t):
+        for a in _assignments(s):
+            assert eval_term(s, a, t) == _naive_term(s, a, t)
+
+    @settings(FIXED, max_examples=50)
+    @given(structures(), _formulas(GROUND_TERMS))
+    def test_ground_formulas_read_no_value(self, s, f):
+        assert compile_qf(s, f, {})([]) is _naive_eval(s, {}, f)
+
+    def test_errors_are_raised_at_compile_time(self):
+        s = Structure(size=2, relations={"R": frozenset({(0,)})}, functions={"c": {(): 1}})
+        x = Var("x")
+        cases = [
+            (Equals(x, x), "variable 'x' has no assigned value"),
+            (Atom("Q", (x,)), "relation 'Q' is not interpreted"),
+            (Equals(App("g", ()), x), "function 'g' is not interpreted"),
+            (Quant("forall", "x", frozenset(), Equals(x, x)), "holds_qf applied to a quantified formula"),
+            (x, "not a formula: Var(name='x')"),
+            (Equals(App("c", (App("c", ()),)), x), "function 'c' has no row for (1,)"),
+        ]
+        for f, message in cases:
+            with pytest.raises(EvaluationError, match=re.escape(message)):
+                compile_qf(s, f, {"y": 0} if "variable" in message else {"x": 0})
+        with pytest.raises(EvaluationError, match="not a term"):
+            eval_term(s, {}, Atom("R", ()))
+
+    def test_missing_row_is_reported_when_evaluated(self):
+        s = cyclic_structure(2)
+        t = App("add", (Var("x"), Var("x")))
+        test = compile_qf(s, Equals(t, Var("x")), {"x": 0})
+        assert test([1]) is False
+        with pytest.raises(EvaluationError, match=r"function 'add' has no row for \(5, 5\)"):
+            test([5])
+        with pytest.raises(EvaluationError, match=r"function 'add' has no row for \(2, 2\)"):
+            eval_term(s, {"x": 2}, t)
 
 
 class TestFileFormat:
@@ -151,6 +243,21 @@ class TestFileFormat:
     def test_partial_function_table(self):
         with pytest.raises(StructureFormatError, match="partial"):
             load_structure('{"size": 3, "functions": {"f": [[0,0],[1,0]]}}')
+
+    def test_duplicate_function_row(self):
+        text = '{"size": %d, "functions": {"f": [[0, 0], [1, 1], [0, 1]]}}'
+        with pytest.raises(StructureFormatError, match=re.escape("function 'f' has duplicate row for (0,)")):
+            load_structure(text % 2)
+        with pytest.raises(StructureFormatError, match="duplicate row"):  # reported before the size
+            load_structure(text % 0)
+
+    def test_containers_are_converted_once(self):
+        relation = frozenset({(0,), (1,)})
+        table = {(0,): 1, (1,): 0}
+        s = Structure(size=2, relations={"R": relation}, functions={"f": table})
+        assert s.relations["R"] is relation and s.functions["f"] is table
+        t = Structure(size=2, relations={"R": [[0], [1]]}, functions={"f": [((0,), 1), ((1,), 0)]})
+        assert t == s and type(t.relations["R"]) is frozenset and type(t.functions["f"]) is dict
 
     def test_malformed_json(self):
         with pytest.raises(StructureFormatError, match="JSON"):
