@@ -128,27 +128,22 @@ _TOKEN_RE = re.compile(
   | (?P<choice>\\/_)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<sym>[()&|~=,{}/])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    # `bad` matches any single character, so the matches tile the text.
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "ws":
-            pos = m.end()
-            continue
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "sym":
-            kind = value
-        tokens.append((kind, value, pos))
-        pos = m.end()
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group() if kind == "sym" else kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 

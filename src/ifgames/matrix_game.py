@@ -347,13 +347,13 @@ def parse_matrix(text: str) -> GameMatrix:
         raise IfGamesError(f"a game matrix needs at least one row and one column, got {m} x {n}")
     if len(lines) - 1 != m:
         raise IfGamesError(f"expected {m} matrix rows, found {len(lines) - 1}")
-    rows = []
+    digits = []
     for line in lines[1:]:
         entries = line.split()
-        if len(entries) != n or any(e not in ("0", "1") for e in entries):
+        if len(entries) != n or not {"0", "1"}.issuperset(entries):
             raise IfGamesError(f"bad matrix row {line!r}")
-        rows.append([int(e) for e in entries])
-    return GameMatrix(rows)
+        digits.append("".join(entries))
+    return GameMatrix((np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8) - ord("0")).reshape(m, n))
 
 
 def format_matrix(u: GameMatrix) -> str:

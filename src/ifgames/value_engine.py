@@ -105,10 +105,8 @@ def balanced_value(u: GameMatrix) -> ValueReport | None:
 def solve_value(u: GameMatrix) -> ValueReport:
     """The exact value by linear programming, with both optimal strategies
     built from the final tableau's integers."""
-    value, (mu_nums, d), (nu_raw, total) = security_level_lp(u.rows())
-    mu = MixedStrategy(mu_nums, d, "row")
-    nu = MixedStrategy(nu_raw, total, "column")
-    return _certified(u, value, mu, nu, METHOD_LP)
+    value, (mu_nums, d), (nu_raw, total) = security_level_lp(u.array)
+    return _certified(u, value, MixedStrategy(mu_nums, d, "row"), MixedStrategy(nu_raw, total, "column"), METHOD_LP)
 
 
 def solve_by_support_enumeration(u: GameMatrix) -> ValueReport:

@@ -1,10 +1,16 @@
+import importlib.util
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from ifgames.errors import ParseError
 from ifgames.formula import (
     MAX_NESTING,
+    _tokenize,
     App,
     Atom,
     Connective,
@@ -20,6 +26,7 @@ from ifgames.semantic_game import build_matrix
 from ifgames.structure import Structure
 
 from conftest import TEST_VOCAB, random_sentence
+from test_cli import _formula_texts
 
 EMPTY = Vocabulary()
 
@@ -228,3 +235,59 @@ class TestValidate:
         for keys, values in ((1, 1), (2, 2), (3, 2)):
             structure, spec = hash_structure(keys, values)
             assert validate(hashing_sentence(spec), structure.vocabulary()) == []
+
+
+# One `match` per token in a Python loop: the tokenizer's reference.
+_LOOP_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<choice>\\/_)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[()&|~=,{}/])")
+
+
+def loop_tokens(text):
+    """The token list, or the message of the ParseError for the first
+    character no token starts with."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _LOOP_TOKEN_RE.match(text, pos)
+        if m is None:
+            return f"unexpected character {text[pos]!r} (at position {pos})"
+        if m.lastgroup != "ws":
+            tokens.append((m.group() if m.lastgroup == "sym" else m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens + [("eof", "", len(text))]
+
+
+def tokens_or_error(text):
+    try:
+        return _tokenize(text)
+    except ParseError as e:
+        return str(e)
+
+
+def _sentence_corpus_formulas(seeds):
+    """Every `--formula` of the benchmark's sentence_corpus workload."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(workloads)
+        for seed in seeds:
+            for op in workloads.sentence_corpus(seed).ops:
+                yield op.argv[op.argv.index("--formula") + 1]
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestTokenize:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(_formula_texts())
+    def test_matches_loop_on_fuzz_texts(self, text):
+        assert tokens_or_error(text) == loop_tokens(text)
+
+    def test_matches_loop_on_sentence_corpus(self):
+        formulas = list(_sentence_corpus_formulas((1, 4242, 9090)))
+        assert len(formulas) > 1000
+        for text in formulas:
+            assert tokens_or_error(text) == loop_tokens(text), text
+
+    @pytest.mark.parametrize("text", ["", "  ", "Ax \n Ey x = y", "x # y", "\u00e9", "Ax\tP(x)\r\n!", "\\/_i{P, Q}"])
+    def test_matches_loop_on_edge_cases(self, text):
+        assert tokens_or_error(text) == loop_tokens(text)

@@ -3,14 +3,19 @@ against plain `Fraction` references kept here, and the LP value against the
 support-enumeration oracle.  The solvers return numerators over a positive
 common denominator; the comparisons read them back as `Fraction`s."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
 
+from ifgames import linalg
 from ifgames.linalg import security_level_lp, solve_linear_system
 from ifgames.matrix_game import GameMatrix
 from ifgames.value_engine import solve_by_support_enumeration
+from test_properties import FIXED, games
 
 
 def reference_linear_system(rows, rhs):
@@ -44,9 +49,11 @@ def reference_linear_system(rows, rhs):
     return solution, len(pivot_cols) == ncols
 
 
-def reference_lp(matrix):
+def reference_lp(matrix, degenerate_run=0):
     """The security-level tableau simplex with one `Fraction` per cell, the
-    same variable order, starting basis and Bland pivot rule."""
+    same variable order, starting basis and pivot rule: Dantzig until
+    `degenerate_run` pivots in a row leave v unchanged, then Bland until one
+    raises it.  The default, 0, is pure Bland."""
     m, n = len(matrix), len(matrix[0])
     u = [[Fraction(x) for x in row] for row in matrix]
     v_idx, nvars = m, m + 1 + n
@@ -63,16 +70,22 @@ def reference_lp(matrix):
     basis = [v_idx + 1 + j for j in range(n)] + [0]
     reduced = [Fraction(0)] * (nvars + 1)
     reduced[v_idx] = Fraction(1)
+    run = 0
     while True:
-        entering = next((j for j in range(nvars) if reduced[j] > 0), None)
-        if entering is None:
+        improving = [j for j in range(nvars) if reduced[j] > 0]
+        if not improving:
             break
+        if run < degenerate_run:
+            entering = max(improving, key=lambda j: (reduced[j], -j))
+        else:
+            entering = improving[0]
         pivot_row, best = None, None
         for r, row in enumerate(tableau):
             if row[entering] > 0:
                 ratio = row[nvars] / row[entering]
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[pivot_row]):
                     pivot_row, best = r, ratio
+        run = run + 1 if best == 0 else 0
         piv = tableau[pivot_row][entering]
         prow = tableau[pivot_row] = [x / piv for x in tableau[pivot_row]]
         for r, row in enumerate(tableau):
@@ -116,12 +129,40 @@ def lp_as_fractions(matrix):
     return value, [Fraction(q, d) for q in mu_nums], [Fraction(x, total) for x in nu_raw]
 
 
+def spy_pivots(monkeypatch):
+    """Replace `linalg._pivot` by a spy; returns the list it fills, for every
+    pivot, with the table's dtype and, meaningful on LP tables only, whether
+    the entering column has the largest reduced cost (the first of equals).
+    An LP pivot elsewhere can only come from the Bland fallback."""
+    seen = []
+    pivot = linalg._pivot
+
+    def spy(table, r, c, d):
+        costs = table[-1, :-1].tolist()
+        seen.append((table.dtype, c == costs.index(max(costs))))
+        return pivot(table, r, c, d)
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    return seen
+
+
 class TestSecurityLevelLP:
-    def test_matches_fraction_reference(self):
+    def test_matches_fraction_reference(self, monkeypatch):
+        # With no Dantzig pivots the rule is pure Bland, the reference's default.
+        monkeypatch.setattr(linalg, "_DEGENERATE_RUN", 0)
         cases = list(lp_cases())
         assert len(cases) >= 300
         for matrix in cases:
             assert lp_as_fractions(matrix) == reference_lp(matrix), matrix
+
+    def test_default_rule_matches_fraction_reference(self):
+        for matrix in lp_cases():
+            assert lp_as_fractions(matrix) == reference_lp(matrix, linalg._DEGENERATE_RUN), matrix
+
+    def test_numpy_input_matches_rows(self):
+        for matrix in random_games(random.Random(8), 40, 8, 8):
+            arr = np.array(matrix, dtype=np.uint8)
+            assert security_level_lp(arr) == security_level_lp(matrix), matrix
 
     def test_value_matches_support_enumeration(self):
         for matrix in random_games(random.Random(7), 80, 6, 6):
@@ -135,6 +176,53 @@ class TestSecurityLevelLP:
 
     def test_integral_non_int_entries_accepted(self):
         assert security_level_lp([[Fraction(1), 0.0], [0, 1]])[0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("bad", [[], [[]], [[1, -1]], [[1, 0], [1]]])
+    def test_malformed_matrices_raise(self, bad):
+        with pytest.raises(ValueError):
+            security_level_lp(bad)
+
+
+def degenerate_games():
+    """Games whose LPs pivot degenerately: every row twice, every column
+    twice, and all-equal columns (all ones, all zeros) appended, on random
+    games of 12 to 16 strategies a side, where runs of degenerate pivots are
+    long enough to reach the Bland fallback."""
+    rng = random.Random(20261018)
+    for _ in range(12):
+        k, p = rng.randint(12, 16), rng.uniform(0.3, 0.7)
+        game = [[int(rng.random() < p) for _ in range(k)] for _ in range(k)]
+        yield game + game
+        yield [row + row for row in game]
+        yield [row + [1, 1] for row in game]
+        yield [row + [0] for row in game]
+
+
+class TestDegenerateCorpus:
+    def test_matches_fraction_reference(self, monkeypatch):
+        seen = spy_pivots(monkeypatch)
+        for matrix in degenerate_games():
+            assert lp_as_fractions(matrix) == reference_lp(matrix, linalg._DEGENERATE_RUN), matrix
+        # Some game ran _DEGENERATE_RUN degenerate pivots and entered by Bland.
+        assert sum(not dantzig for _, dantzig in seen) > 0
+
+    @FIXED
+    @given(games(max_side=9))
+    def test_hypothesis_games_match_fraction_reference(self, u):
+        matrix = [list(row) for row in u.rows()]
+        assert lp_as_fractions(matrix) == reference_lp(matrix, linalg._DEGENERATE_RUN)
+        assert security_level_lp(u.array) == security_level_lp(matrix)
+
+    @pytest.mark.parametrize("k, dtype", [(13, np.int64), (14, object)])
+    def test_int64_guard_boundary(self, monkeypatch, k, dtype):
+        # 0/1 games: every minor of the tableau has order min(m, n) + 2 or less.
+        seen = spy_pivots(monkeypatch)
+        rng = random.Random(k)
+        for m, n in ((k, k), (k, k + 4), (k + 4, k)):
+            for p in (0.3, 0.5, 0.7):
+                matrix = [[int(rng.random() < p) for _ in range(n)] for _ in range(m)]
+                assert lp_as_fractions(matrix) == reference_lp(matrix, linalg._DEGENERATE_RUN), matrix
+        assert {dt for dt, _ in seen} == {np.dtype(dtype)}
 
 
 def random_system(rng, m, n, entry):
@@ -212,6 +300,27 @@ class TestLinearSystem:
             rows = [[rng.randint(0, 1) for _ in range(k)] + [-1] for _ in range(k)]
             rows.append([1] * k + [0])
             self._check(rows, [0] * k + [1])
+
+    def test_int64_guard_boundary(self, monkeypatch):
+        # Entries at the largest size the guard admits for a 3 x 3 augmented
+        # matrix run in int64; one more runs on Python ints, and both match.
+        seen = spy_pivots(monkeypatch)
+        top = next(t for t in itertools.count(1) if linalg._dtype(t + 1, 3) is object)
+        rng = random.Random(18)
+        for size in (top, top + 1):
+            for _ in range(40):
+                rows, rhs = random_system(rng, 3, 2, lambda: rng.choice((-size, size, rng.randint(-size, size))))
+                self._check(rows, rhs)
+            assert seen and {dt for dt, _ in seen} == {np.dtype(np.int64 if size == top else object)}
+            seen.clear()
+
+    def test_large_entries_run_on_python_ints(self, monkeypatch):
+        seen = spy_pivots(monkeypatch)
+        rng = random.Random(19)
+        for _ in range(100):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            self._check(*random_system(rng, m, n, lambda: rng.randint(-(2**70), 2**70)))
+        assert {dt for dt, _ in seen} == {np.dtype(object)}
 
     def test_empty_and_ragged(self):
         assert solve_linear_system([], []) == (([], 1), True)

@@ -352,6 +352,29 @@ class TestTextFormat:
         with pytest.raises(IfGamesError):
             parse_matrix("1 2\n0 7\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty matrix file"),
+            ("2\n0 1\n1 0\n", "matrix header must be 'm n', got '2'"),
+            ("0 2\n", "a game matrix needs at least one row and one column, got 0 x 2"),
+            ("2 2\n0 1\n", "expected 2 matrix rows, found 1"),
+            ("1 2\n0 7\n", "bad matrix row '0 7'"),
+            ("1 2\n0 1 1\n", "bad matrix row '0 1 1'"),
+            ("1 2\n01 1\n", "bad matrix row '01 1'"),
+            ("1 2\n0 \u0661\n", "bad matrix row '0 \u0661'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(IfGamesError) as caught:
+            parse_matrix(text)
+        assert str(caught.value) == message
+
+    def test_whitespace_and_dtype(self):
+        u = parse_matrix(" 2  3 \n 0\t1 1 \n\n1 0  0\n")
+        assert u.rows() == [(0, 1, 1), (1, 0, 0)]
+        assert u.array.dtype == np.uint8
+
 
 def _random_mix(rng: random.Random, k: int, side: str) -> MixedStrategy:
     weights = [rng.randint(0, 6) for _ in range(k)]
