@@ -53,7 +53,6 @@ from .semantic_game import (
     ELOISE,
     DecisionPoint,
     Game,
-    GameBuildReport,
     PureStrategy,
     ReducedForm,
     ReducedStrategies,

@@ -228,12 +228,12 @@ def adversary_pair_columns(spec: HashStructureSpec, form: ReducedForm) -> frozen
     """Reduced columns of the hashing game whose adversary realizes two distinct keys.
 
     The adversary's decision points are the merged first and second universal;
-    a reduced strategy assigns exactly its first pick c and its second-pick
-    table entry at c."""
+    a reduced strategy assigns exactly its first pick c, its flat cell 0,
+    and its second-pick table entry at c, the cell after it."""
     chosen = []
-    for j, tables in enumerate(form.abelard.tables):
-        first = tables[0][0]
-        second = tables[1][first]
+    for j, cells in enumerate(form.abelard.cells):
+        first = cells[0]
+        second = cells[1 + first]
         if first < spec.key_count and second < spec.key_count and first != second:
             chosen.append(j)
     return frozenset(chosen)

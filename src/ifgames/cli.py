@@ -26,7 +26,7 @@ from .errors import (
     StructureFormatError,
 )
 from .formula import parse as parse_formula
-from .matrix_game import Bounds, GameMatrix, MixedStrategy, format_matrix, parse_matrix, reduce
+from .matrix_game import Bounds, MixedStrategy, format_matrix, parse_matrix, reduce
 from .matrix_game import scaled_numerators, tallies
 from .semantic_game import DEFAULT_STRATEGY_BUDGET, ReducedForm, build_matrix, build_reduced
 from .structure import load_structure
@@ -53,14 +53,14 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _strategy(ms: MixedStrategy, reps: tuple[int, ...] | None = None) -> str:
-    """The support as `index:p/q` pairs; `reps` renumbers reduced strategies
-    by their full-form representatives."""
+def _strategy(ms: MixedStrategy, reps: tuple[int, ...]) -> str:
+    """The support as `index:p/q` pairs, each reduced strategy numbered by
+    its full-form representative."""
     nums, den = scaled_numerators(ms)
     parts = []
     for i in ms.support():
         g = gcd(nums[i], den)
-        parts.append(f"{i if reps is None else reps[i]}:{nums[i] // g}/{den // g}")
+        parts.append(f"{reps[i]}:{nums[i] // g}/{den // g}")
     return " ".join(parts)
 
 
@@ -163,16 +163,15 @@ def _case_study(make, *args):
         raise _UsageError(str(e)) from None
 
 
-def _load_game(args, full: bool = False) -> tuple[GameMatrix, ReducedForm | None]:
-    """The game the input flags name: a --matrix file as it stands, a
-    sentence as its reduced strategic form (returned beside its matrix), or
-    with `full` as its full strategic form."""
+def _load_game(args, build) -> ReducedForm:
+    """The game the input flags name: a --matrix file as it stands, or a
+    sentence as `build` (`build_reduced` or `build_matrix`) makes it."""
     from_matrix = args.matrix is not None
     from_sentence = args.structure is not None or args.formula is not None or args.formula_file is not None
     if from_matrix == from_sentence:
         raise _UsageError("provide either --matrix or a --structure with a formula")
     if from_matrix:
-        return parse_matrix(_read_input(args.matrix)), None
+        return ReducedForm.of_matrix(parse_matrix(_read_input(args.matrix)))
     if args.structure is None:
         raise _UsageError("--formula needs --structure")
     if (args.formula is None) == (args.formula_file is None):
@@ -180,40 +179,32 @@ def _load_game(args, full: bool = False) -> tuple[GameMatrix, ReducedForm | None
     structure = load_structure(_read_input(args.structure))
     text = args.formula if args.formula is not None else _read_input(args.formula_file)
     sentence = parse_formula(text, structure.vocabulary())
-    collapse = not args.no_collapse
-    if full:
-        return build_matrix(structure, sentence, collapse=collapse, max_strategies=args.max_strategies).matrix, None
-    form = build_reduced(structure, sentence, collapse=collapse, max_strategies=args.max_strategies)
-    return form.matrix, form
+    return build(structure, sentence, collapse=not args.no_collapse, max_strategies=args.max_strategies)
 
 
-def _header(u: GameMatrix, form: ReducedForm | None, fmt: str, command: str) -> tuple[_Report, Bounds]:
+def _header(form: ReducedForm, fmt: str, command: str) -> tuple[_Report, Bounds]:
     """A report opened with the command, the shape and the uniform bounds,
-    all of the full game when `u` is the reduced form `form`."""
+    all of the full game that `form` reduces."""
     out = _Report(fmt)
     out.add("command", command)
-    if form is None:
-        out.add("rows", u.m)
-        out.add("cols", u.n)
-        t = tallies(u)
-    else:
-        out.add("rows", form.eloise.count)
-        out.add("cols", form.abelard.count)
-        t = tallies(u, form.eloise.weights, form.abelard.weights)
+    out.add("rows", form.eloise.count)
+    out.add("cols", form.abelard.count)
+    t = tallies(form.matrix, form.eloise.weights, form.abelard.weights)
     out.add_frac("floor", t.floor)
     out.add_frac("ceil", t.ceil)
     return out, t
 
 
-def _report_game(u: GameMatrix, form: ReducedForm | None, fmt: str, command: str, verified_line: bool) -> None:
-    out, _ = _header(u, form, fmt, command)
+def _report_game(form: ReducedForm, fmt: str, command: str, verified_line: bool) -> None:
+    out, _ = _header(form, fmt, command)
     # Every full row and column copies one of R's, so R's value and
     # certificates are the full game's, with each strategy on its representative.
+    u = form.matrix
     solved = solve_game(u)
     out.add_frac("value", solved.value)
     out.add("method", solved.method)
-    out.add("eloise", _strategy(solved.eloise, None if form is None else form.eloise.reps))
-    out.add("abelard", _strategy(solved.abelard, None if form is None else form.abelard.reps))
+    out.add("eloise", _strategy(solved.eloise, form.eloise.reps))
+    out.add("abelard", _strategy(solved.abelard, form.abelard.reps))
     if verified_line:
         out.add("verified", str(verify_equilibrium(u, solved.eloise, solved.abelard)).lower())
     out.print()
@@ -222,42 +213,42 @@ def _report_game(u: GameMatrix, form: ReducedForm | None, fmt: str, command: str
 def _run(args) -> int:
     fmt = getattr(args, "format", "text")
     if args.command in ("value", "equilibrium"):
-        u, form = _load_game(args)
-        _report_game(u, form, fmt, args.command, verified_line=args.command == "equilibrium")
+        form = _load_game(args, build_reduced)
+        _report_game(form, fmt, args.command, verified_line=args.command == "equilibrium")
         return EXIT_OK
     if args.command == "bounds":
-        out, t = _header(*_load_game(args), fmt, "bounds")
+        out, t = _header(_load_game(args, build_reduced), fmt, "bounds")
         out.add("colmin", t.colmin)
         out.add("rowmax", t.rowmax)
         out.print()
         return EXIT_OK
     if args.command == "reduce":
-        u, _ = _load_game(args, full=True)
-        reduced, rows, cols = reduce(u)
+        # R is the full game at increasing representatives, so reducing R
+        # keeps the representatives of what reducing the full game keeps.
+        form = _load_game(args, build_reduced)
+        reduced, rows, cols = reduce(form.matrix)
         out = _Report(fmt)
         out.add("command", "reduce")
-        out.add("rows", u.m)
-        out.add("cols", u.n)
-        out.add("kept_rows", ",".join(map(str, rows)))
-        out.add("kept_cols", ",".join(map(str, cols)))
+        out.add("rows", form.eloise.count)
+        out.add("cols", form.abelard.count)
+        out.add("kept_rows", ",".join(str(form.eloise.reps[i]) for i in rows))
+        out.add("kept_cols", ",".join(str(form.abelard.reps[j]) for j in cols))
         out.print()
         sys.stdout.write(format_matrix(reduced))
         return EXIT_OK
     if args.command == "matrix":
-        u, _ = _load_game(args, full=True)
-        sys.stdout.write(format_matrix(u))
+        sys.stdout.write(format_matrix(_load_game(args, build_matrix).matrix))
         return EXIT_OK
     if args.command == "mp":
         sentence, structure = _case_study(applications.matching_pennies, args.n)
-        form = build_reduced(structure, sentence)
-        _report_game(form.matrix, form, fmt, "mp", verified_line=False)
+        _report_game(build_reduced(structure, sentence), fmt, "mp", verified_line=False)
         return EXIT_OK
     if args.command == "birthday":
         sentence = _case_study(applications.birthday_sentence, args.m)
         structure = _case_study(applications.cyclic_structure, args.n)
         form = build_reduced(structure, sentence)
         all_distinct, duplicate = applications.birthday_closed_form(args.n, args.m)
-        _report_game(form.matrix, form, fmt, "birthday", verified_line=False)
+        _report_game(form, fmt, "birthday", verified_line=False)
         out = _Report(fmt)
         out.add_frac("all_distinct", all_distinct)
         out.add_frac("duplicate_prob", duplicate)
@@ -267,14 +258,13 @@ def _run(args) -> int:
         _, spec = _case_study(applications.hash_structure, args.keys, args.values)
         eq = applications.hashing_equilibrium(spec)
         form = eq.build
-        u = form.matrix
-        out, _ = _header(u, form, fmt, "hashing")
+        out, _ = _header(form, fmt, "hashing")
         # An unverified pair certifies nothing, so the value then comes from
         # the general solver and is labelled with the route that produced it.
         if eq.verified:
             value, method, eloise = eq.value, "hashing-certificate", eq.eloise
         else:
-            solved = solve_game(u)
+            solved = solve_game(form.matrix)
             value, method, eloise = solved.value, solved.method, solved.eloise
         out.add_frac("value", value)
         out.add("method", method)

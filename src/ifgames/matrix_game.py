@@ -170,19 +170,25 @@ def tallies(
     weights, row i stands for `row_weights[i]` copies of itself and column j
     for `col_weights[j]`, as in a reduced strategic form, and the tallies are
     those of the game with the copies: column sums weigh rows, the floor
-    divides by the total row weight, and likewise for rows."""
-    col = u.col_sums() if row_weights is None else weighted_col_sums(u, row_weights)
-    row = u.row_sums() if col_weights is None else weighted_row_sums(u, col_weights)
+    divides by the total row weight, and likewise for rows.  Unit weights
+    are no weights, and take the sums `u` caches."""
+    row_unit, col_unit = _unit(row_weights, u.m), _unit(col_weights, u.n)
+    col = u.col_sums() if row_unit else weighted_col_sums(u, row_weights)
+    row = u.row_sums() if col_unit else weighted_row_sums(u, col_weights)
     colmin = min(col)
     rowmax = max(row)
     return Bounds(
-        floor=Fraction(colmin, u.m if row_weights is None else sum(row_weights)),
-        ceil=Fraction(rowmax, u.n if col_weights is None else sum(col_weights)),
+        floor=Fraction(colmin, u.m if row_unit else sum(row_weights)),
+        ceil=Fraction(rowmax, u.n if col_unit else sum(col_weights)),
         colmin=colmin,
         rowmax=rowmax,
         colargmin=frozenset(j for j, s in enumerate(col) if s == colmin),
         rowargmax=frozenset(i for i, s in enumerate(row) if s == rowmax),
     )
+
+
+def _unit(weights: Sequence[int] | None, k: int) -> bool:
+    return weights is None or len(weights) == k == weights.count(1)
 
 
 def is_row_balanced(u: GameMatrix) -> bool:
@@ -357,7 +363,8 @@ def parse_matrix(text: str) -> GameMatrix:
 
 
 def format_matrix(u: GameMatrix) -> str:
-    lines = [f"{u.m} {u.n}"]
-    for i in range(u.m):
-        lines.append(" ".join(str(x) for x in u.row(i)))
-    return "\n".join(lines) + "\n"
+    # Each row is 2n bytes: a digit then a space per entry, the last space a newline.
+    text = np.full((u.m, 2 * u.n), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = u.array + ord("0")
+    text[:, -1] = ord("\n")
+    return f"{u.m} {u.n}\n" + text.tobytes().decode("ascii")

@@ -83,25 +83,18 @@ class PureStrategy:
     tables: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GameBuildReport:
-    matrix: GameMatrix
-    eloise_strategy_count: int
-    abelard_strategy_count: int
-    collapsed_loci: tuple[Path, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ReducedStrategies:
     """One player's reduced strategies, in order of representative.
 
     `cells[s]` is strategy s's flat choice table (the owner's point tables
-    concatenated in point order) with -1 at every cell it leaves unassigned; `reps[s]` is the full-form index of the strategy with those
-    cells at 0, and `weights[s]` the number of full strategies in its class."""
+    concatenated in point order) with -1 at every cell it leaves
+    unassigned; `reps[s]` is the full-form index of the strategy with those
+    cells at 0, and `weights[s]` the number of full strategies in its class.
+    A game given by its matrix has no choice tables, so no `cells`."""
 
     owner: str
     cells: tuple[tuple[int, ...], ...]
-    table_sizes: tuple[int, ...]
     reps: tuple[int, ...]
     weights: tuple[int, ...]
 
@@ -109,18 +102,6 @@ class ReducedStrategies:
     def count(self) -> int:
         """The owner's full pure-strategy count."""
         return sum(self.weights)
-
-    @cached_property
-    def tables(self) -> tuple[tuple[tuple[int | None, ...], ...], ...]:
-        """Per strategy, one tuple per decision point like `PureStrategy.tables`,
-        None where unassigned."""
-        bounds = [0]
-        for size in self.table_sizes:
-            bounds.append(bounds[-1] + size)
-        return tuple(
-            tuple(tuple(None if k < 0 else k for k in row[a:b]) for a, b in zip(bounds, bounds[1:]))
-            for row in self.cells
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +114,15 @@ class ReducedForm:
     eloise: ReducedStrategies
     abelard: ReducedStrategies
     collapsed_loci: tuple[Path, ...]
+
+    @classmethod
+    def of_matrix(cls, u: GameMatrix, collapsed_loci: tuple[Path, ...] = ()) -> ReducedForm:
+        """The game `u` as it stands: every strategy a class of its own."""
+
+        def singletons(owner: str, k: int) -> ReducedStrategies:
+            return ReducedStrategies(owner=owner, cells=(), reps=tuple(range(k)), weights=(1,) * k)
+
+        return cls(u, singletons(ELOISE, u.m), singletons(ABELARD, u.n), collapsed_loci)
 
 
 class _Node:
@@ -276,11 +266,11 @@ class Game:
         return idx
 
     @cached_property
-    def _layout(self) -> tuple[tuple[list[int], list[int], tuple[int, ...]], ...]:
-        """Per side: the options of each flat table cell, the place value of
-        each cell in the mixed radix of full indices (leftmost cell most
-        significant), and the table size of each point.  Only for games
-        within a budget, whose tables are small."""
+    def _layout(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Per side: the options of each flat table cell and the place value
+        of each cell in the mixed radix of full indices (leftmost cell most
+        significant).  Only for games within a budget, whose tables are
+        small."""
         layout = []
         for player in _PLAYERS:
             points = [self.points[i] for i in self.owner_points[player]]
@@ -288,7 +278,7 @@ class Game:
             strides = [1] * len(radices)
             for q in range(len(radices) - 2, -1, -1):
                 strides[q] = strides[q + 1] * radices[q + 1]
-            layout.append((radices, strides, tuple(p.table_size for p in points)))
+            layout.append((radices, strides))
         return tuple(layout)
 
     # -- strategy counts -----------------------------------------------------
@@ -379,7 +369,7 @@ class Game:
         each added to its option's group.  The copy with option k has i's
         representative plus k times the cell's place value, and i's
         multiplicity over the cell's option count."""
-        radices, strides, _ = self._layout[side]
+        radices, strides = self._layout[side]
         rep, weight = keys[i]
         weight //= radices[cell]
         first = len(table)
@@ -396,7 +386,7 @@ class Game:
     def reduced_form(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
         """R, refused exactly when the full game would be."""
         n_rows, n_cols = self._checked_shape(max_strategies)
-        tables = tuple([[-1] * len(radices)] for radices, _, _ in self._layout)
+        tables = tuple([[-1] * len(radices)] for radices, _ in self._layout)
         keys = ([(0, n_rows)], [(0, n_cols)])  # all cells unassigned: rep 0, every full strategy
         wins = []
         final, replaced = self._resolve(tables, keys, wins.append)
@@ -427,36 +417,28 @@ class Game:
         reduced = ReducedStrategies(
             owner=_PLAYERS[side],
             cells=tuple(tuple(table[i]) for i in order),
-            table_sizes=self._layout[side][2],
             reps=tuple(keys[i][0] for i in order),
             weights=tuple(keys[i][1] for i in order),
         )
         return reduced, order
 
-    def build_matrix(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> GameBuildReport:
+    def build_matrix(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
         """The full strategic game, R expanded: each full row and column is
         the one of its class."""
         form = self.reduced_form(max_strategies)
-        n_rows, n_cols = form.eloise.count, form.abelard.count
-        row_class = self._classes(0, form.eloise, n_rows)
-        col_class = self._classes(1, form.abelard, n_cols)
-        matrix = form.matrix.array[np.ix_(row_class, col_class)]
-        return GameBuildReport(
-            matrix=GameMatrix._from_array(matrix),
-            eloise_strategy_count=n_rows,
-            abelard_strategy_count=n_cols,
-            collapsed_loci=form.collapsed_loci,
-        )
+        rows, cols = self._classes(0, form.eloise), self._classes(1, form.abelard)
+        full = GameMatrix._from_array(form.matrix.array[np.ix_(rows, cols)])
+        return ReducedForm.of_matrix(full, form.collapsed_loci)
 
-    def _classes(self, side: int, reduced: ReducedStrategies, count: int) -> np.ndarray:
+    def _classes(self, side: int, reduced: ReducedStrategies) -> np.ndarray:
         """The reduced strategy of every full strategy, by full index: a
         class is its representative plus every combination of options at the
         cells it leaves unassigned."""
-        radices, strides, _ = self._layout[side]
+        radices, strides = self._layout[side]
         cells = np.array(reduced.cells, dtype=np.int64).reshape(len(reduced.cells), len(radices))
         reps = np.array(reduced.reps, dtype=np.int64)
         patterns, members_of = np.unique(cells < 0, axis=0, return_inverse=True)
-        out = np.full(count, -1, dtype=np.intp)
+        out = np.full(reduced.count, -1, dtype=np.intp)
         for p, unassigned in enumerate(patterns):
             offsets = np.zeros(1, dtype=np.int64)
             for q in np.flatnonzero(unassigned).tolist():
@@ -575,7 +557,8 @@ def build_matrix(
     f: Formula,
     collapse: bool = True,
     max_strategies: int = DEFAULT_STRATEGY_BUDGET,
-) -> GameBuildReport:
-    """The strategic game: rows are Eloise's strategies, columns Abelard's,
-    entry (i, j) Eloise's payoff, rows and columns in enumeration order."""
+) -> ReducedForm:
+    """The full strategic game as a form of singleton classes: rows are
+    Eloise's strategies, columns Abelard's, entry (i, j) Eloise's payoff,
+    rows and columns in enumeration order."""
     return Game(s, f, collapse).build_matrix(max_strategies)

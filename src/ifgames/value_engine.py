@@ -246,18 +246,19 @@ def solve_game(u: GameMatrix) -> ValueReport:
     """Trivial wins, the balanced shortcut, then LP; big games are reduced
     first and the reduced equilibrium is lifted back (padding removed
     strategies with zero keeps it an equilibrium) and certified again."""
-    report = detect_trivial(u)
-    if report is None:
-        report = balanced_value(u)
+    report = _shortcut(u)
     if report is None and max(u.m, u.n) > _SOLVE_DIRECTLY_LIMIT:
         reduced, rows, cols = reduce(u)
         if (reduced.m, reduced.n) != (u.m, u.n):
-            inner = solve_game(reduced)
+            # `reduce` runs to a fixpoint, so the reduced game is not reduced again.
+            inner = _shortcut(reduced) or solve_value(reduced)
             mu, nu = _lift(inner.eloise, rows, u.m), _lift(inner.abelard, cols, u.n)
             report = _certified(u, inner.value, mu, nu, inner.method)
-    if report is None:
-        report = solve_value(u)
-    return report
+    return report or solve_value(u)
+
+
+def _shortcut(u: GameMatrix) -> ValueReport | None:
+    return detect_trivial(u) or balanced_value(u)
 
 
 def _lift(ms: MixedStrategy, kept: tuple[int, ...], k: int) -> MixedStrategy:

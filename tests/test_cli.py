@@ -15,6 +15,7 @@ from ifgames.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALID
 from ifgames.formula import format_formula
 from ifgames.structure import Structure, save_structure
 from ifgames.matrix_game import MixedStrategy, expected_utility
+from ifgames.semantic_game import Game
 from ifgames.value_engine import solve_game
 
 from conftest import FIXTURES
@@ -385,6 +386,18 @@ class TestFullFormContract:
         _, reduced, _ = run_cli_all("reduce", *argv, "--format", "machine")
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (matrix, reduced))
         assert digests == FULL_FORM_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", sorted(FULL_FORM_BOUNDS))
+    def test_reduce_never_builds_the_full_form(self, tmp_path, monkeypatch, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduce built the full strategic form")
+
+        monkeypatch.setattr(cli, "build_matrix", refuse)
+        monkeypatch.setattr(Game, "build_matrix", refuse)
+        code, out, err = run_cli_all("reduce", *_contract_argv(tmp_path, key), "--format", "machine")
+        assert (code, err) == (EXIT_OK, "")
+        rows, cols = FULL_FORM_BOUNDS[key].split()[:2]
+        assert out.startswith(f"command=reduce\nrows={rows}\ncols={cols}\nkept_rows=")
 
     @pytest.mark.parametrize("key", sorted(FULL_FORM_BOUNDS))
     def test_shape_and_bounds_are_the_full_forms(self, tmp_path, key):

@@ -101,6 +101,23 @@ class TestTallies:
         t = tallies(GameMatrix([[0] * 4] * 3))
         assert (t.floor, t.ceil) == (0, 0)
 
+    def test_unit_weights_take_the_cached_sums(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("unit weights went down the weighted path")
+
+        monkeypatch.setattr(matrix_game, "weighted_col_sums", refuse)
+        monkeypatch.setattr(matrix_game, "weighted_row_sums", refuse)
+        assert tallies(M5X6_A, (1,) * 5, [1] * 6) == tallies(M5X6_A)
+
+    def test_weights_stand_for_copies(self):
+        u = GameMatrix([[1, 0, 0], [0, 1, 1]])
+        copies = GameMatrix([[1, 0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 1], [0, 1, 1, 1]])
+        weighted, expanded = tallies(u, (1, 3), (1, 1, 2)), tallies(copies)
+        for key in ("floor", "ceil", "colmin", "rowmax"):
+            assert getattr(weighted, key) == getattr(expanded, key)
+        with pytest.raises(ValueError, match="row count"):
+            tallies(u, (1, 1, 1))
+
 
 class TestBalance:
     def test_identity_balanced(self):
@@ -339,6 +356,13 @@ class TestTextFormat:
     def test_round_trip(self):
         for u in (M5X6_A, identity_matrix(1), GameMatrix([[0] * 4] * 2)):
             assert parse_matrix(format_matrix(u)) == u
+
+    def test_format_matches_joined_rows(self, rng):
+        games = [GameMatrix([[0]]), GameMatrix([[1], [0], [1]]), GameMatrix([[1] * 300] * 16)]
+        games += [random_matrix(rng, 20, 40) for _ in range(30)]
+        for u in games:
+            lines = [f"{u.m} {u.n}"] + [" ".join(str(x) for x in u.row(i)) for i in range(u.m)]
+            assert format_matrix(u) == "\n".join(lines) + "\n"
 
     def test_fixture_files_parse(self):
         u = parse_matrix((FIXTURES / "m5x6_a.txt").read_text())

@@ -24,6 +24,7 @@ from ifgames.applications import (
 from ifgames.cli import main
 from ifgames.errors import GameBuildError
 from ifgames.formula import Vocabulary, format_formula, parse
+from ifgames.matrix_game import reduce
 from ifgames.semantic_game import (
     ABELARD,
     ELOISE,
@@ -86,10 +87,9 @@ def _classes(reduced, strategies):
     """The reduced strategy each full strategy agrees with, where assigned."""
     out = []
     for strategy in strategies:
+        flat = [k for table in strategy.tables for k in table]
         matches = [
-            r
-            for r, tables in enumerate(reduced.tables)
-            if all(k is None or k == v for t, s in zip(tables, strategy.tables) for k, v in zip(t, s))
+            r for r, cells in enumerate(reduced.cells) if all(k < 0 or k == v for k, v in zip(cells, flat, strict=True))
         ]
         assert len(matches) == 1, "every full strategy belongs to exactly one class"
         out.append(matches[0])
@@ -114,8 +114,8 @@ def test_reduced_form_matches_full_form(index):
     assert list(form.eloise.reps) == sorted(set(form.eloise.reps))
     assert list(form.abelard.reps) == sorted(set(form.abelard.reps))
     # The multiplicities sum to the full counts.
-    assert form.eloise.count == full.eloise_strategy_count == u.shape[0]
-    assert form.abelard.count == full.abelard_strategy_count == u.shape[1]
+    assert form.eloise.count == full.eloise.count == u.shape[0]
+    assert form.abelard.count == full.abelard.count == u.shape[1]
     assert form.collapsed_loci == full.collapsed_loci
     # Every full row and column copies the one of its class; each class has
     # its multiplicity of members, the representative the smallest.
@@ -132,6 +132,16 @@ def test_reduced_form_matches_full_form(index):
 def test_value_on_reduced_form_is_the_full_value(index):
     *_, form, full = PAIRS[index]
     assert solve_game(form.matrix).value == solve_game(full.matrix).value
+
+
+@pytest.mark.parametrize("index", range(len(PAIRS)))
+def test_reducing_r_keeps_the_representatives_of_the_full_reduction(index):
+    *_, form, full = PAIRS[index]
+    kept, rows, cols = reduce(full.matrix)
+    kept_r, rows_r, cols_r = reduce(form.matrix)
+    assert kept_r == kept
+    assert tuple(form.eloise.reps[i] for i in rows_r) == rows
+    assert tuple(form.abelard.reps[j] for j in cols_r) == cols
 
 
 def test_play_on_compiled_game_matches_build_matrix():

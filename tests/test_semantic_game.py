@@ -19,7 +19,9 @@ from ifgames.semantic_game import (
     ABELARD,
     ELOISE,
     Game,
+    ReducedForm,
     build_matrix,
+    build_reduced,
     decision_points,
     enumerate_strategies,
     play,
@@ -172,8 +174,22 @@ class TestBuildMatrix:
             f, s = matching_pennies(n)
             report = build_matrix(s, f)
             assert report.matrix == identity_matrix(n)
-            assert report.eloise_strategy_count == n
-            assert report.abelard_strategy_count == n
+            assert report.eloise.count == n
+            assert report.abelard.count == n
+
+    def test_full_form_is_a_form_of_singletons(self):
+        f = parse("Ax Ey (x = y | ~x = y)", EMPTY)
+        s = Structure(size=2)
+        full = build_matrix(s, f, max_strategies=64)
+        form = build_reduced(s, f, max_strategies=64)
+        for side, k in ((full.eloise, full.matrix.m), (full.abelard, full.matrix.n)):
+            assert (side.cells, side.reps, side.weights) == ((), tuple(range(k)), (1,) * k)
+        assert (full.eloise.owner, full.abelard.owner) == (ELOISE, ABELARD)
+        assert (full.eloise.count, full.abelard.count) == (form.eloise.count, form.abelard.count) == (4, 2)
+        assert full.collapsed_loci == form.collapsed_loci != ()
+        u = GameMatrix([[0, 1, 1], [1, 0, 0]])
+        assert ReducedForm.of_matrix(u).matrix is u
+        assert ReducedForm.of_matrix(u).collapsed_loci == ()
 
     def test_tautology_single_cell(self):
         f = parse("Ax x = x", EMPTY)

@@ -5,9 +5,10 @@ from operator import itemgetter
 
 import pytest
 
+from ifgames import value_engine
 from ifgames.errors import SizeLimitError
 from ifgames.linalg import solve_linear_system
-from ifgames.matrix_game import GameMatrix, MixedStrategy, tallies
+from ifgames.matrix_game import GameMatrix, MixedStrategy, reduce, tallies
 from ifgames.value_engine import (
     _GREEDY_RESTARTS,
     METHOD_BALANCED,
@@ -413,6 +414,29 @@ def _verify_reference(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> bo
     cols = [sum(p * a[i][j] for i, p in enumerate(mu.probs)) for j in range(u.n)]
     rows = [sum(q * a[i][j] for j, q in enumerate(nu.probs)) for i in range(u.m)]
     return min(cols) >= value and max(rows) <= value
+
+
+class TestSolveGame:
+    def test_reduces_once(self, monkeypatch):
+        """A 70x105 game that reduction shrinks to 40x100, still over the
+        direct-solve limit, is reduced once and its reduced game solved as
+        it stands."""
+        rng = random.Random(7)
+        base = [[rng.randint(0, 1) for _ in range(100)] for _ in range(40)]
+        rows = base + [[x * (j != k) for j, x in enumerate(base[k % 40])] for k in range(30)]  # dominated
+        u = GameMatrix([row + row[:5] for row in rows])  # five duplicate columns
+        shapes = []
+
+        def spy(game):
+            reduced = reduce(game)
+            shapes.append((game.m, game.n, reduced[0].m, reduced[0].n))
+            return reduced
+
+        monkeypatch.setattr(value_engine, "reduce", spy)
+        report = solve_game(u)
+        assert shapes == [(70, 105, 40, 100)]
+        assert report.method == METHOD_LP
+        assert verify_equilibrium(u, report.eloise, report.abelard)
 
 
 class TestVerifyAgainstReference:
