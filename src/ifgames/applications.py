@@ -229,9 +229,13 @@ def adversary_pair_columns(spec: HashStructureSpec, form: ReducedForm) -> frozen
 
     The adversary's decision points are the merged first and second universal;
     a reduced strategy assigns exactly its first pick c, its flat cell 0,
-    and its second-pick table entry at c, the cell after it."""
+    and its second-pick table entry at c, the cell after it.  With a single
+    function the sentence has perfect information and collapses: the
+    adversary has no decision point, no cells, and no pair column."""
     chosen = []
     for j, cells in enumerate(form.abelard.cells):
+        if not cells:
+            continue
         first = cells[0]
         second = cells[1 + first]
         if first < spec.key_count and second < spec.key_count and first != second:

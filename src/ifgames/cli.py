@@ -93,7 +93,7 @@ def _add_game_inputs(p: _Parser) -> None:
     p.add_argument("--structure", metavar="PATH", help="structure file (JSON)")
     p.add_argument("--formula", metavar="TEXT", help="sentence text")
     p.add_argument("--formula-file", metavar="PATH", help="file holding the sentence text")
-    p.add_argument("--no-collapse", action="store_true", help="keep fully informed connectives as moves")
+    p.add_argument("--no-collapse", action="store_true", help="keep perfect-information subformulas as moves")
     p.add_argument(
         "--max-strategies",
         type=int,

@@ -567,7 +567,3 @@ def subformulas(f: Formula):
         elif isinstance(node, Connective):
             for i in range(len(node.branches) - 1, -1, -1):
                 stack.append((path + (i,), node.branches[i]))
-
-
-def is_quantifier_free(f: Formula) -> bool:
-    return all(not isinstance(node, Quant) for _, node in subformulas(f))

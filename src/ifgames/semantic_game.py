@@ -24,12 +24,20 @@ quantifier occurrences across those branches share a single decision point and
 hence a single choice table.  That sharing is what keeps the branch index
 genuinely hidden downstream.
 
-With `collapse=True`, a connective whose subtree is quantifier-free is not a
-decision point at all: its owner moves with full information and the rest of
-the game is already determined, so the move is resolved classically during
-play (the disjunction's owner takes a true branch when one exists, the
-conjunction's owner a false one).  This removes payoff-equivalent and weakly
-dominated strategy padding without changing the game's value.
+With `collapse=True`, a play ends at every quantifier, and every connective
+of two or more branches, whose subtree has no slashed quantifier, and that
+subformula is evaluated classically (Tarski) on the assignment so far.  Inside
+it both players see every value bound before them, so it is a determined
+perfect-information game whose winner is its classical truth value: each
+player can add their classical winning strategy to an optimal strategy of the
+collapsed game and keep its guarantee.  Such a subformula shares no decision
+point with another (no quantifier in it slashes a choice variable, so its
+points' canonical paths are its own), so no table shared through hidden
+branches changes.  A slash-free sentence becomes a 1 x 1 game.  This removes
+payoff-equivalent and weakly dominated strategy padding without changing the
+game's value.  The classical evaluation is exhaustive: a collapsed subformula
+with a chain of q nested quantifiers visits up to size ** q assignments per
+play, so that count must fit the strategy budget too.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceededError, GameBuildError
-from .formula import Connective, Formula, Quant, format_formula, is_quantifier_free, validate
+from .errors import BudgetExceededError, GameBuildError, SizeLimitError
+from .formula import Connective, Formula, Quant, format_formula, validate
 from .matrix_game import GameMatrix
 from .structure import Structure, compile_qf
 
@@ -128,8 +136,9 @@ class ReducedForm:
 class _Node:
     """A compiled position in a play, whose values sit in a list of slots:
     an identifier's slot is its binding depth.  An end of play has no
-    `children`, and `holds`, its compiled quantifier-free formula, tells on
-    that list whether Eloise wins.  Otherwise `side` (0 Eloise, 1 Abelard)
+    `children`, and `holds`, its compiled formula, tells on that list whether
+    Eloise wins; a collapsed quantifier in it writes the slots past the
+    end's bindings.  Otherwise `side` (0 Eloise, 1 Abelard)
     moves at the flat table cell `base` + the mixed-radix code of the
     `visible` (slot, range) pairs, and option k is written to slot `var` and
     continues at `children[k]`.  A connective without a choice variable
@@ -177,7 +186,9 @@ class Game:
         self._base: list[int] = []  # per point, its first cell in the owner's flat table
         self._cells = [0, 0]  # flat table length per side
         self._slots = 1  # length of the value list a play writes
-        self._ends: list[tuple[_Node, Formula, tuple]] = []  # not compiled yet, with their bindings
+        self._ends: list[tuple[_Node, Formula, tuple, int]] = []  # not compiled yet: bindings, chain
+        self._chain = 0  # the longest quantifier chain in a collapsed subformula
+        self._collapsible = _collapsible(formula) if collapse else set()
         self._root = self._compile(formula, (), (), ())
 
     # -- planning ------------------------------------------------------------
@@ -187,11 +198,12 @@ class Game:
         `bound` holds (identifier, range) pairs in binding order, so an
         identifier's slot is its index there and a move's `var` is the next
         slot."""
+        if id(node) in self._collapsible:  # perfect information: evaluated classically
+            self.collapsed.append(path)
+            return self._end(node, bound, _quantifier_chain(node, {name for name, _ in bound}))
         if isinstance(node, Quant):
             if any(name == node.var for name, _ in bound):
-                raise GameBuildError(
-                    f"variable {node.var!r} is rebound on one path; games need distinct names"
-                )
+                raise _rebound(node.var)
             canon = tuple("*" if cv is not None and cv in node.slash else idx for idx, cv in stack)
             visible = tuple((name, rng) for name, rng in bound if name not in node.slash)
             size = self.structure.size
@@ -202,9 +214,6 @@ class Game:
         if isinstance(node, Connective):
             if len(node.branches) == 1:
                 return self._compile(node.branches[0], path + (0,), stack + ((0, None),), bound)
-            if self.collapse and is_quantifier_free(node):
-                self.collapsed.append(path)
-                return self._end(node, bound)
             idx = self._register(tuple(i for i, _ in stack), path, _owner_of(node), bound, len(node.branches))
             inner = bound
             if node.choice_var is not None:
@@ -218,19 +227,21 @@ class Game:
         # Atoms and equalities end the play.
         return self._end(node, bound)
 
-    def _end(self, formula: Formula, bound) -> _Node:
+    def _end(self, formula: Formula, bound, chain: int = 0) -> _Node:
         node = _Node(None)
-        self._ends.append((node, formula, bound))
+        self._ends.append((node, formula, bound, chain))
+        self._chain = max(self._chain, chain)
         return node
 
     def _compile_ends(self) -> None:
         """Compile each end of play once, before the first walk, so that a
         game the budget refuses compiles none.  Every move on the way to an
-        end writes a slot no higher than the end's binding count."""
-        for node, formula, bound in self._ends:
+        end writes a slot no higher than the end's binding count, and the
+        end's k-th nested quantifier the k-th slot past its bindings."""
+        for node, formula, bound, chain in self._ends:
             slots = {name: slot for slot, (name, _) in enumerate(bound)}
             node.holds = compile_qf(self.structure, formula, slots)
-            self._slots = max(self._slots, len(bound) + 1)
+            self._slots = max(self._slots, len(bound) + max(chain, 1))
         self._ends.clear()
 
     def _move(self, idx: int, visible, var: int, children) -> _Node:
@@ -297,13 +308,24 @@ class Game:
         return count
 
     def _checked_shape(self, budget: int) -> tuple[int, int]:
-        """The full game's shape, refused past the budget or the cell cap."""
+        """The full game's shape, refused past the budget or the cell cap, or
+        when a collapsed subformula's classical evaluation could visit more
+        assignments than the budget.  Played out instead, the innermost
+        quantifier of its longest chain, q deep, would give its owner at
+        least size ** size ** (q - 1) >= size ** q strategies, so this never
+        refuses a game that `collapse=False` accepts."""
         n_rows = self.strategy_count(ELOISE, budget)
         n_cols = self.strategy_count(ABELARD, budget)
         if n_rows * n_cols > _MAX_MATRIX_CELLS:
             raise GameBuildError(
                 f"matrix would hold {n_rows * n_cols} cells "
                 f"(over the {_MAX_MATRIX_CELLS} safety cap) for {format_formula(self.formula)!r}"
+            )
+        size, chain = self.structure.size, self._chain
+        if size**chain > budget:
+            raise SizeLimitError(
+                f"classical evaluation of a perfect-information subformula would visit "
+                f"{size}^{chain} assignments, over the budget of {budget}"
             )
         return n_rows, n_cols
 
@@ -465,6 +487,46 @@ class Game:
         wins = []
         self._resolve(tables, ([None], [None]), wins.append)  # full tables are never copied
         return len(wins)
+
+
+def _rebound(var: str) -> GameBuildError:
+    return GameBuildError(f"variable {var!r} is rebound on one path; games need distinct names")
+
+
+def _collapsible(f: Formula) -> set[int]:
+    """The ids of the quantifiers and the connectives of two or more
+    branches in `f` whose subtree has no quantifier with a nonempty slash
+    set, found in one bottom-up pass."""
+    found: set[int] = set()
+
+    def slash_free(node) -> bool:
+        if isinstance(node, Quant):
+            free = slash_free(node.body) and not node.slash
+        elif isinstance(node, Connective):
+            free = all([slash_free(branch) for branch in node.branches])  # visit every branch
+            if len(node.branches) < 2:
+                return free  # a lone branch is no move
+        else:
+            return True
+        if free:
+            found.add(id(node))
+        return free
+
+    slash_free(f)
+    return found
+
+
+def _quantifier_chain(f: Formula, names: set[str]) -> int:
+    """The longest chain of nested quantifiers in the collapsed subformula
+    `f`, under the identifiers `names` bound above it; a rebinding is refused
+    as it would be were `f` played out."""
+    if isinstance(f, Quant):
+        if f.var in names:
+            raise _rebound(f.var)
+        return 1 + _quantifier_chain(f.body, names | {f.var})
+    if isinstance(f, Connective):
+        return max(_quantifier_chain(branch, names) for branch in f.branches)
+    return 0
 
 
 def _positions(order: list[int], replaced: dict[int, range], count: int):

@@ -1,4 +1,4 @@
-"""Finite first-order structures and classical evaluation of quantifier-free formulas.
+"""Finite first-order structures and classical (Tarski) evaluation of formulas.
 
 Universe elements are the canonical integers 0..size-1.  The on-disk format is
 JSON: ``{"size": n, "relations": {sym: [[...], ...]}, "functions": {sym:
@@ -6,28 +6,31 @@ JSON: ``{"size": n, "relations": {sym: [[...], ...]}, "functions": {sym:
 
 Formulas are evaluated by compiling them once: `compile_qf` resolves every node
 kind, symbol and variable, folds ground terms to constants and returns a test
-on a list of values, in which each identifier has a fixed slot.  A game
-compiles each end of play once and runs the test on every play that reaches
-it; `holds_qf` and `eval_term` compile for one assignment and evaluate once.
+on a list of values, in which each identifier has a fixed slot.  A quantifier
+writes the next free slot, looping over the universe until its body settles
+it.  A game compiles each end of play once and runs the test on every play
+that reaches it; `holds_qf` and `eval_term` compile for one assignment of a
+quantifier-free formula and evaluate once.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, MutableSequence
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import EvaluationError, StructureFormatError
-from .formula import App, Atom, Connective, Equals, Formula, Quant, Term, Var, Vocabulary
+from .formula import App, Atom, Connective, Equals, Formula, Quant, Term, Var, Vocabulary, subformulas
 
 # Maps both object variables and choice variables to values; the two
 # namespaces are disjoint by the formula invariants.
 Assignment = dict[str, int]
-# A compiled formula reads identifier values by position (`compile_qf`'s slots).
-Values = Sequence[int]
+# A compiled formula reads identifier values by position (`compile_qf`'s slots),
+# and its quantifiers write theirs.
+Values = MutableSequence[int]
 
 
 @dataclass
@@ -90,9 +93,11 @@ class Structure:
 
 def compile_qf(s: Structure, f: Formula, slots: Mapping[str, int]) -> Callable[[Values], bool]:
     """`f` as a test on value lists: `values[slots[name]]` is the value of
-    identifier `name`.  Node kinds, symbols and variables are resolved and
-    ground terms folded here, so every EvaluationError but a missing function
-    row is raised before any value is seen."""
+    identifier `name`.  A quantifier nested k deep in `f` writes slot
+    max(slots) + k, so the list must reach the deepest one.  Node kinds,
+    symbols and variables are resolved and ground terms folded here, so every
+    EvaluationError but a missing function row is raised before any value is
+    seen."""
     test = _Compiler(s, slots).formula(f)
     if callable(test):
         return test
@@ -101,6 +106,8 @@ def compile_qf(s: Structure, f: Formula, slots: Mapping[str, int]) -> Callable[[
 
 def holds_qf(s: Structure, a: Assignment, f: Formula) -> bool:
     """Classical truth of a quantifier-free formula under a total assignment."""
+    if any(isinstance(node, Quant) for _, node in subformulas(f)):
+        raise EvaluationError("holds_qf applied to a quantified formula")
     return compile_qf(s, f, {name: i for i, name in enumerate(a)})(list(a.values()))
 
 
@@ -168,7 +175,7 @@ class _Compiler:
         if isinstance(f, Connective):
             return self.connective(f)
         if isinstance(f, Quant):
-            raise EvaluationError("holds_qf applied to a quantified formula")
+            return self.quantifier(f)
         raise EvaluationError(f"not a formula: {f!r}")
 
     def connective(self, f: Connective) -> Callable[[Values], bool] | bool:
@@ -200,6 +207,38 @@ class _Compiler:
             return not settles
 
         return test
+
+    def quantifier(self, f: Quant) -> Callable[[Values], bool] | bool:
+        """Write the next free slot with each element in turn until one
+        settles the quantifier: a true body an existential, a false one a
+        universal.  A constant body is the quantifier's value, as the
+        universe is never empty."""
+        slot = max(self.slots.values(), default=-1) + 1
+        inner = _Compiler(self.s, {**self.slots, f.var: slot})
+        inner.tables = self.tables
+        body = inner.formula(f.body)
+        if not callable(body):
+            return body
+        universe = range(self.s.size)
+        if f.kind == "exists":
+
+            def some(values) -> bool:
+                for value in universe:
+                    values[slot] = value
+                    if body(values):
+                        return True
+                return False
+
+            return some
+
+        def every(values) -> bool:
+            for value in universe:
+                values[slot] = value
+                if not body(values):
+                    return False
+            return True
+
+        return every
 
     def slot(self, t: Var) -> int:
         try:

@@ -1,5 +1,5 @@
 """Shared fixtures: the worked matrices, seeded generators, fixture paths, and
-an evaluator of quantifier-free formulas that shares no code with the package."""
+a formula evaluator that shares no code with the package."""
 
 import random
 from pathlib import Path
@@ -141,8 +141,11 @@ def _naive_term(s, a, t):
 
 
 def _naive_eval(s, a, f):
-    """Independent evaluator of quantifier-free formulas under the assignment
-    dict `a`, the reference the package's compiled evaluator is tested against."""
+    """Independent Tarski evaluator under the assignment dict `a`, the
+    reference the package's compiled evaluator is tested against."""
+    if isinstance(f, Quant):
+        results = [_naive_eval(s, {**a, f.var: v}, f.body) for v in range(s.size)]
+        return any(results) if f.kind == "exists" else all(results)
     if isinstance(f, Atom):
         result = tuple(_naive_term(s, a, t) for t in f.args) in s.relations[f.rel]
         return not result if f.negated else result

@@ -108,6 +108,16 @@ class TestOtherCommands:
         assert "verified=true" in out
         assert "minimal_degree_indices=1,2" in out
 
+    def test_hashing_single_function(self):
+        # One function leaves no choice to hide: the sentence has perfect
+        # information and collapses to one cell, which the adversary loses.
+        code, out = run_cli("hashing", "2", "1", "--format", "machine")
+        assert code == 0
+        assert out == (
+            "command=hashing\nrows=1\ncols=1\nfloor=0/1\nceil=0/1\nvalue=0/1\nmethod=hashing-certificate\n"
+            "verified=true\nminimal_degree_indices=0\neloise=0:1/1\nadversary_pair_count=0\n"
+        )
+
     def test_hashing_unverified_pair_reports_the_solved_value(self, monkeypatch):
         real = applications.hashing_equilibrium
         built = []
@@ -228,22 +238,26 @@ class TestProbes:
         assert "Traceback" not in err and "not UTF-8" in err
 
     @pytest.mark.parametrize(
-        "size, formula",
+        "size, formula, flags, refusal",
         [
-            (16, "Ax1 Ax2 Ax3 Ax4 Ax5 Ey y = x1"),
-            (16, "Ax1 Ax2 Ax3 Ax4 Ax5 Ax6 Ax7 Ax8 Ax9 Ax10 Ey y = x1"),
-            (1, "Ax " + "".join(f"\\/_i{k}{{(Ey{k}/i{k}) y{k} = x, " for k in range(30)) + "x = x" + "}" * 30),
+            (16, "Ax1 Ax2 Ax3 Ax4 Ax5 Ey y = x1", ["--no-collapse"], "eloise would have at least 2^"),
+            (16, "Ax1 Ax2 Ax3 Ax4 Ax5 Ax6 Ax7 Ax8 Ax9 Ax10 Ey y = x1", ["--no-collapse"], "eloise would have at least 2^"),
+            (1, "Ax " + "".join(f"\\/_i{k}{{(Ey{k}/i{k}) y{k} = x, " for k in range(30)) + "x = x" + "}" * 30, [],
+             "eloise would have at least 2^"),
+            (16, "Ax1 Ax2 Ax3 Ax4 Ax5 Ey y = x1", [], "would visit 16^6 assignments"),
+            (16, "Ax1 Ax2 Ax3 Ax4 Ax5 Ax6 Ax7 Ax8 Ax9 Ax10 Ey y = x1", [], "would visit 16^11 assignments"),
         ],
-        ids=["five-universals", "ten-universals", "thirty-nested-choices"],
+        ids=["five-universals", "ten-universals", "thirty-nested-choices", "five-universals-collapsed",
+             "ten-universals-collapsed"],
     )
-    def test_strategy_count_too_large_to_form(self, tmp_path, size, formula):
+    def test_strategy_count_too_large_to_form(self, tmp_path, size, formula, flags, refusal):
         structure = tmp_path / "s.json"
         structure.write_text(f'{{"size": {size}}}')
         started = time.perf_counter()
-        code, err = run_cli_stderr("value", "--structure", str(structure), "--formula", formula)
+        code, err = run_cli_stderr("value", "--structure", str(structure), "--formula", formula, *flags)
         assert time.perf_counter() - started < 1
         assert code == EXIT_BUDGET
-        assert "Traceback" not in err and "eloise would have at least 2^" in err
+        assert "Traceback" not in err and refusal in err
 
     @pytest.mark.parametrize(
         "text",
@@ -276,7 +290,9 @@ class TestProbes:
 # ---------------------------------------------------------------------------
 # Sentence games are solved on the reduced strategic form; what the CLI prints
 # about the full form is a contract.  The figures below were recorded from the
-# builder of the full form alone, before the reduced form existed.
+# builder of the full form alone, before the reduced form existed, except the
+# collapsed `ae2` and `ae_or`: their sentences have perfect information, so
+# they collapse to one cell; their `/nc` twins keep the played-out game.
 
 CONTRACT_GAMES = {
     "mp3": ("Ax (Ey/x) x = y", lambda: Structure(size=3)),
@@ -309,16 +325,16 @@ FULL_FORM_DIGESTS = {
         "98cd707ef66b762ab306376509ab415d9bcffd99d83fa03b1c65a98de9c328f6",
     ),
     "ae2": (
-        "fa454bf24c15752b27ea1b727d35be9cf982c420b70262101a129732d165429d",
-        "e891c8b9b614c066c3d0de5fc23aef297abd0f7454602bd0499545a7b996af90",
+        "e10af96334f37d83e52216771db7343778fe8e8c49802a319595df3734903c32",
+        "89bb460bf2d117c56c1df326d98379bb7b3164e812e842950ade1db354483bf0",
     ),
     "ae2/nc": (
         "fa454bf24c15752b27ea1b727d35be9cf982c420b70262101a129732d165429d",
         "e891c8b9b614c066c3d0de5fc23aef297abd0f7454602bd0499545a7b996af90",
     ),
     "ae_or": (
-        "c724a301a9ab163be675a2d83eb2151aeb453beadc85cc1194ec37049f363a3c",
-        "ac62c881d8180e48e5409ff032539c30601fe8003e50d7f1d3b7fb93964c9f99",
+        "e10af96334f37d83e52216771db7343778fe8e8c49802a319595df3734903c32",
+        "89bb460bf2d117c56c1df326d98379bb7b3164e812e842950ade1db354483bf0",
     ),
     "ae_or/nc": (
         "2764374debda2b1ccf9c2bdaf5c9edf77ad40dcae7c08f13d946cf90f20b618e",
@@ -350,9 +366,9 @@ FULL_FORM_DIGESTS = {
 FULL_FORM_BOUNDS = {
     "mp3": "3 3 1/3 1/3 1 1",
     "mp3/nc": "3 3 1/3 1/3 1 1",
-    "ae2": "4 2 1/2 1/1 2 2",
+    "ae2": "1 1 1/1 1/1 1 1",
     "ae2/nc": "4 2 1/2 1/1 2 2",
-    "ae_or": "4 2 1/1 1/1 4 2",
+    "ae_or": "1 1 1/1 1/1 1 1",
     "ae_or/nc": "64 2 1/2 1/1 32 2",
     "hidden_r": "2 2 0/1 1/2 0 1",
     "hidden_r/nc": "2 32 0/1 1/2 0 16",
@@ -442,23 +458,32 @@ class TestFullFormContract:
         s16 = tmp_path / "s16.json"
         s16.write_text('{"size": 16}')
         argv = ["value", "--structure", s16, "--formula", "Ax1 Ax2 Ax3 Ax4 Ax5 Ey y = x1"]
-        assert run_cli_all(*argv) == (
+        assert run_cli_all(*argv, "--no-collapse") == (
             EXIT_BUDGET, "", "budget error: eloise would have at least 2^1048576 pure strategies, over the budget of 1048576\n"
+        )
+        # Collapsed, the sentence is one classical evaluation, bounded by the same budget.
+        assert run_cli_all(*argv) == (
+            EXIT_BUDGET,
+            "",
+            "budget error: classical evaluation of a perfect-information subformula would visit 16^6 assignments, "
+            "over the budget of 1048576\n",
         )
 
     @pytest.mark.parametrize(
-        "text, size, expected",
+        "text, size, flags, expected",
         [
-            ('Ax Ey x = y', 3, 'command=value\nrows=27\ncols=3\nfloor=1/3\nceil=1/1\nvalue=1/1\nmethod=trivial-win\neloise=5:1/1\nabelard=0:1/1\n'),
-            ('Ex Ay x = y', 2, 'command=value\nrows=2\ncols=4\nfloor=0/1\nceil=1/2\nvalue=0/1\nmethod=trivial-loss\neloise=0:1/1\nabelard=2:1/1\n'),
-            ('Ex Ay (x = y | ~x = y)', 3, 'command=value\nrows=3\ncols=27\nfloor=1/1\nceil=1/1\nvalue=1/1\nmethod=trivial-win\neloise=0:1/1\nabelard=0:1/1\n'),
+            ('Ax Ey x = y', 3, ["--no-collapse"], 'command=value\nrows=27\ncols=3\nfloor=1/3\nceil=1/1\nvalue=1/1\nmethod=trivial-win\neloise=5:1/1\nabelard=0:1/1\n'),
+            ('Ex Ay x = y', 2, ["--no-collapse"], 'command=value\nrows=2\ncols=4\nfloor=0/1\nceil=1/2\nvalue=0/1\nmethod=trivial-loss\neloise=0:1/1\nabelard=2:1/1\n'),
+            ('Ex Ay (x = y | ~x = y)', 3, [], 'command=value\nrows=1\ncols=1\nfloor=1/1\nceil=1/1\nvalue=1/1\nmethod=trivial-win\neloise=0:1/1\nabelard=0:1/1\n'),
+            ('Ax Ey x = y', 3, [], 'command=value\nrows=1\ncols=1\nfloor=1/1\nceil=1/1\nvalue=1/1\nmethod=trivial-win\neloise=0:1/1\nabelard=0:1/1\n'),
+            ('Ex Ay x = y', 2, [], 'command=value\nrows=1\ncols=1\nfloor=0/1\nceil=0/1\nvalue=0/1\nmethod=trivial-loss\neloise=0:1/1\nabelard=0:1/1\n'),
         ],
-        ids=["trivial-win", "trivial-loss", "trivial-win-wide"],
+        ids=["trivial-win", "trivial-loss", "trivial-win-wide", "trivial-win-collapsed", "trivial-loss-collapsed"],
     )
-    def test_trivial_outputs_unchanged(self, tmp_path, text, size, expected):
+    def test_trivial_outputs_unchanged(self, tmp_path, text, size, flags, expected):
         structure = tmp_path / "s.json"
         structure.write_text(f'{{"size": {size}}}')
-        argv = ["--structure", structure, "--formula", text]
+        argv = ["--structure", structure, "--formula", text, *flags]
         assert run_cli_all("value", *argv, "--format", "machine") == (0, expected, "")
         equilibrium = expected.replace("command=value", "command=equilibrium") + "verified=true\n"
         assert run_cli_all("equilibrium", *argv, "--format", "machine") == (0, equilibrium, "")

@@ -12,8 +12,8 @@ from ifgames.applications import (
     hashing_sentence,
     matching_pennies,
 )
-from ifgames.errors import BudgetExceededError, GameBuildError
-from ifgames.formula import Connective, Quant, Vocabulary, parse
+from ifgames.errors import BudgetExceededError, GameBuildError, SizeLimitError
+from ifgames.formula import Connective, Quant, Vocabulary, format_formula, parse
 from ifgames.matrix_game import GameMatrix
 from ifgames.semantic_game import (
     ABELARD,
@@ -29,7 +29,7 @@ from ifgames.semantic_game import (
 from ifgames.structure import Structure, total_function_table
 from ifgames.value_engine import solve_value
 
-from conftest import TEST_VOCAB, _naive_eval, identity_matrix, random_sentence
+from conftest import TEST_VOCAB, _naive_eval, identity_matrix, random_qf, random_sentence
 
 EMPTY = Vocabulary()
 
@@ -106,10 +106,13 @@ class TestEnumerate:
     def test_budget_refuses_a_wide_point_without_forming_its_count(self):
         f = parse("Ax1 Ax2 Ax3 Ax4 Ax5 Ey y = x1", EMPTY)
         with pytest.raises(BudgetExceededError) as err:
-            build_matrix(Structure(size=16), f)
+            build_matrix(Structure(size=16), f, collapse=False)
         # One table of 16**5 cells gives at least 2**(16**5) strategies.
         assert err.value.count is None
         assert "eloise would have at least 2^1048576 pure strategies" in str(err.value)
+        # Collapsed, the sentence is one classical evaluation of 16**6 assignments.
+        with pytest.raises(SizeLimitError, match=r"would visit 16\^6 assignments, over the budget of 1048576"):
+            build_matrix(Structure(size=16), f)
 
     def test_count_formula_on_fixtures(self):
         cases = [
@@ -178,14 +181,14 @@ class TestBuildMatrix:
             assert report.abelard.count == n
 
     def test_full_form_is_a_form_of_singletons(self):
-        f = parse("Ax Ey (x = y | ~x = y)", EMPTY)
+        f = parse("Ax Ay (Ez/x) (x = z | ~y = z)", EMPTY)
         s = Structure(size=2)
         full = build_matrix(s, f, max_strategies=64)
         form = build_reduced(s, f, max_strategies=64)
         for side, k in ((full.eloise, full.matrix.m), (full.abelard, full.matrix.n)):
             assert (side.cells, side.reps, side.weights) == ((), tuple(range(k)), (1,) * k)
         assert (full.eloise.owner, full.abelard.owner) == (ELOISE, ABELARD)
-        assert (full.eloise.count, full.abelard.count) == (form.eloise.count, form.abelard.count) == (4, 2)
+        assert (full.eloise.count, full.abelard.count) == (form.eloise.count, form.abelard.count) == (4, 8)
         assert full.collapsed_loci == form.collapsed_loci != ()
         u = GameMatrix([[0, 1, 1], [1, 0, 0]])
         assert ReducedForm.of_matrix(u).matrix is u
@@ -194,8 +197,9 @@ class TestBuildMatrix:
     def test_tautology_single_cell(self):
         f = parse("Ax x = x", EMPTY)
         assert build_matrix(Structure(size=1), f).matrix == GameMatrix([[1]])
-        # On larger structures the universal still has one strategy per element.
-        assert build_matrix(Structure(size=3), f).matrix == GameMatrix([[1, 1, 1]])
+        assert build_matrix(Structure(size=3), f).matrix == GameMatrix([[1]])
+        # Played out, the universal has one strategy per element.
+        assert build_matrix(Structure(size=3), f, collapse=False).matrix == GameMatrix([[1, 1, 1]])
 
     def test_birthday_two_elements_value_half(self):
         f = birthday_sentence(2)
@@ -225,15 +229,7 @@ class TestBuildMatrix:
     def test_matrix_agrees_with_reference_play(self):
         """Every cell against the walker-free reference, with and without
         collapse, on the fixtures and on seeded random sentences."""
-        vocab = Vocabulary(relations={"R": 1})
-        games = [
-            matching_pennies(3),
-            (parse("Ax Ey x = y", EMPTY), Structure(size=2)),
-            (parse("Ax Ey (x = y | ~x = y)", EMPTY), Structure(size=2)),
-            (parse("Ax (Ey/x) (R(x) & x = y)", vocab), Structure(size=2, relations={"R": frozenset({(1,)})})),
-            (birthday_sentence(2), cyclic_structure(2)),
-            (hashing_sentence(hash_structure(2, 2)[1]), hash_structure(2, 2)[0]),
-        ]
+        games = _fixture_games()
         assert RANDOM_STRUCTURE.vocabulary() == TEST_VOCAB  # the symbols random_sentence draws
         rng = random.Random(4242)
         games += [(random_sentence(rng), RANDOM_STRUCTURE) for _ in range(50)]
@@ -297,6 +293,124 @@ class TestBuildMatrix:
             assert has_winning_row == _eloise_wins(s, f, {})
 
 
+def _fixture_games():
+    return [
+        matching_pennies(3),
+        (parse("Ax Ey x = y", EMPTY), Structure(size=2)),
+        (parse("Ax Ey (x = y | ~x = y)", EMPTY), Structure(size=2)),
+        (
+            parse("Ax (Ey/x) (R(x) & x = y)", Vocabulary(relations={"R": 1})),
+            Structure(size=2, relations={"R": frozenset({(1,)})}),
+        ),
+        (birthday_sentence(2), cyclic_structure(2)),
+        (hashing_sentence(hash_structure(2, 2)[1]), hash_structure(2, 2)[0]),
+    ]
+
+
+def _slash_free_tail_sentence(rng: random.Random, slashed_prefix: bool = True):
+    """One or two quantifiers, slashed at random when `slashed_prefix`, over
+    a body that holds a slash-free quantified tail of one or two quantifiers,
+    sometimes beside a quantifier-free branch; at most three quantifiers on a
+    path, over TEST_VOCAB."""
+    names = iter(f"v{i}" for i in range(10))
+    prefix = []
+    for _ in range(rng.randint(1, 2)):
+        slash = frozenset(name for _, name, _ in prefix if slashed_prefix and rng.random() < 0.6)
+        prefix.append((rng.choice(("forall", "exists")), next(names), slash))
+    bound = [name for _, name, _ in prefix]
+    tail_names = ["t0", "t1"][: rng.randint(1, 3 - len(prefix))]
+    tail = random_qf(rng, bound + tail_names, 1)
+    for var in reversed(tail_names):
+        tail = Quant(rng.choice(("forall", "exists")), var, frozenset(), tail)
+    if rng.random() < 0.3:
+        tail = Connective(rng.choice(("and", "or")), None, (tail, random_qf(rng, bound, 1)))
+    for kind, var, slash in reversed(prefix):
+        tail = Quant(kind, var, slash, tail)
+    return tail
+
+
+class TestPerfectInformationCollapse:
+    """Collapsing slash-free subformulas into classical evaluation keeps the
+    value, and a slash-free sentence becomes a 1 x 1 game."""
+
+    def test_collapse_keeps_the_value(self):
+        games = _fixture_games()
+        rng = random.Random(1010)
+        tails = [_slash_free_tail_sentence(rng) for _ in range(50)]
+        games += [(f, RANDOM_STRUCTURE) for f in tails]
+        compared = collapsed_quantifiers = 0
+        for f, s in games:
+            try:
+                full = build_reduced(s, f, collapse=False, max_strategies=2**16)
+            except GameBuildError:
+                continue
+            collapsed = build_reduced(s, f, max_strategies=2**16)
+            assert solve_value(collapsed.matrix).value == solve_value(full.matrix).value, format_formula(f)
+            assert collapsed.eloise.count <= full.eloise.count and collapsed.abelard.count <= full.abelard.count
+            compared += 1
+            collapsed_quantifiers += any(isinstance(_node_at(f, path), Quant) for path in collapsed.collapsed_loci)
+        assert compared >= 45
+        assert collapsed_quantifiers >= 35
+
+    def test_slash_free_sentences_are_one_by_one(self):
+        rng = random.Random(2020)
+        for _ in range(50):
+            f = _slash_free_tail_sentence(rng, slashed_prefix=False)
+            form = build_reduced(RANDOM_STRUCTURE, f)
+            assert (form.matrix.m, form.matrix.n) == (1, 1)
+            assert form.collapsed_loci == ((),)
+            assert solve_value(form.matrix).value == (1 if _eloise_wins(RANDOM_STRUCTURE, f, {}) else 0)
+
+    def test_ae_is_one_by_one(self):
+        f = parse("Ax Ey P(x, y)", Vocabulary(relations={"P": 2}))
+        s = Structure(size=4, relations={"P": frozenset({(0, 1), (1, 2), (2, 3), (3, 0)})})
+        form = build_reduced(s, f)
+        assert form.matrix == GameMatrix([[1]])
+        assert (form.eloise.count, form.abelard.count) == (1, 1)
+        assert Game(s, f).points == []
+        assert build_reduced(s, f, collapse=False).eloise.count == 4**4
+
+    def test_evaluation_bound_never_refuses_what_no_collapse_accepts(self):
+        """A collapsed chain of q quantifiers is refused when size ** q passes
+        the budget; played out, its innermost quantifier alone would pass it."""
+        games = []  # (sentence, structure, longest collapsed chain)
+        for size in (1, 2, 3, 4):
+            for q in (1, 2, 3, 4):
+                text = " ".join(f"Ax{k}" for k in range(1, q)) + " Ey y = x1" if q > 1 else "Ey y = y"
+                games.append((parse(text, EMPTY), Structure(size=size), q))
+        rng = random.Random(3030)
+        for _ in range(50):
+            f = _slash_free_tail_sentence(rng)
+            games.append((f, RANDOM_STRUCTURE, None))
+        refused = 0
+        for f, s, q in games:
+            for budget in (1, 2, 3, 4, 8, 9, 16, 27, 64, 81, 256, 4096, 2**16):
+                try:
+                    build_reduced(s, f, max_strategies=budget)
+                except SizeLimitError as err:
+                    refused += 1
+                    assert q is None or f"{s.size}^{q} assignments" in str(err)
+                    with pytest.raises(GameBuildError):
+                        build_reduced(s, f, collapse=False, max_strategies=budget)
+                except GameBuildError:
+                    pass
+                else:
+                    assert q is None or s.size**q <= budget
+        assert refused >= 60
+
+    def test_rebinding_is_rejected_in_a_collapsed_subformula(self):
+        f = parse("Ax Ex x = x", EMPTY)  # the parser lets the inner x shadow the outer
+        for collapse in (True, False):
+            with pytest.raises(GameBuildError, match="rebound"):
+                build_reduced(Structure(size=2), f, collapse=collapse)
+
+
+def _node_at(f, path):
+    for step in path:
+        f = f.body if isinstance(f, Quant) else f.branches[step]
+    return f
+
+
 def _walk(f):
     stack = [((), f)]
     while stack:
@@ -357,14 +471,14 @@ def _reference_play(plan, strategies) -> int:
         return table[cell]
 
     def walk(node, path, a) -> int:
+        if path in collapsed:
+            return 1 if _eloise_wins(plan.structure, node, a) else 0
         if isinstance(node, Quant):
             a[node.var] = lookup(path, a)
             return walk(node.body, path + (0,), a)
         if isinstance(node, Connective):
             if len(node.branches) == 1:
                 return walk(node.branches[0], path + (0,), a)
-            if path in collapsed:
-                return 1 if _naive_eval(plan.structure, a, node) else 0
             option = lookup(path, a)
             if node.choice_var is not None:
                 a[node.choice_var] = option

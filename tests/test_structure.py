@@ -141,25 +141,42 @@ def _terms(leaves):
 
 
 def _formulas(terms):
+    """Negation normal forms over `terms`, with quantifiers over the names of
+    NAMES, which rebind the assigned ones."""
     atoms = st.one_of(
         st.builds(lambda t, neg: Atom("R", (t,), neg), terms, st.booleans()),
         st.builds(lambda a, b, neg: Atom("P", (a, b), neg), terms, terms, st.booleans()),
         st.builds(lambda args, neg: Atom("E", tuple(args), neg), st.lists(terms, min_size=1, max_size=2), st.booleans()),
         st.builds(lambda a, b, neg: Equals(a, b, neg), terms, terms, st.booleans()),
     )
-    return st.recursive(
-        atoms,
-        lambda inner: st.builds(
+
+    def extend(inner):
+        connectives = st.builds(
             lambda kind, branches: Connective(kind, None, tuple(branches)),
             st.sampled_from(["and", "or"]),
             st.lists(inner, min_size=1, max_size=4),
-        ),
-        max_leaves=12,
-    )
+        )
+        quantifiers = st.builds(
+            lambda kind, var, body: Quant(kind, var, frozenset(), body),
+            st.sampled_from(["forall", "exists"]),
+            st.sampled_from(NAMES),
+            inner,
+        )
+        return st.one_of(connectives, quantifiers)
+
+    return st.recursive(atoms, extend, max_leaves=12)
 
 
 GROUND_TERMS = _terms(st.just(App("c", ())))
 TERMS = _terms(st.sampled_from([Var(name) for name in NAMES] + [App("c", ())]))
+
+
+def _quantifier_depth(f) -> int:
+    if isinstance(f, Quant):
+        return 1 + _quantifier_depth(f.body)
+    if isinstance(f, Connective):
+        return max(map(_quantifier_depth, f.branches))
+    return 0
 
 
 def _assignments(s):
@@ -168,20 +185,27 @@ def _assignments(s):
 
 
 class TestCompiledEvaluator:
-    @FIXED
+    @settings(FIXED, max_examples=300)
     @given(structures(), _formulas(TERMS), st.permutations(range(5)))
     def test_agrees_with_naive_evaluator_on_every_assignment(self, s, f, order):
         # Three of five slots hold the identifiers; the other two hold values
-        # outside the universe, which no lookup may read.
+        # outside the universe, which no lookup may read.  A quantifier writes
+        # the slots past the highest the identifiers hold, which must exist.
         slots = dict(zip(NAMES, order))
         test = compile_qf(s, f, slots)
+        depth = _quantifier_depth(f)
         for a in _assignments(s):
-            values = [s.size + 5] * 5
+            values = [s.size + 5] * (5 + depth)
             for name, value in a.items():
                 values[slots[name]] = value
             expected = _naive_eval(s, a, f)
             assert test(values) is expected
-            assert holds_qf(s, a, f) is expected
+            assert all(values[slots[name]] == value for name, value in a.items())
+            if depth:
+                with pytest.raises(EvaluationError, match="holds_qf applied to a quantified formula"):
+                    holds_qf(s, a, f)
+            else:
+                assert holds_qf(s, a, f) is expected
 
     @settings(FIXED, max_examples=100)
     @given(structures(), TERMS)
@@ -201,7 +225,6 @@ class TestCompiledEvaluator:
             (Equals(x, x), "variable 'x' has no assigned value"),
             (Atom("Q", (x,)), "relation 'Q' is not interpreted"),
             (Equals(App("g", ()), x), "function 'g' is not interpreted"),
-            (Quant("forall", "x", frozenset(), Equals(x, x)), "holds_qf applied to a quantified formula"),
             (x, "not a formula: Var(name='x')"),
             (Equals(App("c", (App("c", ()),)), x), "function 'c' has no row for (1,)"),
         ]
@@ -210,6 +233,11 @@ class TestCompiledEvaluator:
                 compile_qf(s, f, {"y": 0} if "variable" in message else {"x": 0})
         with pytest.raises(EvaluationError, match="not a term"):
             eval_term(s, {}, Atom("R", ()))
+        # compile_qf evaluates quantifiers; holds_qf takes quantifier-free formulas only.
+        quantified = Connective("or", None, (Atom("R", (x,)), Quant("forall", "x", frozenset(), Equals(x, x))))
+        assert compile_qf(s, quantified, {"x": 0})([1, None]) is True
+        with pytest.raises(EvaluationError, match="holds_qf applied to a quantified formula"):
+            holds_qf(s, {"x": 1}, quantified)
 
     def test_missing_row_is_reported_when_evaluated(self):
         s = cyclic_structure(2)
