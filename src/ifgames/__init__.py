@@ -35,15 +35,10 @@ from .matrix_game import (
     Bounds,
     GameMatrix,
     MixedStrategy,
-    best_pure_response_value,
     expected_utility,
     format_matrix,
-    is_balanced,
-    is_col_balanced,
-    is_row_balanced,
     parse_matrix,
     reduce,
-    row_submatrix,
     security_levels,
     tallies,
 )
@@ -53,23 +48,18 @@ from .semantic_game import (
     ELOISE,
     DecisionPoint,
     Game,
-    PureStrategy,
     ReducedForm,
     ReducedStrategies,
     build_matrix,
     build_reduced,
     decision_points,
-    enumerate_strategies,
-    play,
 )
 from .structure import (
     Assignment,
     Structure,
     compile_qf,
-    eval_term,
     holds_qf,
     load_structure,
-    save_structure,
 )
 from .value_engine import (
     ValueReport,
@@ -80,7 +70,6 @@ from .value_engine import (
     solve_game,
     solve_value,
     submatrix_lower_bound,
-    uniform_bounds,
     verify_equilibrium,
 )
 

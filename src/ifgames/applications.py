@@ -189,31 +189,6 @@ def function_degree(table: tuple[int, ...], value_count: int) -> HashFunctionAna
     return HashFunctionAnalysis(preimage_sizes=ordered, degree=ordered[-1] - ordered[0])
 
 
-def lambda_step(table: tuple[int, ...], value_count: int) -> tuple[int, ...]:
-    """Move one key from a largest pre-image to a smallest; identity at degree <= 1.
-
-    Ties break to the smallest index everywhere: the first value with the
-    largest pre-image, its first key, the first value with the smallest."""
-    analysis = function_degree(table, value_count)
-    if analysis.degree <= 1:
-        return tuple(table)
-    sizes = [0] * value_count
-    for v in table:
-        sizes[v] += 1
-    v_max = sizes.index(max(sizes))
-    v_min = sizes.index(min(sizes))
-    k_star = table.index(v_max)
-    moved = list(table)
-    moved[k_star] = v_min
-    return tuple(moved)
-
-
-def colliding_pair_count(table: tuple[int, ...], value_count: int) -> int:
-    """Ordered pairs of distinct keys the table sends to one value."""
-    analysis = function_degree(table, value_count)
-    return sum(z * (z - 1) for z in analysis.preimage_sizes)
-
-
 def minimal_degree_indices(spec: HashStructureSpec) -> frozenset[int]:
     """Indices of tables at the least achievable degree, min(1, keys mod values)."""
     d = min(1, spec.key_count % spec.value_count)
@@ -243,13 +218,13 @@ def adversary_pair_columns(spec: HashStructureSpec, form: ReducedForm) -> frozen
     return frozenset(chosen)
 
 
-def hashing_equilibrium(spec: HashStructureSpec) -> HashingEquilibrium:
+def hashing_equilibrium(structure: Structure, spec: HashStructureSpec) -> HashingEquilibrium:
     """The claimed equilibrium on the pipeline-built game: uniform over the
     minimal-degree indices against uniform over the distinct-key adversary
     strategies, checked against every pure deviation.  Both are built on the
     reduced strategic form, where the adversary's mix weighs each reduced
-    column by the full strategies it stands for."""
-    structure, spec = hash_structure(spec.key_count, spec.value_count)
+    column by the full strategies it stands for.  `structure` and `spec`
+    are the pair `hash_structure` returns."""
     form = build_reduced(structure, hashing_sentence(spec))
     u = form.matrix
     row_of = {rep: i for i, rep in enumerate(form.eloise.reps)}

@@ -255,8 +255,8 @@ def _run(args) -> int:
         out.print()
         return EXIT_OK
     if args.command == "hashing":
-        _, spec = _case_study(applications.hash_structure, args.keys, args.values)
-        eq = applications.hashing_equilibrium(spec)
+        structure, spec = _case_study(applications.hash_structure, args.keys, args.values)
+        eq = applications.hashing_equilibrium(structure, spec)
         form = eq.build
         out, _ = _header(form, fmt, "hashing")
         # An unverified pair certifies nothing, so the value then comes from

@@ -58,15 +58,6 @@ class GameMatrix:
         """Read-only uint8 view of the entries."""
         return self._a
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._a[i])
-
-    def rows(self) -> list[tuple[int, ...]]:
-        return [self.row(i) for i in range(self.m)]
-
     def row_sums(self) -> list[int]:
         if self._row_sums is None:
             self._row_sums = [int(x) for x in self._a.sum(axis=1, dtype=np.int64)]
@@ -77,13 +68,6 @@ class GameMatrix:
             self._col_sums = [int(x) for x in self._a.sum(axis=0, dtype=np.int64)]
         return self._col_sums
 
-    def complement(self) -> "GameMatrix":
-        """The opponent's payoff matrix, 1 - entries."""
-        return GameMatrix._from_array((1 - self._a).astype(np.uint8))
-
-    def transpose(self) -> "GameMatrix":
-        return GameMatrix._from_array(self._a.T.copy())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GameMatrix) and np.array_equal(self._a, other._a)
 
@@ -92,7 +76,7 @@ class GameMatrix:
 
     def __repr__(self) -> str:
         if self.m * self.n <= 64:
-            body = "; ".join(" ".join(str(x) for x in row) for row in self.rows())
+            body = "; ".join(" ".join(map(str, row)) for row in self._a.tolist())
             return f"GameMatrix({self.m}x{self.n}: {body})"
         return f"GameMatrix({self.m}x{self.n})"
 
@@ -159,7 +143,6 @@ class Bounds:
     ceil: Fraction
     colmin: int
     rowmax: int
-    colargmin: frozenset[int]
     rowargmax: frozenset[int]
 
 
@@ -182,27 +165,12 @@ def tallies(
         ceil=Fraction(rowmax, u.n if col_unit else sum(col_weights)),
         colmin=colmin,
         rowmax=rowmax,
-        colargmin=frozenset(j for j, s in enumerate(col) if s == colmin),
         rowargmax=frozenset(i for i, s in enumerate(row) if s == rowmax),
     )
 
 
 def _unit(weights: Sequence[int] | None, k: int) -> bool:
     return weights is None or len(weights) == k == weights.count(1)
-
-
-def is_row_balanced(u: GameMatrix) -> bool:
-    sums = u.row_sums()
-    return len(set(sums)) == 1
-
-
-def is_col_balanced(u: GameMatrix) -> bool:
-    sums = u.col_sums()
-    return len(set(sums)) == 1
-
-
-def is_balanced(u: GameMatrix) -> bool:
-    return is_row_balanced(u) and is_col_balanced(u)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +205,15 @@ def _weighted_sums(arr: np.ndarray, weights: Sequence[int]) -> list[int]:
     return (arr.astype(dtype) @ np.asarray(weights, dtype=dtype)).tolist()
 
 
-def _check_sides(u: GameMatrix, mu: MixedStrategy | None, nu: MixedStrategy | None) -> None:
-    if mu is not None:
-        if mu.side != "row":
-            raise ValueError("first strategy must be the row player's")
-        if len(mu) != u.m:
-            raise ValueError(f"row strategy has {len(mu)} entries for {u.m} rows")
-    if nu is not None:
-        if nu.side != "column":
-            raise ValueError("second strategy must be the column player's")
-        if len(nu) != u.n:
-            raise ValueError(f"column strategy has {len(nu)} entries for {u.n} columns")
+def _check_sides(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> None:
+    if mu.side != "row":
+        raise ValueError("first strategy must be the row player's")
+    if len(mu) != u.m:
+        raise ValueError(f"row strategy has {len(mu)} entries for {u.m} rows")
+    if nu.side != "column":
+        raise ValueError("second strategy must be the column player's")
+    if len(nu) != u.n:
+        raise ValueError(f"column strategy has {len(nu)} entries for {u.n} columns")
 
 
 def expected_utility(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> Fraction:
@@ -268,26 +234,8 @@ def security_levels(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> tupl
     return guarantee, cap
 
 
-def best_pure_response_value(u: GameMatrix, mu: MixedStrategy) -> tuple[Fraction, int]:
-    """The column player's best reply to `mu`: (min_j mu . col(j), smallest such j)."""
-    _check_sides(u, mu, None)
-    totals = weighted_col_sums(u, mu.nums)
-    best = min(totals)
-    return Fraction(best, mu.den), totals.index(best)
-
-
 # ---------------------------------------------------------------------------
 # Dominance reduction
-
-
-def row_submatrix(u: GameMatrix, rows: Iterable[int]) -> GameMatrix:
-    """The selected rows in original order, all columns retained."""
-    chosen = sorted(set(rows))
-    if not chosen:
-        raise IfGamesError("row submatrix needs a nonempty row selection")
-    if chosen[0] < 0 or chosen[-1] >= u.m:
-        raise IfGamesError(f"row selection {chosen} out of range for {u.m} rows")
-    return GameMatrix._from_array(u.array[chosen, :].copy())
 
 
 def reduce(u: GameMatrix) -> tuple[GameMatrix, tuple[int, ...], tuple[int, ...]]:
@@ -346,7 +294,9 @@ def parse_matrix(text: str) -> GameMatrix:
     if not lines:
         raise IfGamesError("empty matrix file")
     head = lines[0].split()
-    if len(head) != 2 or not all(w.isdigit() for w in head):
+    # ASCII digits only, as str.isdigit also takes '²', which int() refuses;
+    # and at most 18, as no file lists 10^18 rows and int() refuses 4301.
+    if len(head) != 2 or not all(w.isascii() and w.isdigit() and len(w) < 19 for w in head):
         raise IfGamesError(f"matrix header must be 'm n', got {lines[0]!r}")
     m, n = int(head[0]), int(head[1])
     if m < 1 or n < 1:

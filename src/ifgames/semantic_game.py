@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -77,18 +76,6 @@ class DecisionPoint:
     @property
     def table_size(self) -> int:
         return math.prod(self.visible_ranges)
-
-
-@dataclass(frozen=True)
-class PureStrategy:
-    """Choice tables, one per decision point of the owner, in point order.
-
-    Table `t` maps the mixed-radix code of the visible values at point `t`
-    (earliest-bound identifier most significant) to an option index.
-    """
-
-    owner: str
-    tables: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +154,8 @@ class Game:
 
     `points` lists the decision points in formula order and `owner_points`
     each player's point indices; a player's flat choice table concatenates
-    their points' tables in that order, the layout `iter_strategy_tables`
-    numbers full strategies in."""
+    their points' tables in that order, and a full strategy's index is its
+    flat table read as a mixed-radix number, leftmost cell most significant."""
 
     def __init__(self, structure: Structure, formula: Formula, collapse: bool = True):
         violations = validate(formula, structure.vocabulary())
@@ -470,24 +457,6 @@ class Game:
         assert out.min() >= 0, "the classes miss a full strategy"
         return out
 
-    def play(self, sigma: PureStrategy, tau: PureStrategy) -> int:
-        """Eloise's payoff (0 or 1) when `sigma` meets `tau`; both strategies
-        must come from this game's collapse mode."""
-        if sigma.owner != ELOISE or tau.owner != ABELARD:
-            raise ValueError("play expects an Eloise strategy then an Abelard strategy")
-        tables = []
-        for strategy in (sigma, tau):
-            sizes = [self.points[i].table_size for i in self.owner_points[strategy.owner]]
-            if [len(t) for t in strategy.tables] != sizes:
-                raise ValueError(
-                    f"{strategy.owner} strategy tables do not fit this game's decision points; "
-                    "was it enumerated under the same collapse mode?"
-                )
-            tables.append([[k for t in strategy.tables for k in t]])
-        wins = []
-        self._resolve(tables, ([None], [None]), wins.append)  # full tables are never copied
-        return len(wins)
-
 
 def _rebound(var: str) -> GameBuildError:
     return GameBuildError(f"variable {var!r} is rebound on one path; games need distinct names")
@@ -554,53 +523,6 @@ def decision_points(f: Formula, s: Structure) -> list[DecisionPoint]:
     """All decision points of the game of `f` on `s`, in formula order
     (collapsing is a strategy-enumeration concern and does not apply here)."""
     return Game(s, f, collapse=False).points
-
-
-def iter_strategy_tables(plan_points, point_indices):
-    """Yield table tuples for the given points, in lexicographic order of the
-    concatenated tables (leftmost table cell most significant)."""
-    cell_options = []
-    table_sizes = []
-    for idx in point_indices:
-        p = plan_points[idx]
-        table_sizes.append(p.table_size)
-        cell_options.extend([p.options] * p.table_size)
-    for combo in product(*(range(o) for o in cell_options)):
-        tables = []
-        at = 0
-        for size in table_sizes:
-            tables.append(combo[at : at + size])
-            at += size
-        yield tuple(tables)
-
-
-def enumerate_strategies(
-    s: Structure,
-    f: Formula,
-    player: str,
-    collapse: bool = True,
-    max_strategies: int = DEFAULT_STRATEGY_BUDGET,
-) -> list[PureStrategy]:
-    """All uniform pure strategies of `player`, lexicographic by choice table."""
-    if player not in _PLAYERS:
-        raise ValueError(f"unknown player {player!r}")
-    game = Game(s, f, collapse)
-    game.strategy_count(player, max_strategies)
-    return [
-        PureStrategy(owner=player, tables=tables)
-        for tables in iter_strategy_tables(game.points, game.owner_points[player])
-    ]
-
-
-def play(
-    s: Structure,
-    f: Formula,
-    sigma: PureStrategy,
-    tau: PureStrategy,
-    collapse: bool = True,
-) -> int:
-    """`Game(s, f, collapse).play(sigma, tau)`; compile the game once to play many."""
-    return Game(s, f, collapse).play(sigma, tau)
 
 
 def build_reduced(

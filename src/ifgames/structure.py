@@ -9,8 +9,8 @@ kind, symbol and variable, folds ground terms to constants and returns a test
 on a list of values, in which each identifier has a fixed slot.  A quantifier
 writes the next free slot, looping over the universe until its body settles
 it.  A game compiles each end of play once and runs the test on every play
-that reaches it; `holds_qf` and `eval_term` compile for one assignment of a
-quantifier-free formula and evaluate once.
+that reaches it; `holds_qf` compiles for one assignment of a quantifier-free
+formula and evaluates once.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ class Structure:
     def __post_init__(self):
         if self.size < 1:
             raise StructureFormatError(f"universe size must be positive, got {self.size}")
+        clash = self.relations.keys() & self.functions.keys()
+        if clash:
+            raise StructureFormatError(f"symbols used as both relation and function: {sorted(clash)}")
         self.relations = {
             sym: rows if type(rows) is frozenset else frozenset(map(tuple, rows))
             for sym, rows in self.relations.items()
@@ -109,13 +112,6 @@ def holds_qf(s: Structure, a: Assignment, f: Formula) -> bool:
     if any(isinstance(node, Quant) for _, node in subformulas(f)):
         raise EvaluationError("holds_qf applied to a quantified formula")
     return compile_qf(s, f, {name: i for i, name in enumerate(a)})(list(a.values()))
-
-
-def eval_term(s: Structure, a: Assignment, t: Term) -> int:
-    """Value of `t` in `s` under `a`; raises EvaluationError on missing pieces."""
-    compiler = _Compiler(s, {name: i for i, name in enumerate(a)})
-    value = compiler.term(t)
-    return value if isinstance(value, int) else compiler.reader(value)(list(a.values()))
 
 
 class _Rows(dict):
@@ -293,8 +289,10 @@ def load_structure(text: str) -> Structure:
     """Parse the JSON structure format; raises StructureFormatError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise StructureFormatError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise StructureFormatError("JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise StructureFormatError("top level must be an object")
     unknown = set(doc) - {"size", "relations", "functions"}
@@ -332,19 +330,6 @@ def _tables(doc: dict, key: str, min_len: int) -> dict[str, list[list[int]]]:
             shape = "[args..., value] rows" if min_len else "integer tuples"
             raise StructureFormatError(f"{key[:-1]} {sym!r} must be a list of {shape}")
     return tables
-
-
-def save_structure(s: Structure) -> str:
-    """Serialize canonically (sorted symbols and rows) so saves are reproducible."""
-    doc = {
-        "size": s.size,
-        "relations": {sym: sorted(map(list, rows)) for sym, rows in sorted(s.relations.items())},
-        "functions": {
-            sym: [list(args) + [value] for args, value in sorted(table.items())]
-            for sym, table in sorted(s.functions.items())
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def total_function_table(size: int, arity: int, fn) -> dict[tuple[int, ...], int]:

@@ -3,9 +3,9 @@
 `solve_value` is the reference route: the security-level linear program over
 exact rationals.  `solve_by_support_enumeration` is an independent oracle that
 solves the equalizing linear system for every square support pair instead.
-The remaining operations are shortcuts: uniform-strategy bounds, the balanced
-shortcut, the row-submatrix lower bound, and the balanced-row-submatrix
-certificate.  `solve_game` is the one solve policy that chains them.  Every
+The remaining operations are shortcuts: the trivial and balanced shortcuts,
+the row-submatrix lower bound, and the balanced-row-submatrix certificate
+(the uniform-strategy bounds are `matrix_game.tallies`).  `solve_game` is the one solve policy that chains them.  Every
 report handed out is certified before it leaves this module: what Eloise's
 strategy guarantees and what Abelard's caps both equal the reported value.
 """
@@ -23,7 +23,6 @@ from .linalg import security_level_lp, solve_linear_system
 from .matrix_game import (
     GameMatrix,
     MixedStrategy,
-    is_balanced,
     reduce,
     security_levels,
     tallies,
@@ -86,15 +85,10 @@ def detect_trivial(u: GameMatrix) -> ValueReport | None:
     return None
 
 
-def uniform_bounds(u: GameMatrix) -> tuple[Fraction, Fraction]:
-    """(floor, ceil): what the uniform strategies guarantee for each player."""
-    t = tallies(u)
-    return t.floor, t.ceil
-
-
 def balanced_value(u: GameMatrix) -> ValueReport | None:
-    """For balanced games the uniform pair is an equilibrium and floor = ceil."""
-    if not is_balanced(u):
+    """For balanced games, whose rows share one sum and whose columns share
+    one sum, the uniform pair is an equilibrium and floor = ceil."""
+    if len(set(u.row_sums())) > 1 or len(set(u.col_sums())) > 1:
         return None
     value = Fraction(u.row_sums()[0], u.n)
     mu = MixedStrategy.uniform(u.m, "row")
@@ -122,7 +116,7 @@ def solve_by_support_enumeration(u: GameMatrix) -> ValueReport:
     trivial = detect_trivial(u)
     if trivial is not None:
         return replace(trivial, method=METHOD_SUPPORT_ENUMERATION)
-    rows = u.rows()
+    rows = u.array.tolist()
     for k in range(1, min(u.m, u.n) + 1):
         for support_i in combinations(range(u.m), k):
             for support_j in combinations(range(u.n), k):

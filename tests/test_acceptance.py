@@ -11,16 +11,15 @@ from itertools import product
 from ifgames.applications import (
     birthday_closed_form,
     birthday_sentence,
-    colliding_pair_count,
     cyclic_structure,
     function_degree,
     hash_structure,
     hashing_equilibrium,
-    lambda_step,
     matching_pennies,
 )
 from ifgames.formula import format_formula, parse
 from ifgames.linalg import solve_linear_system
+from ifgames.matrix_game import GameMatrix
 from ifgames.matrix_game import reduce as mg_reduce
 from ifgames.matrix_game import tallies
 from ifgames.semantic_game import build_matrix
@@ -40,6 +39,7 @@ from conftest import (
     circulant_matrix,
     random_matrix,
 )
+from reference import colliding_pair_count, lambda_step
 from test_applications import birthday_oracle_matrix
 
 
@@ -113,7 +113,7 @@ def test_criterion_05_minimax_duality_suite():
     for _ in range(500):
         u = random_matrix(rng, 10, 12)
         report = solve_value(u)
-        dual = solve_value(u.complement().transpose())
+        dual = solve_value(GameMatrix(1 - u.array.T))
         t = tallies(u)
         ok = ok and report.value + dual.value == 1
         ok = ok and t.floor <= report.value <= t.ceil
@@ -181,8 +181,7 @@ def test_criterion_10_hashing_equilibrium_certificates():
     ok = True
     details = []
     for (keys, values), target in expected.items():
-        _, spec = hash_structure(keys, values)
-        result = hashing_equilibrium(spec)
+        result = hashing_equilibrium(*hash_structure(keys, values))
         u = result.build.matrix
         reduced, _, _ = mg_reduce(u)
         solver_value = solve_value(reduced).value

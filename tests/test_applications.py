@@ -8,13 +8,11 @@ from ifgames.applications import (
     adversary_pair_columns,
     birthday_closed_form,
     birthday_sentence,
-    colliding_pair_count,
     cyclic_structure,
     function_degree,
     hash_structure,
     hashing_equilibrium,
     hashing_sentence,
-    lambda_step,
     matching_pennies,
     minimal_degree_indices,
 )
@@ -25,6 +23,7 @@ from ifgames.semantic_game import build_matrix, build_reduced
 from ifgames.value_engine import solve_value, verify_equilibrium
 
 from conftest import identity_matrix
+from reference import colliding_pair_count, lambda_step
 
 
 def birthday_oracle_matrix(n: int, m: int) -> GameMatrix:
@@ -302,7 +301,7 @@ class TestHashingEquilibrium:
     )
     def test_uniform_pair_is_verified_equilibrium(self, keys, values, expected):
         structure, spec = hash_structure(keys, values)
-        result = hashing_equilibrium(spec)
+        result = hashing_equilibrium(structure, spec)
         assert result.verified
         assert result.value == expected
         full = build_matrix(structure, hashing_sentence(spec)).matrix
@@ -312,8 +311,8 @@ class TestHashingEquilibrium:
 
     def test_matches_directly_tabulated_game(self):
         for keys, values in ((2, 2), (3, 2)):
-            _, spec = hash_structure(keys, values)
-            result = hashing_equilibrium(spec)
+            structure, spec = hash_structure(keys, values)
+            result = hashing_equilibrium(structure, spec)
             oracle = hashing_oracle_matrix(spec)
             assert solve_value(mg_reduce(oracle)[0]).value == result.value
 
@@ -329,7 +328,7 @@ class TestHashingEquilibrium:
         ]
         for keys, values in sweep:
             structure, spec = hash_structure(keys, values)
-            result = hashing_equilibrium(spec)
+            result = hashing_equilibrium(structure, spec)
             assert result.verified, (keys, values)
             full = build_matrix(structure, hashing_sentence(spec)).matrix
             reduced, _, _ = mg_reduce(full)
@@ -345,4 +344,4 @@ class TestHashingEquilibrium:
         # table entries.
         assert len(pairs) == 3 * 2
         assert {form.abelard.weights[j] for j in pairs} == {5**4}
-        assert hashing_equilibrium(spec).adversary_pair_count == 3 * 2 * 5**4
+        assert hashing_equilibrium(structure, spec).adversary_pair_count == 3 * 2 * 5**4

@@ -7,18 +7,19 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifgames import applications, cli
 from ifgames.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
 from ifgames.formula import format_formula
-from ifgames.structure import Structure, save_structure
+from ifgames.structure import Structure
 from ifgames.matrix_game import MixedStrategy, expected_utility
 from ifgames.semantic_game import Game
 from ifgames.value_engine import solve_game
 
 from conftest import FIXTURES
+from reference import save_structure
 
 
 def run_cli(*argv):
@@ -267,8 +268,12 @@ class TestProbes:
             '{"size": 2, "functions": {"f": [[[0], 1], [[1], 0]]}}',
             '{"size": 2, "relations": [["R"]]}',
             '{"size": true}',
+            '{"size":2,"relations":{"f":[[0]]},"functions":{"f":[[0,0],[1,1]]}}',
+            '{"size":2,"relations":{"R":' + "[" * 50000 + "]" * 50000 + "}}",
+            '{"size": ' + "1" * 5000 + "}",
         ],
-        ids=["rows-not-lists", "nested-row", "nested-function-args", "relations-not-object", "bool-size"],
+        ids=["rows-not-lists", "nested-row", "nested-function-args", "relations-not-object", "bool-size",
+             "relation-and-function", "nested-50000-deep", "integer-past-the-digit-limit"],
     )
     def test_malformed_structure_is_validation_error(self, tmp_path, text):
         structure = tmp_path / "s.json"
@@ -285,6 +290,16 @@ class TestProbes:
         )
         assert code == EXIT_PARSE
         assert "Traceback" not in err and "nested deeper" in err
+
+    @pytest.mark.parametrize(
+        "header", ["\u00b2 2", "2 \u0662", "1" * 5000 + " 2"], ids=["superscript-two", "arabic-two", "5000-digits"]
+    )
+    def test_matrix_header_takes_ascii_digits_only(self, tmp_path, header):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(f"{header}\n0 1\n1 0\n", encoding="utf-8")
+        code, err = run_cli_stderr("value", "--matrix", str(matrix))
+        assert code == EXIT_PARSE
+        assert "Traceback" not in err and "matrix header must be 'm n'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +624,79 @@ class TestFormulaFuzz:
         argv += ["--max-strategies", "64", "--format", "machine"]
         if not collapse:
             argv.append("--no-collapse")
+        code, err = run_cli_stderr(*argv)
+        assert code in _EXIT_CODES
+        assert "Traceback" not in err
+
+
+# Structure files and matrix files cut, swapped and spliced byte by byte.
+_MUTATION_SOURCES = {
+    "--matrix": sorted(p.read_bytes() for p in FIXTURES.glob("*.txt")),
+    "--structure": [(FIXTURES / "cyclic3.json").read_bytes(), json.dumps(_FUZZ_STRUCTURES["three"]).encode()],
+}
+_SPLICES = [b"0", b"1", b"7", b"42", b"-1", b"[", b"]", b"{", b"}", b",", b'"', "\u00b2".encode(),
+            "\u0661".encode(), "\u00e9".encode(), b"\xff", "\u2028".encode()]
+_KEYS = [b"size", b"relations", b"functions", b"add", b"R", b"f", b"sizes", b""]
+_STRUCTURE_FORMULAS = ["Ax (Ey/x) add(x, y) = x", "Ax Ey x = y", "Ex R(x)", "Ax f(x) = x"]
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """(input flag, file bytes): a fixture file with one to three edits, each
+    a truncation, a swap of two bytes, an inserted splice or a renamed key."""
+    flag = draw(st.sampled_from(sorted(_MUTATION_SOURCES)))
+    data = bytearray(draw(st.sampled_from(_MUTATION_SOURCES[flag])))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["truncate", "swap", "splice", "splice", "rename"]))
+        at = draw(st.integers(0, len(data)))
+        if edit == "truncate":
+            del data[at:]
+        elif edit == "swap" and len(data) > 1:
+            other = draw(st.integers(0, len(data) - 1))
+            at = min(at, len(data) - 1)
+            data[at], data[other] = data[other], data[at]
+        elif edit == "splice":
+            data[at:at] = draw(st.sampled_from(_SPLICES))
+        elif edit == "rename":
+            keys = [k for k in _KEYS if k and b'"' + k + b'"' in data]
+            if keys:
+                old, new = draw(st.sampled_from(keys)), draw(st.sampled_from(_KEYS))
+                data = bytearray(bytes(data).replace(b'"' + old + b'"', b'"' + new + b'"', 1))
+    return flag, bytes(data)
+
+
+_KNOWN_CRASHES = [
+    ("--matrix", "\u00b2 2\n0 1\n1 0\n".encode()),
+    ("--structure", b'{"size":2,"relations":{"f":[[0]]},"functions":{"f":[[0,0],[1,1]]}}'),
+    ("--structure", b'{"size":2,"relations":{"R":' + b"[" * 50000 + b"]" * 50000 + b"}}"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+class TestInputFileFuzz:
+    """Mutated structure and matrix files exit with a documented code and
+    never print a traceback; the examples are inputs that once did."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(
+        source=_mutated_inputs(),
+        command=st.sampled_from(["value", "equilibrium", "bounds", "reduce", "matrix"]),
+        formula=st.sampled_from(_STRUCTURE_FORMULAS),
+    )
+    @example(source=_KNOWN_CRASHES[0], command="value", formula=_STRUCTURE_FORMULAS[0])
+    @example(source=_KNOWN_CRASHES[1], command="value", formula=_STRUCTURE_FORMULAS[0])
+    @example(source=_KNOWN_CRASHES[2], command="value", formula=_STRUCTURE_FORMULAS[0])
+    def test_exit_codes_are_documented(self, fuzz_dir, source, command, formula):
+        flag, data = source
+        path = fuzz_dir / "input"
+        path.write_bytes(data)
+        argv = [command, flag, str(path), "--max-strategies", "64", "--format", "machine"]
+        if flag == "--structure":
+            argv += ["--formula", formula]
         code, err = run_cli_stderr(*argv)
         assert code in _EXIT_CODES
         assert "Traceback" not in err

@@ -127,7 +127,7 @@ class TestNestingCap:
         sentence = parse(text, vocab)
         assert validate(sentence, vocab) == []
         assert parse(format_formula(sentence), vocab) == sentence
-        assert build_matrix(self.ONE, sentence).matrix.rows() == [(1,)]
+        assert build_matrix(self.ONE, sentence).matrix.array.tolist() == [[1]]
 
     @pytest.mark.parametrize("text", _nested_sentences(MAX_NESTING + 1))
     def test_one_past_the_cap_is_a_parse_error(self, text):

@@ -209,7 +209,7 @@ class TestDegenerateCorpus:
     @FIXED
     @given(games(max_side=9))
     def test_hypothesis_games_match_fraction_reference(self, u):
-        matrix = [list(row) for row in u.rows()]
+        matrix = u.array.tolist()
         assert lp_as_fractions(matrix) == reference_lp(matrix, linalg._DEGENERATE_RUN)
         assert security_level_lp(u.array) == security_level_lp(matrix)
 

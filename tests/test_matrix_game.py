@@ -9,20 +9,16 @@ from ifgames.errors import IfGamesError
 from ifgames.matrix_game import (
     GameMatrix,
     MixedStrategy,
-    best_pure_response_value,
     expected_utility,
     format_matrix,
-    is_balanced,
-    is_col_balanced,
-    is_row_balanced,
     parse_matrix,
     reduce,
-    row_submatrix,
+    security_levels,
     tallies,
     weighted_col_sums,
     weighted_row_sums,
 )
-from ifgames.value_engine import solve_value
+from ifgames.value_engine import balanced_value, solve_value
 
 from conftest import FIXTURES, M4_WIN, M5X6_A, M5X6_B, identity_matrix, random_matrix
 
@@ -45,13 +41,6 @@ class TestGameMatrix:
             GameMatrix(bad)
         good = np.array([[0, 1], [1, 1]], dtype=np.uint8)
         assert GameMatrix(good) == GameMatrix(good.astype(bool)) == GameMatrix([[0, 1], [1, 1]])
-
-    def test_complement_sums_to_one(self):
-        u = M5X6_A
-        c = u.complement()
-        for i in range(u.m):
-            for j in range(u.n):
-                assert u.entry(i, j) + c.entry(i, j) == 1
 
 
 class TestMixedStrategy:
@@ -90,7 +79,6 @@ class TestTallies:
         t = tallies(M5X6_A)
         assert (t.floor, t.ceil) == (Fraction(1, 5), Fraction(3, 6))
         assert (t.colmin, t.rowmax) == (1, 3)
-        assert t.colargmin == frozenset({5})
 
     def test_identity(self):
         for n in (1, 2, 5):
@@ -120,20 +108,23 @@ class TestTallies:
 
 
 class TestBalance:
+    """`balanced_value` answers exactly when every row sum is equal and every
+    column sum is equal."""
+
     def test_identity_balanced(self):
-        assert is_balanced(identity_matrix(4))
+        assert balanced_value(identity_matrix(4)) is not None
 
     def test_worked_5x6_unbalanced(self):
         assert M5X6_A.row_sums() == [2, 2, 3, 3, 2]
-        assert not is_row_balanced(M5X6_A)
-        assert not is_balanced(M5X6_A)
+        assert balanced_value(M5X6_A) is None
 
     def test_single_zero_cell(self):
-        assert is_balanced(GameMatrix([[0]]))
+        assert balanced_value(GameMatrix([[0]])) is not None
 
     def test_row_but_not_column(self):
         u = GameMatrix([[1, 0], [1, 0]])
-        assert is_row_balanced(u) and not is_col_balanced(u)
+        assert u.row_sums() == [1, 1] and u.col_sums() == [2, 0]
+        assert balanced_value(u) is None
 
 
 class TestExpectedUtility:
@@ -147,7 +138,7 @@ class TestExpectedUtility:
             for j in (0, 3, 5):
                 mu = MixedStrategy.point_mass(u.m, i, "row")
                 nu = MixedStrategy.point_mass(u.n, j, "column")
-                assert expected_utility(u, mu, nu) == u.entry(i, j)
+                assert expected_utility(u, mu, nu) == int(u.array[i, j])
 
     def test_identity_uniform(self):
         u = identity_matrix(2)
@@ -166,12 +157,20 @@ class TestExpectedUtility:
             nu = _random_mix(rng, u.n, "column")
             value = expected_utility(u, mu, nu)
             assert 0 <= value <= 1
-            assert value + expected_utility(u.complement(), mu, nu) == 1
+            assert value + expected_utility(GameMatrix(1 - u.array), mu, nu) == 1
+
+
+def _best_pure_response(u, mu):
+    """The column player's best reply to `mu`: what `mu` guarantees, the
+    first half of `security_levels`, and the smallest column attaining it."""
+    guarantee, _ = security_levels(u, mu, MixedStrategy.uniform(u.n, "column"))
+    totals = weighted_col_sums(u, mu.nums)
+    return guarantee, totals.index(min(totals))
 
 
 class TestBestPureResponse:
     def test_worked_mix_guarantees_three_sevenths(self):
-        value, column = best_pure_response_value(M5X6_B, PAPER_MIX)
+        value, column = _best_pure_response(M5X6_B, PAPER_MIX)
         assert value == Fraction(3, 7)
         assert expected_utility(M5X6_B, PAPER_MIX, MixedStrategy.point_mass(6, column, "column")) == value
 
@@ -179,12 +178,12 @@ class TestBestPureResponse:
         for _ in range(50):
             u = random_matrix(rng, 7, 7)
             t = tallies(u)
-            value, column = best_pure_response_value(u, MixedStrategy.uniform(u.m, "row"))
+            value, column = _best_pure_response(u, MixedStrategy.uniform(u.m, "row"))
             assert value == t.floor
-            assert column in t.colargmin
+            assert u.col_sums()[column] == t.colmin
 
     def test_point_mass_on_winning_row(self):
-        value, column = best_pure_response_value(M4_WIN, MixedStrategy.point_mass(4, 3, "row"))
+        value, column = _best_pure_response(M4_WIN, MixedStrategy.point_mass(4, 3, "row"))
         assert (value, column) == (1, 0)
 
     def test_mixed_reply_never_beats_best_pure(self, rng):
@@ -192,7 +191,7 @@ class TestBestPureResponse:
         for _ in range(200):
             u = random_matrix(rng, 6, 8)
             mu = _random_mix(rng, u.m, "row")
-            best, column = best_pure_response_value(u, mu)
+            best, column = _best_pure_response(u, mu)
             for _ in range(50):
                 nu = _random_mix(rng, u.n, "column")
                 assert expected_utility(u, mu, nu) >= best
@@ -201,11 +200,13 @@ class TestBestPureResponse:
 
 
 def _python_col_sums(u, w):
-    return [sum(w[i] * u.entry(i, j) for i in range(u.m)) for j in range(u.n)]
+    a = u.array.tolist()
+    return [sum(w[i] * a[i][j] for i in range(u.m)) for j in range(u.n)]
 
 
 def _python_row_sums(u, w):
-    return [sum(w[j] * u.entry(i, j) for j in range(u.n)) for i in range(u.m)]
+    a = u.array.tolist()
+    return [sum(w[j] * a[i][j] for j in range(u.n)) for i in range(u.m)]
 
 
 def _both_orientations(u):
@@ -247,9 +248,8 @@ class TestWeightedSums:
                 nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
                 strategies.append(MixedStrategy(nums, den, side))
             mu, nu = strategies
-            expected = sum(
-                p * q * u.entry(i, j) for i, p in enumerate(mu.probs) for j, q in enumerate(nu.probs)
-            )
+            a = u.array.tolist()
+            expected = sum(p * q * a[i][j] for i, p in enumerate(mu.probs) for j, q in enumerate(nu.probs))
             assert expected_utility(u, mu, nu) == expected
             # nu's weights are past the int64 guard
             assert min(mu.den, nu.den) > 2**63 and max(nu.nums) * u.n >= matrix_game._INT64_SAFE
@@ -334,24 +334,6 @@ class TestReduceAgainstReference:
         assert got == [reduce(u) for u in games]
 
 
-class TestRowSubmatrix:
-    def test_selects_rows_keeps_columns(self):
-        sub = row_submatrix(identity_matrix(3), {0, 1})
-        assert sub == GameMatrix([[1, 0, 0], [0, 1, 0]])
-
-    def test_worked_5x6_rows(self):
-        sub = row_submatrix(M5X6_A, {2, 4})
-        assert sub.row_sums() == [3, 2]
-        assert sub.n == 6
-
-    def test_full_selection_is_identity(self):
-        assert row_submatrix(M5X6_A, range(5)) == M5X6_A
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(IfGamesError):
-            row_submatrix(M5X6_A, set())
-
-
 class TestTextFormat:
     def test_round_trip(self):
         for u in (M5X6_A, identity_matrix(1), GameMatrix([[0] * 4] * 2)):
@@ -361,7 +343,7 @@ class TestTextFormat:
         games = [GameMatrix([[0]]), GameMatrix([[1], [0], [1]]), GameMatrix([[1] * 300] * 16)]
         games += [random_matrix(rng, 20, 40) for _ in range(30)]
         for u in games:
-            lines = [f"{u.m} {u.n}"] + [" ".join(str(x) for x in u.row(i)) for i in range(u.m)]
+            lines = [f"{u.m} {u.n}"] + [" ".join(map(str, row)) for row in u.array.tolist()]
             assert format_matrix(u) == "\n".join(lines) + "\n"
 
     def test_fixture_files_parse(self):
@@ -387,6 +369,9 @@ class TestTextFormat:
             ("1 2\n0 1 1\n", "bad matrix row '0 1 1'"),
             ("1 2\n01 1\n", "bad matrix row '01 1'"),
             ("1 2\n0 \u0661\n", "bad matrix row '0 \u0661'"),
+            ("\u00b2 2\n0 1\n", "matrix header must be 'm n', got '\u00b2 2'"),
+            ("1 \u0662\n0 1\n", "matrix header must be 'm n', got '1 \u0662'"),
+            ("1" * 19 + " 1\n1\n", f"matrix header must be 'm n', got '{'1' * 19} 1'"),
         ],
     )
     def test_error_messages(self, text, message):
@@ -396,7 +381,7 @@ class TestTextFormat:
 
     def test_whitespace_and_dtype(self):
         u = parse_matrix(" 2  3 \n 0\t1 1 \n\n1 0  0\n")
-        assert u.rows() == [(0, 1, 1), (1, 0, 0)]
+        assert u.array.tolist() == [[0, 1, 1], [1, 0, 0]]
         assert u.array.dtype == np.uint8
 
 

@@ -75,7 +75,7 @@ def test_lp_value_matches_support_enumeration(u):
 @FIXED
 @given(games())
 def test_value_plus_complement_transpose_value_is_one(u):
-    assert solve_value(u).value + solve_value(u.complement().transpose()).value == 1
+    assert solve_value(u).value + solve_value(GameMatrix(1 - u.array.T)).value == 1
 
 
 @FIXED

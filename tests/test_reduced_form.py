@@ -9,7 +9,6 @@ import io
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -28,16 +27,14 @@ from ifgames.matrix_game import reduce
 from ifgames.semantic_game import (
     ABELARD,
     ELOISE,
-    Game,
     build_matrix,
     build_reduced,
-    enumerate_strategies,
 )
-from ifgames.structure import Structure, save_structure, total_function_table
+from ifgames.structure import Structure, total_function_table
 from ifgames.value_engine import solve_game
 
 from conftest import random_sentence
-from test_semantic_game import _reference_matrix
+from reference import _reference_matrix, enumerate_strategies, save_structure
 
 EMPTY = Vocabulary()
 BUDGET = 256
@@ -142,17 +139,6 @@ def test_reducing_r_keeps_the_representatives_of_the_full_reduction(index):
     assert kept_r == kept
     assert tuple(form.eloise.reps[i] for i in rows_r) == rows
     assert tuple(form.abelard.reps[j] for j in cols_r) == cols
-
-
-def test_play_on_compiled_game_matches_build_matrix():
-    s, f = cyclic_structure(3), birthday_sentence(2)
-    game = Game(s, f)
-    u = build_matrix(s, f).matrix
-    eloise = enumerate_strategies(s, f, ELOISE)
-    abelard = enumerate_strategies(s, f, ABELARD)
-    assert len(eloise) * len(abelard) == 81
-    for (i, sigma), (j, tau) in product(enumerate(eloise), enumerate(abelard)):
-        assert game.play(sigma, tau) == u.entry(i, j)
 
 
 # ---------------------------------------------------------------------------

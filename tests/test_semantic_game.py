@@ -1,7 +1,6 @@
 import math
 import random
 import time
-from itertools import product
 
 import pytest
 
@@ -23,13 +22,12 @@ from ifgames.semantic_game import (
     build_matrix,
     build_reduced,
     decision_points,
-    enumerate_strategies,
-    play,
 )
 from ifgames.structure import Structure, total_function_table
 from ifgames.value_engine import solve_value
 
-from conftest import TEST_VOCAB, _naive_eval, identity_matrix, random_qf, random_sentence
+from conftest import TEST_VOCAB, identity_matrix, random_qf, random_sentence
+from reference import _eloise_wins, _reference_matrix, _reference_play, enumerate_strategies
 
 EMPTY = Vocabulary()
 
@@ -145,8 +143,9 @@ class TestPlay:
         f, s = matching_pennies(2)
         eloise = enumerate_strategies(s, f, ELOISE)
         abelard = enumerate_strategies(s, f, ABELARD)
-        assert play(s, f, eloise[0], abelard[0]) == 1
-        assert play(s, f, eloise[0], abelard[1]) == 0
+        game = Game(s, f)
+        assert _reference_play(game, {ELOISE: eloise[0], ABELARD: abelard[0]}) == 1
+        assert _reference_play(game, {ELOISE: eloise[0], ABELARD: abelard[1]}) == 0
 
     def test_birthday_all_zero_choices_win(self):
         f = birthday_sentence(2)
@@ -154,21 +153,7 @@ class TestPlay:
         eloise = enumerate_strategies(s, f, ELOISE)
         abelard = enumerate_strategies(s, f, ABELARD)
         # first strategies are all-zero choices: b0 = b1 = 0, a duplicate
-        assert play(s, f, eloise[0], abelard[0]) == 1
-
-    def test_wrong_owner_rejected(self):
-        f, s = matching_pennies(2)
-        eloise = enumerate_strategies(s, f, ELOISE)
-        with pytest.raises(ValueError):
-            play(s, f, eloise[0], eloise[0])
-
-    def test_mismatched_collapse_mode_rejected(self):
-        f = parse("Ax Ey (x = y | ~x = y)", EMPTY)
-        s = Structure(size=2)
-        eloise_full = enumerate_strategies(s, f, ELOISE, collapse=False)
-        abelard = enumerate_strategies(s, f, ABELARD, collapse=True)
-        with pytest.raises(ValueError, match="collapse"):
-            play(s, f, eloise_full[0], abelard[0], collapse=True)
+        assert _reference_play(Game(s, f), {ELOISE: eloise[0], ABELARD: abelard[0]}) == 1
 
 
 class TestBuildMatrix:
@@ -207,24 +192,6 @@ class TestBuildMatrix:
         report = build_matrix(s, f)
         assert (report.matrix.m, report.matrix.n) == (4, 4)
         assert solve_value(report.matrix).value.as_integer_ratio() == (1, 2)
-
-    def test_matrix_agrees_with_play(self):
-        fixtures = [
-            (*matching_pennies(3), True),
-            (parse("Ax Ey x = y", EMPTY), Structure(size=2), False),
-            (parse("Ax Ey (x = y | ~x = y)", EMPTY), Structure(size=2), False),
-            (parse("Ax Ey (x = y | ~x = y)", EMPTY), Structure(size=2), True),
-            (parse("Ax (Ey/x) (R(x) & x = y)", Vocabulary(relations={"R": 1}),),
-             Structure(size=2, relations={"R": frozenset({(1,)})}), True),
-            (birthday_sentence(2), cyclic_structure(2), True),
-        ]
-        for f, s, collapse in fixtures:
-            report = build_matrix(s, f, collapse=collapse)
-            eloise = enumerate_strategies(s, f, ELOISE, collapse=collapse)
-            abelard = enumerate_strategies(s, f, ABELARD, collapse=collapse)
-            assert (len(eloise), len(abelard)) == (report.matrix.m, report.matrix.n)
-            for i, j in product(range(len(eloise)), range(len(abelard))):
-                assert report.matrix.entry(i, j) == play(s, f, eloise[i], abelard[j], collapse=collapse)
 
     def test_matrix_agrees_with_reference_play(self):
         """Every cell against the walker-free reference, with and without
@@ -289,7 +256,7 @@ class TestBuildMatrix:
         for text, s in fixtures:
             f = parse(text, vocab)
             u = build_matrix(s, f, collapse=False).matrix
-            has_winning_row = any(sum(u.row(i)) == u.n for i in range(u.m))
+            has_winning_row = bool(u.array.all(axis=1).any())
             assert has_winning_row == _eloise_wins(s, f, {})
 
 
@@ -303,6 +270,7 @@ def _fixture_games():
             Structure(size=2, relations={"R": frozenset({(1,)})}),
         ),
         (birthday_sentence(2), cyclic_structure(2)),
+        (birthday_sentence(2), cyclic_structure(3)),
         (hashing_sentence(hash_structure(2, 2)[1]), hash_structure(2, 2)[0]),
     ]
 
@@ -423,66 +391,8 @@ def _walk(f):
                 stack.append((path + (i,), b))
 
 
-def _eloise_wins(s, f, assignment):
-    """Backward induction for perfect-information (slash-free) sentences."""
-    if isinstance(f, Quant):
-        assert not f.slash
-        values = range(s.size)
-        if f.kind == "exists":
-            return any(_eloise_wins(s, f.body, {**assignment, f.var: v}) for v in values)
-        return all(_eloise_wins(s, f.body, {**assignment, f.var: v}) for v in values)
-    if isinstance(f, Connective):
-        assert f.choice_var is None
-        if f.kind == "or":
-            return any(_eloise_wins(s, b, assignment) for b in f.branches)
-        return all(_eloise_wins(s, b, assignment) for b in f.branches)
-    return _naive_eval(s, assignment, f)
-
-
 RANDOM_STRUCTURE = Structure(
     size=2,
     relations={"R": frozenset({(1,)}), "P": frozenset({(0, 1), (1, 1)})},
     functions={"add": total_function_table(2, 2, lambda a, b: (a + b) % 2), "c": {(): 1}},
 )
-
-
-def _reference_matrix(s, f, collapse) -> GameMatrix:
-    """The game by resolving each play on its own: one path through the
-    formula, every move read off a choice table, as `play` did before it
-    shared a walker with `build_matrix`."""
-    plan = Game(s, f, collapse)
-    eloise = enumerate_strategies(s, f, ELOISE, collapse=collapse)
-    abelard = enumerate_strategies(s, f, ABELARD, collapse=collapse)
-    return GameMatrix(
-        [[_reference_play(plan, {ELOISE: sigma, ABELARD: tau}) for tau in abelard] for sigma in eloise]
-    )
-
-
-def _reference_play(plan, strategies) -> int:
-    collapsed = set(plan.collapsed)
-
-    def lookup(path, a) -> int:
-        idx = plan.point_at[path]
-        point = plan.points[idx]
-        table = strategies[point.owner].tables[plan.owner_points[point.owner].index(idx)]
-        cell = 0
-        for name, size in zip(point.visible, point.visible_ranges):
-            cell = cell * size + a[name]
-        return table[cell]
-
-    def walk(node, path, a) -> int:
-        if path in collapsed:
-            return 1 if _eloise_wins(plan.structure, node, a) else 0
-        if isinstance(node, Quant):
-            a[node.var] = lookup(path, a)
-            return walk(node.body, path + (0,), a)
-        if isinstance(node, Connective):
-            if len(node.branches) == 1:
-                return walk(node.branches[0], path + (0,), a)
-            option = lookup(path, a)
-            if node.choice_var is not None:
-                a[node.choice_var] = option
-            return walk(node.branches[option], path + (option,), a)
-        return 1 if _naive_eval(plan.structure, a, node) else 0
-
-    return walk(plan.formula, (), {})

@@ -13,14 +13,13 @@ from ifgames.formula import App, Atom, Connective, Equals, Quant, Var
 from ifgames.structure import (
     Structure,
     compile_qf,
-    eval_term,
     holds_qf,
     load_structure,
-    save_structure,
     total_function_table,
 )
 
 from conftest import FIXTURES, _naive_eval, _naive_term, random_qf
+from reference import save_structure
 
 
 def psi_two():
@@ -30,28 +29,35 @@ def psi_two():
     )
 
 
+def _term_value(s, a, t) -> int:
+    """The value of term `t` under `a`: the one element v for which
+    `holds_qf` finds `t = v` true."""
+    (value,) = [v for v in range(s.size) if holds_qf(s, {**a, "v*": v}, Equals(t, Var("v*")))]
+    return value
+
+
 class TestEvalTerm:
     def test_cyclic_addition_wraps(self):
         s = cyclic_structure(3)
         t = App("add", (Var("x0"), Var("x2")))
-        assert eval_term(s, {"x0": 1, "x2": 2}, t) == 0
+        assert _term_value(s, {"x0": 1, "x2": 2}, t) == 0
 
     def test_variable_lookup(self):
         s = Structure(size=5)
-        assert eval_term(s, {"x": 4}, Var("x")) == 4
+        assert _term_value(s, {"x": 4}, Var("x")) == 4
 
     def test_cyclic_addition_n5(self):
         s = cyclic_structure(5)
         t = App("add", (Var("x"), Var("y")))
-        assert eval_term(s, {"x": 2, "y": 3}, t) == 0
+        assert _term_value(s, {"x": 2, "y": 3}, t) == 0
 
     def test_missing_variable(self):
         with pytest.raises(EvaluationError, match="variable"):
-            eval_term(Structure(size=2), {}, Var("x"))
+            _term_value(Structure(size=2), {}, Var("x"))
 
     def test_missing_symbol(self):
         with pytest.raises(EvaluationError, match="function"):
-            eval_term(Structure(size=2), {"x": 0}, App("f", (Var("x"),)))
+            _term_value(Structure(size=2), {"x": 0}, App("f", (Var("x"),)))
 
     def test_cyclic_addition_exhaustive(self):
         for n in range(1, 13):
@@ -59,7 +65,7 @@ class TestEvalTerm:
             t = App("add", (Var("x"), Var("y")))
             for x in range(n):
                 for y in range(n):
-                    assert eval_term(s, {"x": x, "y": y}, t) == (x + y) % n
+                    assert _term_value(s, {"x": x, "y": y}, t) == (x + y) % n
 
 
 class TestHoldsQF:
@@ -211,7 +217,7 @@ class TestCompiledEvaluator:
     @given(structures(), TERMS)
     def test_terms_agree_with_naive_evaluator(self, s, t):
         for a in _assignments(s):
-            assert eval_term(s, a, t) == _naive_term(s, a, t)
+            assert _term_value(s, a, t) == _naive_term(s, a, t)
 
     @settings(FIXED, max_examples=50)
     @given(structures(), _formulas(GROUND_TERMS))
@@ -232,7 +238,7 @@ class TestCompiledEvaluator:
             with pytest.raises(EvaluationError, match=re.escape(message)):
                 compile_qf(s, f, {"y": 0} if "variable" in message else {"x": 0})
         with pytest.raises(EvaluationError, match="not a term"):
-            eval_term(s, {}, Atom("R", ()))
+            _term_value(s, {}, Atom("R", ()))
         # compile_qf evaluates quantifiers; holds_qf takes quantifier-free formulas only.
         quantified = Connective("or", None, (Atom("R", (x,)), Quant("forall", "x", frozenset(), Equals(x, x))))
         assert compile_qf(s, quantified, {"x": 0})([1, None]) is True
@@ -247,7 +253,7 @@ class TestCompiledEvaluator:
         with pytest.raises(EvaluationError, match=r"function 'add' has no row for \(5, 5\)"):
             test([5])
         with pytest.raises(EvaluationError, match=r"function 'add' has no row for \(2, 2\)"):
-            eval_term(s, {"x": 2}, t)
+            _term_value(s, {"x": 2}, t)
 
 
 class TestFileFormat:

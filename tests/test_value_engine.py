@@ -26,7 +26,6 @@ from ifgames.value_engine import (
     solve_game,
     solve_value,
     submatrix_lower_bound,
-    uniform_bounds,
     verify_equilibrium,
 )
 
@@ -92,20 +91,26 @@ class TestSupportEnumerationOracle:
             assert solve_value(u).value == solve_by_support_enumeration(u).value
 
 
+def _uniform_bounds(u: GameMatrix) -> tuple[Fraction, Fraction]:
+    """(floor, ceil): what the uniform strategies guarantee each player."""
+    t = tallies(u)
+    return t.floor, t.ceil
+
+
 class TestUniformBounds:
     def test_worked_5x6(self):
-        assert uniform_bounds(M5X6_A) == (Fraction(1, 5), Fraction(1, 2))
+        assert _uniform_bounds(M5X6_A) == (Fraction(1, 5), Fraction(1, 2))
 
     def test_identity(self):
-        assert uniform_bounds(identity_matrix(4)) == (Fraction(1, 4), Fraction(1, 4))
+        assert _uniform_bounds(identity_matrix(4)) == (Fraction(1, 4), Fraction(1, 4))
 
     def test_all_ones(self):
-        assert uniform_bounds(GameMatrix([[1, 1, 1], [1, 1, 1]])) == (1, 1)
+        assert _uniform_bounds(GameMatrix([[1, 1, 1], [1, 1, 1]])) == (1, 1)
 
     def test_sandwich_on_random_corpus(self, rng):
         for _ in range(100):
             u = random_matrix(rng, 8, 8)
-            floor, ceil = uniform_bounds(u)
+            floor, ceil = _uniform_bounds(u)
             assert floor <= solve_value(u).value <= ceil
 
 
@@ -391,7 +396,7 @@ class TestDetectTrivial:
         routes = set()
         for _ in range(60):
             u = random_matrix(rng, 6, 40)
-            rows = [list(r) for r in u.rows()]
+            rows = u.array.tolist()
             if rng.random() < 0.5:
                 rows[rng.randrange(u.m)] = [1] * u.n
             else:
@@ -409,7 +414,7 @@ class TestDetectTrivial:
 
 def _verify_reference(u: GameMatrix, mu: MixedStrategy, nu: MixedStrategy) -> bool:
     """The earlier `verify_equilibrium`, one Fraction per cell and per pure reply."""
-    a = u.rows()
+    a = u.array.tolist()
     value = sum(p * q * a[i][j] for i, p in enumerate(mu.probs) for j, q in enumerate(nu.probs))
     cols = [sum(p * a[i][j] for i, p in enumerate(mu.probs)) for j in range(u.n)]
     rows = [sum(q * a[i][j] for j, q in enumerate(nu.probs)) for i in range(u.m)]
@@ -481,15 +486,15 @@ class TestDuality:
         for u in (M4_LOSS, M4_WIN, M4_MIXED, M5X6_A, M5X6_B):
             # The opponent's own maximization problem is the game on the
             # complemented transpose; by minimax the two optima are complementary.
-            assert solve_value(u).value + solve_value(u.complement().transpose()).value == 1
+            assert solve_value(u).value + solve_value(GameMatrix(1 - u.array.T)).value == 1
 
     def test_corpus(self, rng):
         for _ in range(120):
             u = random_matrix(rng, 10, 12)
             report = solve_value(u)
-            dual = solve_value(u.complement().transpose())
+            dual = solve_value(GameMatrix(1 - u.array.T))
             assert report.value + dual.value == 1
-            floor, ceil = uniform_bounds(u)
+            floor, ceil = _uniform_bounds(u)
             assert floor <= report.value <= ceil
             assert verify_equilibrium(u, report.eloise, report.abelard)
             assert (report.value == 1) == (u.n in set(u.row_sums()))
