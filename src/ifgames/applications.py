@@ -14,10 +14,10 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .errors import SizeLimitError
+from .errors import BudgetExceededError, SizeLimitError
 from .formula import App, Atom, Connective, Equals, Formula, Quant, Var
 from .matrix_game import MixedStrategy, expected_utility, security_levels
-from .semantic_game import ReducedForm, build_reduced
+from .semantic_game import DEFAULT_STRATEGY_BUDGET, ELOISE, ReducedForm, build_reduced
 from .structure import Structure, total_function_table
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,19 @@ def birthday_sentence(m: int) -> Formula:
     return sentence
 
 
+def birthday_game(n: int, m: int) -> tuple[Formula, Structure]:
+    """`birthday_sentence(m)` on `cyclic_structure(n)`.  A player's m hidden
+    draws among n elements make n ** m strategies, refused past the default
+    budget before the m (m - 1) / 2 disjuncts and the n x n table are built,
+    and without forming n ** m when it is too long to print."""
+    if m >= 2 and n >= 1:  # smaller arguments are the builders' to refuse
+        log2_floor = m * (n.bit_length() - 1)  # n ** m >= 2 ** log2_floor
+        count = n**m if log2_floor <= BudgetExceededError.SHOWN_BITS else None
+        if count is None or count > DEFAULT_STRATEGY_BUDGET:
+            raise BudgetExceededError(ELOISE, count, DEFAULT_STRATEGY_BUDGET, log2_floor)
+    return birthday_sentence(m), cyclic_structure(n)
+
+
 def birthday_closed_form(n: int, m: int) -> tuple[Fraction, Fraction]:
     """(probability all m draws distinct, probability of at least one duplicate)."""
     if n < 1 or m < 1:
@@ -94,12 +107,6 @@ class HashStructureSpec:
     @property
     def universe_size(self) -> int:
         return self.key_count + self.value_count
-
-
-@dataclass(frozen=True)
-class HashFunctionAnalysis:
-    preimage_sizes: tuple[int, ...]  # ascending, one per value, empty pre-images included
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -180,13 +187,12 @@ def hashing_sentence(spec: HashStructureSpec) -> Formula:
     return Connective("or", "i", tuple(branch(i, frozenset({"i"})) for i in range(count)))
 
 
-def function_degree(table: tuple[int, ...], value_count: int) -> HashFunctionAnalysis:
-    """Pre-image sizes over all values (missed values count as 0) and their spread."""
+def function_degree(table: tuple[int, ...], value_count: int) -> int:
+    """The spread of the pre-image sizes over all values (a missed value's is 0)."""
     sizes = [0] * value_count
     for v in table:
         sizes[v] += 1
-    ordered = tuple(sorted(sizes))
-    return HashFunctionAnalysis(preimage_sizes=ordered, degree=ordered[-1] - ordered[0])
+    return max(sizes) - min(sizes)
 
 
 def minimal_degree_indices(spec: HashStructureSpec) -> frozenset[int]:
@@ -195,7 +201,7 @@ def minimal_degree_indices(spec: HashStructureSpec) -> frozenset[int]:
     return frozenset(
         i
         for i, table in enumerate(spec.functions)
-        if function_degree(table, spec.value_count).degree == d
+        if function_degree(table, spec.value_count) == d
     )
 
 

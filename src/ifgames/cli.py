@@ -244,8 +244,7 @@ def _run(args) -> int:
         _report_game(build_reduced(structure, sentence), fmt, "mp", verified_line=False)
         return EXIT_OK
     if args.command == "birthday":
-        sentence = _case_study(applications.birthday_sentence, args.m)
-        structure = _case_study(applications.cyclic_structure, args.n)
+        sentence, structure = _case_study(applications.birthday_game, args.n, args.m)
         form = build_reduced(structure, sentence)
         all_distinct, duplicate = applications.birthday_closed_form(args.n, args.m)
         _report_game(form, fmt, "birthday", verified_line=False)

@@ -1,36 +1,30 @@
 """Exact linear algebra on integer numpy tables: Gauss-Jordan elimination and a tableau simplex.
 
-Both take integer coefficients (integral `Fraction`s and floats pass) and
-return numerators over one positive common denominator, the pair a
-`MixedStrategy` stores.  They share one integer-preserving (Edmonds/Bareiss)
-pivot, an in-place numpy update of the whole table.  Every entry it leaves is
-a minor of the starting table, so a Hadamard bound on those minors picks the
-dtype once: int64 when no pivot product can reach 2^62, else `object` (exact
-Python ints).  The simplex, for the security-level program of a payoff
-matrix, enters the largest reduced cost (Dantzig, ties to the smallest index);
-after `_DEGENERATE_RUN` pivots in a row that leave v unchanged it enters the
-smallest improving index (Bland) until v rises.  Bland cannot cycle and v never
-falls, so it terminates, with an exact optimum and dual certificate.
+Both take integer numpy arrays (any other dtype raises ValueError) and return
+numerators over one positive common denominator, the pair a `MixedStrategy`
+stores.  They share one integer-preserving (Edmonds/Bareiss) pivot, an
+in-place numpy update of the whole table.  Every entry it leaves is a minor of
+the starting table, so a Hadamard bound on those minors picks the dtype once:
+int64 when no pivot product can reach 2^62, else `object` (exact Python ints).
+The simplex, for the security-level program of a payoff matrix, enters the
+largest reduced cost (Dantzig, ties to the smallest index); after
+`_DEGENERATE_RUN` pivots in a row that leave v unchanged it enters the smallest
+improving index (Bland) until v rises.  Bland cannot cycle and v never falls,
+so it terminates, with an exact optimum and dual certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 _DEGENERATE_RUN = 4
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """`rows` as lists of ints; ragged rows or a non-integral entry raise ValueError."""
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("ragged coefficient matrix")
-    ints = [[int(x) for x in row] for row in rows]
-    if ints != [list(row) for row in rows]:
-        raise ValueError("coefficients must be integers")
-    return ints
+def _check_integer(*arrays: np.ndarray) -> None:
+    if not all(isinstance(a, np.ndarray) and a.dtype.kind in "biu" for a in arrays):
+        raise ValueError("coefficients must be an integer numpy array")
 
 
 def _dtype(top: int, order: int):
@@ -54,21 +48,19 @@ def _pivot(table: np.ndarray, r: int, c: int, d: int) -> int:
     return int(p)
 
 
-def solve_linear_system(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[tuple[list[int], int], bool] | None:
-    """Solve rows . x = rhs exactly.
+def solve_linear_system(a: np.ndarray, b: np.ndarray) -> tuple[tuple[list[int], int], bool] | None:
+    """Solve a . x = b exactly, for an m x n integer array `a` and an integer
+    vector `b` of length m.
 
     Returns None when the system is inconsistent; otherwise ((nums, den),
     unique) with x[c] = nums[c] / den and den > 0, where free variables, if
     any, are set to 0 and `unique` says whether the solution is the only one.
     """
-    if len(rows) != len(rhs):
+    _check_integer(a, b)
+    if a.ndim != 2 or b.shape != a.shape[:1]:
         raise ValueError("matrix and right-hand side sizes differ")
-    if not rows:
-        return ([], 1), True
-    ints = _integer_rows([[*row, b] for row, b in zip(rows, rhs)])
-    aug = np.array(ints, dtype=_dtype(max(abs(x) for row in ints for x in row), min(len(ints), len(ints[0]))))
+    aug = np.column_stack((a.astype(object), b.astype(object)))  # exact Python ints
+    aug = aug.astype(_dtype(int(abs(aug).max(initial=0)), min(aug.shape)))
     ncols = aug.shape[1] - 1
 
     d = 1
@@ -91,22 +83,17 @@ def solve_linear_system(
     return (nums, sign * d), len(pivots) == ncols
 
 
-def security_level_lp(
-    matrix: Sequence[Sequence[int]] | np.ndarray,
-) -> tuple[Fraction, tuple[list[int], int], tuple[list[int], int]]:
+def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], tuple[list[int], int]]:
     """Exact optimum of: maximize v s.t. mu.col(j) >= v for all j, sum mu = 1, mu >= 0.
 
-    `matrix` is the m x n payoff matrix, an integer numpy array or rows in
-    which a non-integral entry raises ValueError.  Its entries must be
-    nonnegative, which makes the optimal v nonnegative, so v needs no sign
-    split.  Returns (v, (mu_nums, d), (nu_raw, total)): mu_i = mu_nums[i] / d
+    `u` is the m x n payoff matrix, an integer numpy array.  Its entries
+    must be nonnegative, which makes the optimal v nonnegative, so v needs no
+    sign split.  Returns (v, (mu_nums, d), (nu_raw, total)): mu_i = mu_nums[i] / d
     attains the maximum, and nu_j = nu_raw[j] / total, the dual vector read off
     the optimal tableau, is a column mixture with max_i row(i).nu == v; d > 0
     and total > 0.
     """
-    u = matrix
-    if not (isinstance(u, np.ndarray) and u.dtype.kind in "biu"):
-        u = np.array(_integer_rows(matrix), dtype=object)
+    _check_integer(u)
     if u.ndim != 2 or 0 in u.shape or (u < 0).any():
         raise ValueError("this LP form requires a nonempty matrix of nonnegative entries")
     m, n = u.shape

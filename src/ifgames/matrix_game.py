@@ -143,7 +143,6 @@ class Bounds:
     ceil: Fraction
     colmin: int
     rowmax: int
-    rowargmax: frozenset[int]
 
 
 def tallies(
@@ -165,7 +164,6 @@ def tallies(
         ceil=Fraction(rowmax, u.n if col_unit else sum(col_weights)),
         colmin=colmin,
         rowmax=rowmax,
-        rowargmax=frozenset(i for i, s in enumerate(row) if s == rowmax),
     )
 
 

@@ -67,7 +67,6 @@ Path = tuple[int, ...]
 class DecisionPoint:
     """One information set: where a player moves and what they see there."""
 
-    locus: Path  # path of the first occurrence in the formula
     owner: str
     visible: tuple[str, ...]  # identifiers visible at the point, in binding order
     options: int  # universe size for quantifiers, branch count for connectives
@@ -88,9 +87,8 @@ class ReducedStrategies:
     cells at 0, and `weights[s]` the number of full strategies in its class.
     A game given by its matrix has no choice tables, so no `cells`."""
 
-    owner: str
     cells: tuple[tuple[int, ...], ...]
-    reps: tuple[int, ...]
+    reps: tuple[int, ...] | range
     weights: tuple[int, ...]
 
     @property
@@ -113,11 +111,8 @@ class ReducedForm:
     @classmethod
     def of_matrix(cls, u: GameMatrix, collapsed_loci: tuple[Path, ...] = ()) -> ReducedForm:
         """The game `u` as it stands: every strategy a class of its own."""
-
-        def singletons(owner: str, k: int) -> ReducedStrategies:
-            return ReducedStrategies(owner=owner, cells=(), reps=tuple(range(k)), weights=(1,) * k)
-
-        return cls(u, singletons(ELOISE, u.m), singletons(ABELARD, u.n), collapsed_loci)
+        eloise, abelard = (ReducedStrategies(cells=(), reps=range(k), weights=(1,) * k) for k in (u.m, u.n))
+        return cls(u, eloise, abelard, collapsed_loci)
 
 
 class _Node:
@@ -164,7 +159,6 @@ class Game:
             raise GameBuildError(f"sentence is not well formed over this structure: {details}")
         self.structure = structure
         self.formula = formula
-        self.collapse = collapse
         self.points: list[DecisionPoint] = []
         self.point_at: dict[Path, int] = {}  # every instance path
         self.collapsed: list[Path] = []
@@ -174,6 +168,7 @@ class Game:
         self._cells = [0, 0]  # flat table length per side
         self._slots = 1  # length of the value list a play writes
         self._ends: list[tuple[_Node, Formula, tuple, int]] = []  # not compiled yet: bindings, chain
+        self._quantifiers: list[_Node] = []  # one child each until the first walk
         self._chain = 0  # the longest quantifier chain in a collapsed subformula
         self._collapsible = _collapsible(formula) if collapse else set()
         self._root = self._compile(formula, (), (), ())
@@ -197,7 +192,8 @@ class Game:
             idx = self._register(canon, path, _owner_of(node), visible, size)
             body = self._compile(node.body, path + (0,), stack + ((0, None),), bound + ((node.var, size),))
             slots = tuple((slot, rng) for slot, (name, rng) in enumerate(bound) if name not in node.slash)
-            return self._move(idx, slots, len(bound), (body,) * size)
+            self._quantifiers.append(self._move(idx, slots, len(bound), (body,)))
+            return self._quantifiers[-1]
         if isinstance(node, Connective):
             if len(node.branches) == 1:
                 return self._compile(node.branches[0], path + (0,), stack + ((0, None),), bound)
@@ -221,14 +217,17 @@ class Game:
         return node
 
     def _compile_ends(self) -> None:
-        """Compile each end of play once, before the first walk, so that a
-        game the budget refuses compiles none.  Every move on the way to an
-        end writes a slot no higher than the end's binding count, and the
-        end's k-th nested quantifier the k-th slot past its bindings."""
+        """Compile each end of play once and repeat each quantifier's body per
+        value, before the first walk, so that a game the budget refuses builds
+        neither.  Every move on the way to an end writes a slot no higher than
+        the end's binding count, and the end's k-th nested quantifier the k-th
+        slot past its bindings."""
         for node, formula, bound, chain in self._ends:
             slots = {name: slot for slot, (name, _) in enumerate(bound)}
             node.holds = compile_qf(self.structure, formula, slots)
             self._slots = max(self._slots, len(bound) + max(chain, 1))
+        while self._quantifiers:
+            self._quantifiers.pop().children *= self.structure.size
         self._ends.clear()
 
     def _move(self, idx: int, visible, var: int, children) -> _Node:
@@ -236,24 +235,14 @@ class Game:
         return _Node(None, side, self._base[idx], visible, var, children)
 
     def _register(self, canon, path: Path, owner: str, visible, options: int) -> int:
-        names = tuple(n for n, _ in visible)
-        ranges = tuple(r for _, r in visible)
+        point = DecisionPoint(owner, tuple(n for n, _ in visible), options, tuple(r for _, r in visible))
         if canon in self._canon:
             idx = self._canon[canon]
-            point = self.points[idx]
-            if (point.owner, point.visible, point.options, point.visible_ranges) != (
-                owner,
-                names,
-                options,
-                ranges,
-            ):
-                raise GameBuildError(
-                    f"indistinguishable positions at {path} disagree on owner or information"
-                )
+            if self.points[idx] != point:
+                raise GameBuildError(f"indistinguishable positions at {path} disagree on owner or information")
             self.point_at[path] = idx
             return idx
         idx = len(self.points)
-        point = DecisionPoint(locus=path, owner=owner, visible=names, options=options, visible_ranges=ranges)
         self.points.append(point)
         self._canon[canon] = idx
         self.point_at[path] = idx
@@ -399,8 +388,8 @@ class Game:
         keys = ([(0, n_rows)], [(0, n_cols)])  # all cells unassigned: rep 0, every full strategy
         wins = []
         final, replaced = self._resolve(tables, keys, wins.append)
-        eloise, row_order = self._sorted(0, tables[0], keys[0], final[0])
-        abelard, col_order = self._sorted(1, tables[1], keys[1], final[1])
+        eloise, row_order = self._sorted(tables[0], keys[0], final[0])
+        abelard, col_order = self._sorted(tables[1], keys[1], final[1])
         row_at, row_of = _positions(row_order, replaced[0], len(tables[0]))
         col_at, col_of = _positions(col_order, replaced[1], len(tables[1]))
         width = len(col_order)
@@ -419,12 +408,11 @@ class Game:
             collapsed_loci=tuple(self.collapsed),
         )
 
-    def _sorted(self, side: int, table: list[list[int]], keys: list[tuple[int, int]], final: list[int]):
-        """The side's reduced strategies in order of representative, and the
+    def _sorted(self, table: list[list[int]], keys: list[tuple[int, int]], final: list[int]):
+        """A side's reduced strategies in order of representative, and the
         candidate indices in that order."""
         order = sorted(final, key=keys.__getitem__)
         reduced = ReducedStrategies(
-            owner=_PLAYERS[side],
             cells=tuple(tuple(table[i]) for i in order),
             reps=tuple(keys[i][0] for i in order),
             weights=tuple(keys[i][1] for i in order),

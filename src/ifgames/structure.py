@@ -80,17 +80,11 @@ class Structure:
                     f"element {e!r} of {sym!r} is outside the universe 0..{self.size - 1}"
                 )
 
-    def relation_arity(self, sym: str) -> int | None:
-        rows = self.relations[sym]
-        return len(next(iter(rows))) if rows else None
-
-    def function_arity(self, sym: str) -> int:
-        return len(next(iter(self.functions[sym])))
-
     def vocabulary(self) -> Vocabulary:
+        """Each symbol's arity, read off a row; an empty relation's is None."""
         return Vocabulary(
-            relations={sym: self.relation_arity(sym) for sym in self.relations},
-            functions={sym: self.function_arity(sym) for sym in self.functions},
+            relations={sym: len(next(iter(rows))) if rows else None for sym, rows in self.relations.items()},
+            functions={sym: len(next(iter(table))) for sym, table in self.functions.items()},
         )
 
 

@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import SizeLimitError
 from .linalg import security_level_lp, solve_linear_system
 from .matrix_game import (
@@ -25,7 +27,6 @@ from .matrix_game import (
     MixedStrategy,
     reduce,
     security_levels,
-    tallies,
 )
 
 METHOD_LP = "lp"
@@ -116,27 +117,26 @@ def solve_by_support_enumeration(u: GameMatrix) -> ValueReport:
     trivial = detect_trivial(u)
     if trivial is not None:
         return replace(trivial, method=METHOD_SUPPORT_ENUMERATION)
-    rows = u.array.tolist()
     for k in range(1, min(u.m, u.n) + 1):
         for support_i in combinations(range(u.m), k):
             for support_j in combinations(range(u.n), k):
-                report = _try_support_pair(u, rows, support_i, support_j)
+                report = _try_support_pair(u, support_i, support_j)
                 if report is not None:
                     return report
     raise RuntimeError("no support pair admitted an equilibrium; matrix entries outside {0,1}?")
 
 
-def _try_support_pair(u, rows, support_i, support_j) -> ValueReport | None:
+def _try_support_pair(u, support_i, support_j) -> ValueReport | None:
     k = len(support_i)
-    # mu on support_i equalizes the support_j columns at v, and nu on
-    # support_j the support_i rows at w.  Each mixture sums to 1, so v and w
-    # both equal the pair's expected utility.
+    sub = u.array[np.ix_(support_i, support_j)]
+    # mu on support_i equalizes the support_j columns at v, [sub.T | -1], and
+    # nu on support_j the support_i rows at w, [sub | -1].  Each mixture sums
+    # to 1, row 1 - unit, so v and w both equal the pair's expected utility.
+    unit = np.eye(k + 1, dtype=np.int64)[k]
     solutions = []
-    for system in (
-        [[rows[i][j] for i in support_i] + [-1] for j in support_j],
-        [[rows[i][j] for j in support_j] + [-1] for i in support_i],
-    ):
-        solved = solve_linear_system(system + [[1] * k + [0]], [0] * k + [1])
+    for equalized in (sub.T, sub):
+        system = np.vstack((np.column_stack((equalized, np.full(k, -1))), 1 - unit))
+        solved = solve_linear_system(system, unit)
         if solved is None or not solved[1]:
             return None
         (nums, den), _ = solved
@@ -221,10 +221,11 @@ def balanced_submatrix_certificate(u: GameMatrix) -> ValueReport | None:
     a maximum-sum row, so the search runs over subsets of those, toward equal
     column sums.  Returns None when no certified pair is found.
     """
-    t = tallies(u)
-    value = Fraction(t.rowmax, u.n)
+    rowmax = max(u.row_sums())
+    value = Fraction(rowmax, u.n)
     nu = MixedStrategy.uniform(u.n, "column")
-    for spread, subset in _scored_subsets(sorted(t.rowargmax), lambda s: -_col_spread(u, s)):
+    rowargmax = [i for i, s in enumerate(u.row_sums()) if s == rowmax]
+    for spread, subset in _scored_subsets(rowargmax, lambda s: -_col_spread(u, s)):
         if spread == 0:
             mu = MixedStrategy.uniform_on(subset, u.m, "row")
             if security_levels(u, mu, nu) == (value, value):

@@ -131,8 +131,7 @@ def lambda_step(table: tuple[int, ...], value_count: int) -> tuple[int, ...]:
 
     Ties break to the smallest index everywhere: the first value with the
     largest pre-image, its first key, the first value with the smallest."""
-    analysis = function_degree(table, value_count)
-    if analysis.degree <= 1:
+    if function_degree(table, value_count) <= 1:
         return tuple(table)
     sizes = [0] * value_count
     for v in table:
@@ -147,8 +146,7 @@ def lambda_step(table: tuple[int, ...], value_count: int) -> tuple[int, ...]:
 
 def colliding_pair_count(table: tuple[int, ...], value_count: int) -> int:
     """Ordered pairs of distinct keys the table sends to one value."""
-    analysis = function_degree(table, value_count)
-    return sum(z * (z - 1) for z in analysis.preimage_sizes)
+    return sum(z * (z - 1) for z in map(table.count, range(value_count)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -259,6 +260,36 @@ class TestProbes:
         assert time.perf_counter() - started < 1
         assert code == EXIT_BUDGET
         assert "Traceback" not in err and refusal in err
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (("mp", str(10**21)), f"eloise would have {10**21} pure strategies"),
+            (("mp", "3000000"), "eloise would have 3000000 pure strategies"),
+            (("value", "--formula", "Ax (Ey/x) x = y"), f"eloise would have {10**21} pure strategies"),
+            (
+                ("value", "--formula", "Ax Ey x = y", "--no-collapse"),
+                f"eloise would have at least 2^{10**21} pure strategies",
+            ),
+            (("birthday", "1100", "2"), "eloise would have 1210000 pure strategies"),
+            (("birthday", str(10**21), str(10**6)), "eloise would have at least 2^69000000 pure strategies"),
+        ],
+        ids=["mp-10^21", "mp-3000000", "slashed-10^21", "played-10^21", "birthday-1100-2", "birthday-10^21-10^6"],
+    )
+    def test_oversized_game_refused_before_it_is_built(self, tmp_path, argv, refusal):
+        if argv[0] == "value":
+            structure = tmp_path / "s.json"
+            structure.write_text(f'{{"size": {10**21}}}')
+            argv = (*argv, "--structure", str(structure))
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code, err = run_cli_stderr(*argv)
+            elapsed, peak = time.perf_counter() - started, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (EXIT_BUDGET, f"budget error: {refusal}, over the budget of 1048576\n")
+        assert elapsed < 0.5 and peak < 5 * 2**20
 
     @pytest.mark.parametrize(
         "text",

@@ -1,14 +1,23 @@
-"""Property tests of the solver core on small 0/1 games and random strategies.
+"""Property tests of the solver core on small 0/1 games and random strategies,
+and of the semantic game on small sentences and structures.
 
 Runs are derandomized, so every run draws the same examples."""
 
+from fractions import Fraction
+from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifgames import value_engine
+from ifgames.applications import matching_pennies
+from ifgames.errors import GameBuildError
+from ifgames.formula import Quant, Vocabulary, parse, subformulas
 from ifgames.matrix_game import GameMatrix, MixedStrategy, expected_utility, reduce, security_levels
+from ifgames.semantic_game import build_matrix, build_reduced
+from ifgames.structure import Structure
 from ifgames.value_engine import (
     solve_by_support_enumeration,
     solve_game,
@@ -16,6 +25,8 @@ from ifgames.value_engine import (
     verify_equilibrium,
 )
 
+from conftest import random_sentence
+from reference import _reference_matrix
 from test_value_engine import _verify_reference
 
 FIXED = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -99,3 +110,65 @@ def test_reduce_keeps_the_value_and_the_lifted_pair_verifies(u):
         report = solve_game(u)
     assert report.value == value
     assert verify_equilibrium(u, report.eloise, report.abelard)
+
+
+# ---------------------------------------------------------------------------
+# Small sentences on small structures
+
+
+@st.composite
+def structures(draw, max_size=3):
+    """A structure over the symbols `random_sentence` draws: R unary, P
+    binary, `add` binary and the constant `c`."""
+    n = draw(st.integers(1, max_size))
+    universe = range(n)
+    pairs = list(product(universe, repeat=2))
+    return Structure(
+        size=n,
+        relations={
+            "R": frozenset((x,) for x in universe if draw(st.booleans())),
+            "P": frozenset(pair for pair in pairs if draw(st.booleans())),
+        },
+        functions={
+            "add": {pair: draw(st.integers(0, n - 1)) for pair in pairs},
+            "c": {(): draw(st.integers(0, n - 1))},
+        },
+    )
+
+
+def _quantifiers(f) -> int:
+    return sum(isinstance(node, Quant) for _, node in subformulas(f))
+
+
+def sentences(max_quantifiers=4):
+    """`random_sentence` at depths 1 to 4, kept when it has one to
+    `max_quantifiers` quantifiers."""
+    drawn = st.builds(random_sentence, st.randoms(use_true_random=False), depth=st.integers(1, 4))
+    return drawn.filter(lambda f: 1 <= _quantifiers(f) <= max_quantifiers)
+
+
+@settings(FIXED, max_examples=200)
+@given(sentences(), structures())
+def test_build_matrix_agrees_with_reference_play_and_every_form_has_one_value(f, s):
+    """With and without collapse: every cell of the full form against the
+    walker-free reference, R's value against the full form's, and the
+    collapsed value against the played-out one."""
+    values = set()
+    for collapse in (True, False):
+        try:
+            full = build_matrix(s, f, collapse=collapse, max_strategies=64)
+        except GameBuildError:  # over budget, or positions that no game can merge
+            continue
+        assert full.matrix == _reference_matrix(s, f, collapse)
+        value = solve_value(full.matrix).value
+        assert solve_value(build_reduced(s, f, collapse=collapse, max_strategies=64).matrix).value == value
+        values.add(value)
+    assert len(values) <= 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_values(n):
+    mismatch = parse("Ax (Ey/x) ~x = y", Vocabulary())
+    assert solve_game(build_reduced(Structure(size=n), mismatch).matrix).value == Fraction(n - 1, n)
+    sentence, structure = matching_pennies(n)
+    assert solve_game(build_reduced(structure, sentence).matrix).value == Fraction(1, n)

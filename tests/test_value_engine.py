@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
+import numpy as np
 import pytest
 
 from ifgames import value_engine
@@ -233,7 +234,7 @@ class TestLocalSearchAgainstReference:
             games.append(GameMatrix([[1 if j in row else 0 for j in range(n)] for row in rows]))
         greedy_runs = hits = 0
         for u in games:
-            greedy_runs += len(tallies(u).rowargmax) > 15
+            greedy_runs += u.row_sums().count(max(u.row_sums())) > 15
             report = balanced_submatrix_certificate(u)
             assert report == _reference_certificate(u)
             hits += report is not None
@@ -280,10 +281,10 @@ def _reference_greedy_search(u, score):
 
 def _reference_certificate(u):
     """The balanced-row-submatrix certificate with its own inline search."""
-    t = tallies(u)
-    candidates = sorted(t.rowargmax)
+    rowmax = max(u.row_sums())
+    candidates = [i for i, s in enumerate(u.row_sums()) if s == rowmax]
     nu = MixedStrategy.uniform(u.n, "column")
-    value = Fraction(t.rowmax, u.n)
+    value = Fraction(rowmax, u.n)
 
     def attempt(subset):
         if _reference_spread(u, subset) != 0:
@@ -515,13 +516,13 @@ class TestEqualitySystem:
             [1, 0, 0, 0, 1, -1],
             [1, 1, 1, 1, 1, 0],
         ]
-        assert solve_linear_system(rows, [0] * 6 + [1]) is None
+        assert solve_linear_system(np.array(rows), np.array([0] * 6 + [1])) is None
 
     def test_solver_finds_unique_solutions(self):
-        (nums, den), unique = solve_linear_system([[1, 1], [1, -1]], [3, 1])
+        (nums, den), unique = solve_linear_system(np.array([[1, 1], [1, -1]]), np.array([3, 1]))
         assert den > 0 and unique
         assert [Fraction(q, den) for q in nums] == [2, 1]
 
     def test_underdetermined_flagged(self):
-        solved = solve_linear_system([[1, 1]], [2])
+        solved = solve_linear_system(np.array([[1, 1]]), np.array([2]))
         assert solved is not None and solved[1] is False
