@@ -15,9 +15,9 @@ from itertools import product
 from math import factorial
 
 from .errors import BudgetExceededError, SizeLimitError
-from .formula import App, Atom, Connective, Equals, Formula, Quant, Var
+from .formula import MAX_NESTING, App, Atom, Connective, Equals, Formula, Quant, Var
 from .matrix_game import MixedStrategy, expected_utility, security_levels
-from .semantic_game import DEFAULT_STRATEGY_BUDGET, ELOISE, ReducedForm, build_reduced
+from .semantic_game import DEFAULT_STRATEGY_BUDGET, ELOISE, ReducedForm, build_reduced, check_cells
 from .structure import Structure, total_function_table
 
 # ---------------------------------------------------------------------------
@@ -69,16 +69,24 @@ def birthday_sentence(m: int) -> Formula:
 
 
 def birthday_game(n: int, m: int) -> tuple[Formula, Structure]:
-    """`birthday_sentence(m)` on `cyclic_structure(n)`.  A player's m hidden
-    draws among n elements make n ** m strategies, refused past the default
-    budget before the m (m - 1) / 2 disjuncts and the n x n table are built,
-    and without forming n ** m when it is too long to print."""
-    if m >= 2 and n >= 1:  # smaller arguments are the builders' to refuse
-        log2_floor = m * (n.bit_length() - 1)  # n ** m >= 2 ** log2_floor
-        count = n**m if log2_floor <= BudgetExceededError.SHOWN_BITS else None
-        if count is None or count > DEFAULT_STRATEGY_BUDGET:
-            raise BudgetExceededError(ELOISE, count, DEFAULT_STRATEGY_BUDGET, log2_floor)
-    return birthday_sentence(m), cyclic_structure(n)
+    """`birthday_sentence(m)` on `cyclic_structure(n)`, refused before the
+    n x n table is built: past the default budget on n ** m strategies (not
+    formed when too long to print), past the nesting cap of parsed formulas
+    on 2m quantifiers, and then past the cell cap."""
+    if m < 2 or n < 1:  # the builders' to refuse
+        return birthday_sentence(m), cyclic_structure(n)
+    log2_floor = m * (n.bit_length() - 1)  # n ** m >= 2 ** log2_floor
+    count = n**m if log2_floor <= BudgetExceededError.SHOWN_BITS else None
+    if count is None or count > DEFAULT_STRATEGY_BUDGET:
+        raise BudgetExceededError(ELOISE, count, DEFAULT_STRATEGY_BUDGET, log2_floor)
+    if 2 * m > MAX_NESTING:
+        raise ValueError(
+            f"the birthday game nests 2M quantifiers, so M must be at most {MAX_NESTING // 2} "
+            f"under the formula nesting cap of {MAX_NESTING}"
+        )
+    sentence = birthday_sentence(m)
+    check_cells(count, count, sentence)
+    return sentence, cyclic_structure(n)
 
 
 def birthday_closed_form(n: int, m: int) -> tuple[Fraction, Fraction]:

@@ -18,6 +18,10 @@ representative, so R is the full game restricted to the representatives, and
 every full row and column is a copy of one in R.  `build_reduced` builds R
 directly; `build_matrix` builds R and expands it to the full game.
 
+The walk that finds R's strategies scores each play until R proves to have
+256 cells.  Then a walk that only enumerates them, walking once the body of a
+quantifier no later move sees, is followed by numpy scoring every play at once.
+
 A quantifier that slashes the choice variable of an enclosing branching
 disjunction cannot tell the branches apart, so structurally corresponding
 quantifier occurrences across those branches share a single decision point and
@@ -51,7 +55,7 @@ import numpy as np
 from .errors import BudgetExceededError, GameBuildError, SizeLimitError
 from .formula import Connective, Formula, Quant, format_formula, validate
 from .matrix_game import GameMatrix
-from .structure import Structure, compile_qf
+from .structure import MAX_ARRAY_ELEMENTS, Structure, compile_qf
 
 ELOISE = "eloise"
 ABELARD = "abelard"
@@ -59,6 +63,9 @@ _PLAYERS = (ELOISE, ABELARD)
 
 DEFAULT_STRATEGY_BUDGET = 2**20
 _MAX_MATRIX_CELLS = 2**28
+# R's size from which `Game._grid` scores it: timed alone, the grid was
+# slower than the walk below 100 cells and 1.5-26x faster from 256.
+_GRID_CELLS = 256
 
 Path = tuple[int, ...]
 
@@ -160,14 +167,13 @@ class Game:
         self.structure = structure
         self.formula = formula
         self.points: list[DecisionPoint] = []
-        self.point_at: dict[Path, int] = {}  # every instance path
         self.collapsed: list[Path] = []
         self.owner_points: dict[str, list[int]] = {ELOISE: [], ABELARD: []}
         self._canon: dict[tuple, int] = {}
         self._base: list[int] = []  # per point, its first cell in the owner's flat table
         self._cells = [0, 0]  # flat table length per side
         self._slots = 1  # length of the value list a play writes
-        self._ends: list[tuple[_Node, Formula, tuple, int]] = []  # not compiled yet: bindings, chain
+        self._ends: list[tuple[_Node, Formula, tuple, int]] = []  # each end, its bindings and chain
         self._quantifiers: list[_Node] = []  # one child each until the first walk
         self._chain = 0  # the longest quantifier chain in a collapsed subformula
         self._collapsible = _collapsible(formula) if collapse else set()
@@ -216,19 +222,19 @@ class Game:
         self._chain = max(self._chain, chain)
         return node
 
-    def _compile_ends(self) -> None:
-        """Compile each end of play once and repeat each quantifier's body per
-        value, before the first walk, so that a game the budget refuses builds
-        neither.  Every move on the way to an end writes a slot no higher than
-        the end's binding count, and the end's k-th nested quantifier the k-th
-        slot past its bindings."""
+    def _compile_ends(self, arrays: bool = False) -> dict[_Node, object]:
+        """Each end of play's test, and each quantifier's body repeated per value,
+        after the budget check so that a refused game builds neither.  A move
+        writes a slot no higher than the binding count of each end after it,
+        and an end's k-th nested quantifier the k-th slot past that count."""
+        tests = {}
         for node, formula, bound, chain in self._ends:
             slots = {name: slot for slot, (name, _) in enumerate(bound)}
-            node.holds = compile_qf(self.structure, formula, slots)
+            tests[node] = compile_qf(self.structure, formula, slots, arrays)
             self._slots = max(self._slots, len(bound) + max(chain, 1))
         while self._quantifiers:
             self._quantifiers.pop().children *= self.structure.size
-        self._ends.clear()
+        return tests
 
     def _move(self, idx: int, visible, var: int, children) -> _Node:
         side = _PLAYERS.index(self.points[idx].owner)
@@ -240,12 +246,10 @@ class Game:
             idx = self._canon[canon]
             if self.points[idx] != point:
                 raise GameBuildError(f"indistinguishable positions at {path} disagree on owner or information")
-            self.point_at[path] = idx
             return idx
         idx = len(self.points)
         self.points.append(point)
         self._canon[canon] = idx
-        self.point_at[path] = idx
         self.owner_points[owner].append(idx)
         side = _PLAYERS.index(owner)
         self._base.append(self._cells[side])
@@ -292,11 +296,7 @@ class Game:
         refuses a game that `collapse=False` accepts."""
         n_rows = self.strategy_count(ELOISE, budget)
         n_cols = self.strategy_count(ABELARD, budget)
-        if n_rows * n_cols > _MAX_MATRIX_CELLS:
-            raise GameBuildError(
-                f"matrix would hold {n_rows * n_cols} cells "
-                f"(over the {_MAX_MATRIX_CELLS} safety cap) for {format_formula(self.formula)!r}"
-            )
+        check_cells(n_rows, n_cols, self.formula)
         size, chain = self.structure.size, self._chain
         if size**chain > budget:
             raise SizeLimitError(
@@ -307,24 +307,29 @@ class Game:
 
     # -- the walker ----------------------------------------------------------
 
-    def _resolve(self, tables, keys, won) -> tuple[tuple[list[int], list[int]], tuple[dict, dict]]:
-        """Walk every play of the candidate strategies in `tables`.
+    def _resolve(self, n_rows: int, n_cols: int, won=None):
+        """Walk every play of the candidate strategies, from one a side.
 
-        `tables[0]` and `tables[1]` hold Eloise's and Abelard's candidates,
-        flat choice tables with -1 at unassigned cells, and `keys[side][i]`
-        candidate i's (representative, multiplicity).  At a move, the
-        mover's candidates split by their option at the cell reached; a
-        candidate without one is first replaced by one copy per option,
-        appended to its list with its key.  The opponent's candidates pass
-        through each option's subtree in turn, so every candidate comes out
-        assigned at each cell it can reach against some opponent play.  At an
-        end of play that Eloise wins, `won((eloise, abelard))` gets the indices
-        of the candidates playing it; a candidate replaced afterwards stands
-        for its copies.  Returns both sides' final indices and, per side, each
-        replaced index's copies."""
-        self._compile_ends()
+        `tables[side]` holds a side's candidates, flat choice tables with -1
+        at unassigned cells, and `keys[side][i]` candidate i's
+        (representative, multiplicity).  At a move, the mover's candidates
+        split by their option at the cell reached; one without an option is
+        first replaced by one copy per option, appended with its key.  The
+        opponent's candidates pass through each option's subtree in turn, so
+        every candidate comes out assigned at each cell it can reach against
+        some opponent play.  At an end Eloise wins, `won((eloise, abelard))`
+        gets the indices of the candidates playing it; one replaced
+        afterwards stands for its copies.  `_Wide` stops the walk once live
+        candidates (made, not replaced), which end at R's shape, span
+        _GRID_CELLS pairs.  Without `won` it only enumerates: it evaluates no
+        end, and walks a quantifier's body once with every option's
+        candidates when no move below sees its variable.  Returns the tables,
+        the keys, both sides' final indices and each replaced index's copies."""
+        tables = tuple([[-1] * len(radices)] for radices, _ in self._layout)
+        keys = ([(0, n_rows)], [(0, n_cols)])  # all cells unassigned: rep 0, every full strategy
         replaced: tuple[dict, dict] = ({}, {})
         values = [0] * self._slots
+        merged = () if won else self._merging()
 
         def walk(node: _Node, pair):
             while node.children:
@@ -345,7 +350,9 @@ class Game:
                     if k >= 0:
                         groups[k].append(i)
                     else:
-                        self._copy(side, table, keys[side], i, cell, groups, replaced[side])
+                        copy(side, i, cell, groups)
+                if merged and node in merged:
+                    groups = [[i for group in groups for i in group]]
                 own, other = [], pair[1 - side]
                 for k, group in enumerate(groups):
                     if group:
@@ -354,53 +361,116 @@ class Game:
                         own += sub[side]
                         other = sub[1 - side]
                 return (own, other) if side == 0 else (other, own)
-            if node.holds(values):
+            if won and node.holds(values):
                 won(pair)
             return pair
 
+        def copy(side: int, i: int, cell: int, groups) -> None:
+            """Replace candidate i, unassigned at `cell`, by one copy per
+            option, each added to its option's group.  The copy with option k
+            has i's representative plus k times the cell's place value, and
+            i's multiplicity over the cell's option count."""
+            radices, strides = self._layout[side]
+            table, key = tables[side], keys[side]
+            rep, weight = key[i]
+            weight //= radices[cell]
+            first = len(table)
+            for k, group in enumerate(groups):
+                cells = table[i].copy()
+                cells[cell] = k
+                table.append(cells)
+                key.append((rep + k * strides[cell], weight))
+                group.append(first + k)
+            replaced[side][i] = range(first, len(table))
+            if won and (len(tables[0]) - len(replaced[0])) * (len(tables[1]) - len(replaced[1])) >= _GRID_CELLS:
+                raise _Wide
+
         final = walk(self._root, ([0], [0]))
         del walk  # it reaches itself through its closure; do not leave the cycle to gc
-        return final, replaced
+        return tables, keys, final, replaced
 
-    def _copy(self, side: int, table, keys, i: int, cell: int, groups, replaced: dict) -> None:
-        """Replace candidate i, unassigned at `cell`, by one copy per option,
-        each added to its option's group.  The copy with option k has i's
-        representative plus k times the cell's place value, and i's
-        multiplicity over the cell's option count."""
-        radices, strides = self._layout[side]
-        rep, weight = keys[i]
-        weight //= radices[cell]
-        first = len(table)
-        for k, group in enumerate(groups):
-            copy = table[i].copy()
-            copy[cell] = k
-            table.append(copy)
-            keys.append((rep + k * strides[cell], weight))
-            group.append(first + k)
-        replaced[i] = range(first, len(table))
+    def _merging(self) -> set[_Node]:
+        """The quantifiers whose variable no move below them sees."""
+        found = set()
+
+        def seen(node: _Node) -> set[int]:  # the slots read at moves from `node` down
+            children = set(node.children)
+            below = set().union(*map(seen, children))
+            if len(children) == 1 and node.var not in below:  # a quantifier: one body for every option
+                found.add(node)
+            return below.union(slot for slot, _ in node.visible)
+
+        seen(self._root)
+        del seen  # a cycle through its closure, as in `_resolve`
+        return found
+
+    def _grid(self, eloise: ReducedStrategies, abelard: ReducedStrategies) -> np.ndarray:
+        """R's payoffs, all pairs of a block of rows at once: a move reads each
+        pair's option off the mover's table, a connective passes each branch
+        the mask of pairs that chose it, an end scores those pairs.  R's
+        strategies assign every cell they reach, so an unassigned cell, read
+        as 0 to stay in range, is read only off the mask."""
+        tests = self._compile_ends(arrays=True)
+        tables = [np.maximum(np.array(s.cells, dtype=np.intp), 0) for s in (eloise, abelard)]
+        out = np.zeros((len(eloise.reps), len(abelard.reps)), dtype=np.uint8)
+        picks = [None, np.arange(out.shape[1])[None, :]]  # per side, the pairs' strategies
+
+        def visit(node: _Node, mask: np.ndarray) -> None:
+            while node.children:
+                code = 0
+                for slot, r in node.visible:
+                    code = code * r + values[slot]
+                option = tables[node.side][picks[node.side], node.base + code]
+                values[node.var] = option
+                if node.children[0] is node.children[-1]:  # a quantifier: one body for every option
+                    node = node.children[0]
+                    continue
+                for k, child in enumerate(node.children):
+                    chose = mask & (option == k)
+                    if chose.any():
+                        visit(child, chose)
+                return
+            block[mask] = tests[node]([np.broadcast_to(v, mask.shape)[mask] for v in values])
+
+        step = max(1, MAX_ARRAY_ELEMENTS // out.shape[1])
+        for start in range(0, out.shape[0], step):
+            block = out[start : start + step]
+            picks[0] = np.arange(start, start + len(block))[:, None]
+            values = [0] * self._slots
+            visit(self._root, np.ones(block.shape, dtype=bool))
+        del visit  # a cycle through its closure, as in `_resolve`
+        return out
 
     # -- strategic forms -----------------------------------------------------
 
     def reduced_form(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
-        """R, refused exactly when the full game would be."""
+        """R, refused exactly when the full game would be, scored by the
+        walk or, once it finds R at least _GRID_CELLS cells, by `_grid`."""
         n_rows, n_cols = self._checked_shape(max_strategies)
-        tables = tuple([[-1] * len(radices)] for radices, _ in self._layout)
-        keys = ([(0, n_rows)], [(0, n_cols)])  # all cells unassigned: rep 0, every full strategy
+        for node, holds in self._compile_ends().items():
+            node.holds = holds
         wins = []
-        final, replaced = self._resolve(tables, keys, wins.append)
+        try:
+            tables, keys, final, replaced = self._resolve(n_rows, n_cols, wins.append)
+        except _Wide:
+            tables, keys, final, replaced = self._resolve(n_rows, n_cols)
+            wins = None
         eloise, row_order = self._sorted(tables[0], keys[0], final[0])
         abelard, col_order = self._sorted(tables[1], keys[1], final[1])
-        row_at, row_of = _positions(row_order, replaced[0], len(tables[0]))
-        col_at, col_of = _positions(col_order, replaced[1], len(tables[1]))
-        width = len(col_order)
-        out = np.zeros((len(row_order), width), dtype=np.uint8)
-        single = []  # flat indices of the wins of one row against one column
-        for rows, cols in wins:
-            if len(rows) == 1 == len(cols) and row_at[rows[0]] >= 0 and col_at[cols[0]] >= 0:
-                single.append(row_at[rows[0]] * width + col_at[cols[0]])
-            else:
-                out[np.ix_(row_of(rows), col_of(cols))] = 1
-        out.flat[single] = 1
+        if wins is None:
+            out = self._grid(eloise, abelard)
+        else:
+            row_at, row_of = _positions(row_order, replaced[0], len(tables[0]))
+            col_at, col_of = _positions(col_order, replaced[1], len(tables[1]))
+            width = len(col_order)
+            out = np.zeros((len(row_order), width), dtype=np.uint8)
+            single = []  # flat indices of the wins of one row against one column
+            for rows, cols in wins:
+                if len(rows) == 1 == len(cols) and row_at[rows[0]] >= 0 and col_at[cols[0]] >= 0:
+                    single.append(row_at[rows[0]] * width + col_at[cols[0]])
+                else:
+                    out[np.ix_(row_of(rows), col_of(cols))] = 1
+            out.flat[single] = 1
         return ReducedForm(
             matrix=GameMatrix._from_array(out),
             eloise=eloise,
@@ -444,6 +514,19 @@ class Game:
             out[(reps[members, None] + offsets).ravel()] = np.repeat(members, len(offsets))
         assert out.min() >= 0, "the classes miss a full strategy"
         return out
+
+
+class _Wide(Exception):
+    """R has reached _GRID_CELLS cells: its payoffs come from the grid."""
+
+
+def check_cells(n_rows: int, n_cols: int, formula: Formula) -> None:
+    """Refuse a full game of `formula` with more cells than the safety cap."""
+    if n_rows * n_cols > _MAX_MATRIX_CELLS:
+        raise GameBuildError(
+            f"matrix would hold {n_rows * n_cols} cells "
+            f"(over the {_MAX_MATRIX_CELLS} safety cap) for {format_formula(formula)!r}"
+        )
 
 
 def _rebound(var: str) -> GameBuildError:

@@ -10,7 +10,7 @@ on a list of values, in which each identifier has a fixed slot.  A quantifier
 writes the next free slot, looping over the universe until its body settles
 it.  A game compiles each end of play once and runs the test on every play
 that reaches it; `holds_qf` compiles for one assignment of a quantifier-free
-formula and evaluates once.
+formula and evaluates once.  The array form tests many assignments at once.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import EvaluationError, StructureFormatError
 from .formula import App, Atom, Connective, Equals, Formula, Quant, Term, Var, Vocabulary, subformulas
 
@@ -31,6 +33,10 @@ Assignment = dict[str, int]
 # A compiled formula reads identifier values by position (`compile_qf`'s slots),
 # and its quantifiers write theirs.
 Values = MutableSequence[int]
+
+# The longest array the array form builds at once, and the largest relation
+# table it builds; a wider relation is looked up tuple by tuple.
+MAX_ARRAY_ELEMENTS = 2**14
 
 
 @dataclass
@@ -88,16 +94,19 @@ class Structure:
         )
 
 
-def compile_qf(s: Structure, f: Formula, slots: Mapping[str, int]) -> Callable[[Values], bool]:
+def compile_qf(s: Structure, f: Formula, slots: Mapping[str, int], arrays: bool = False) -> Callable:
     """`f` as a test on value lists: `values[slots[name]]` is the value of
     identifier `name`.  A quantifier nested k deep in `f` writes slot
     max(slots) + k, so the list must reach the deepest one.  Node kinds,
     symbols and variables are resolved and ground terms folded here, so every
     EvaluationError but a missing function row is raised before any value is
-    seen."""
-    test = _Compiler(s, slots).formula(f)
+    seen.  With `arrays`, every slot of the nonempty list is a 1-D integer
+    array of one length, and the test returns whether `f` holds at each i."""
+    test = (_ArrayCompiler if arrays else _Compiler)(s, slots).formula(f)
     if callable(test):
         return test
+    if arrays:
+        return lambda values: np.full(len(values[0]), test)
     return (lambda values: True) if test else (lambda values: False)
 
 
@@ -129,7 +138,8 @@ _Term = int | _Lookup | Callable[[Values], int]
 
 
 class _Compiler:
-    """Compiles the formulas and terms of one structure over one slot map."""
+    """Compiles the formulas and terms of one structure over one slot map;
+    `_ArrayCompiler` overrides only `member`, `lookup`, `combine` and `loop`."""
 
     def __init__(self, s: Structure, slots: Mapping[str, int]):
         self.s = s
@@ -146,9 +156,7 @@ class _Compiler:
             key = self.key(f.args)
             if isinstance(key, tuple):
                 return (key in rows) != f.negated
-            if f.negated:
-                return lambda values: key(values) not in rows
-            return lambda values: key(values) in rows
+            return self.member(rows, key, len(f.args), f.negated)
         if isinstance(f, Equals):
             lhs, rhs = self.term(f.lhs), self.term(f.rhs)
             if isinstance(lhs, int) and isinstance(rhs, int):
@@ -168,6 +176,11 @@ class _Compiler:
             return self.quantifier(f)
         raise EvaluationError(f"not a formula: {f!r}")
 
+    def member(self, rows: frozenset, key, arity: int, negated: bool) -> Callable[[Values], bool]:
+        if negated:
+            return lambda values: key(values) not in rows
+        return lambda values: key(values) in rows
+
     def connective(self, f: Connective) -> Callable[[Values], bool] | bool:
         settles = f.kind == "or"  # one true branch settles a disjunction, one false a conjunction
         tests = []
@@ -179,6 +192,9 @@ class _Compiler:
                 return settles
         if len(tests) < 2:
             return tests[0] if tests else not settles
+        return self.combine(tests, settles)
+
+    def combine(self, tests: list, settles: bool) -> Callable[[Values], bool]:
         if len(tests) == 2:
             first, second = tests
             if settles:
@@ -199,18 +215,20 @@ class _Compiler:
         return test
 
     def quantifier(self, f: Quant) -> Callable[[Values], bool] | bool:
-        """Write the next free slot with each element in turn until one
-        settles the quantifier: a true body an existential, a false one a
-        universal.  A constant body is the quantifier's value, as the
-        universe is never empty."""
+        """Writes the next free slot; a constant body is its value (the universe is never empty)."""
         slot = max(self.slots.values(), default=-1) + 1
-        inner = _Compiler(self.s, {**self.slots, f.var: slot})
+        inner = type(self)(self.s, {**self.slots, f.var: slot})
         inner.tables = self.tables
         body = inner.formula(f.body)
         if not callable(body):
             return body
+        return self.loop(f.kind == "exists", slot, body)
+
+    def loop(self, exists: bool, slot: int, body) -> Callable[[Values], bool]:
+        """Write `slot` with each element in turn until one settles the
+        quantifier: a true body an existential, a false one a universal."""
         universe = range(self.s.size)
-        if f.kind == "exists":
+        if exists:
 
             def some(values) -> bool:
                 for value in universe:
@@ -248,8 +266,11 @@ class _Compiler:
                     raise EvaluationError(f"function {t.fn!r} is not interpreted") from None
                 rows.fn = t.fn
             key = self.key(t.args)
-            return rows[key] if isinstance(key, tuple) else _Lookup(rows, key)
+            return rows[key] if isinstance(key, tuple) else self.lookup(rows, key)
         raise EvaluationError(f"not a term: {t!r}")
+
+    def lookup(self, rows: _Rows, key) -> _Term:
+        return _Lookup(rows, key)
 
     def key(self, args: tuple[Term, ...]) -> Callable[[Values], tuple[int, ...]] | tuple[int, ...]:
         """The tuple of the `args`' values as a function of value lists, or
@@ -273,6 +294,62 @@ class _Compiler:
         if isinstance(term, int):
             return lambda values: term
         return term
+
+
+class _ArrayCompiler(_Compiler):
+    """The array form: relations and functions are dense numpy tables."""
+
+    def member(self, rows, key, arity, negated):
+        if self.s.size**arity > MAX_ARRAY_ELEMENTS:
+            found = np.frompyfunc(lambda *args: args in rows, arity, 1)
+            return lambda values: found(*key(values)).astype(bool) != negated
+        table = np.full((self.s.size,) * arity, negated)
+        if rows:
+            table[tuple(np.array(list(rows)).T)] = not negated
+        return self.indexed(table, key)
+
+    def lookup(self, rows, key):
+        """A dense table, no larger than the structure's own, which is total."""
+        args = np.array(list(rows), dtype=np.intp)
+        table = np.empty((self.s.size,) * args.shape[1], dtype=np.intp)
+        table[tuple(args.T)] = list(rows.values())
+        return self.indexed(table, key)
+
+    def indexed(self, table: np.ndarray, key) -> Callable[[Values], np.ndarray]:
+        """`table` read at the mixed-radix code of the arguments `key` gives."""
+        flat, size = table.ravel(), self.s.size
+
+        def read(values):
+            first, *rest = key(values)
+            for part in rest:
+                first = first * size + part
+            return flat[first]
+
+        return read
+
+    def combine(self, tests, settles):
+        fold = (np.logical_or if settles else np.logical_and).reduce
+        return lambda values: fold([test(values) for test in tests])
+
+    def loop(self, exists, slot, body):
+        """Repeat each of a bounded run of assignments per element, written to
+        `slot`, rather than add an array axis per quantifier (numpy caps them at 64)."""
+        size = self.s.size
+        universe = np.arange(size)
+        step = max(1, MAX_ARRAY_ELEMENTS // size)
+        settle = np.ndarray.any if exists else np.ndarray.all
+
+        def test(values):
+            count = len(values[0])
+            out = np.empty(count, dtype=bool)
+            for start in range(0, count, step):
+                n = min(step, count - start)
+                part = [np.repeat(v[start : start + n], size) for v in values[:slot]]
+                part.append(np.tile(universe, n))
+                out[start : start + n] = settle(body(part).reshape(n, size), axis=1)
+            return out
+
+        return test
 
 
 # ---------------------------------------------------------------------------

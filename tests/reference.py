@@ -78,9 +78,10 @@ def _reference_play(plan, strategies) -> int:
     on the planned game `plan`: one path through the formula, a collapsed
     subformula settled by backward induction."""
     collapsed = set(plan.collapsed)
+    point_of = _points_by_path(plan.formula, collapsed)
 
     def lookup(path, a) -> int:
-        idx = plan.point_at[path]
+        idx = point_of[path]
         point = plan.points[idx]
         table = strategies[point.owner].tables[plan.owner_points[point.owner].index(idx)]
         cell = 0
@@ -104,6 +105,33 @@ def _reference_play(plan, strategies) -> int:
         return 1 if _naive_eval(plan.structure, a, node) else 0
 
     return walk(plan.formula, (), {})
+
+
+def _points_by_path(formula, collapsed) -> dict:
+    """Each move's decision point index, by its path, read off the formula.
+    A move's canonical path lists the branch taken at every step, except
+    that a quantifier writes `*` for a branch of a choice variable it
+    slashes, as it cannot tell those branches apart; moves with one
+    canonical path share a point, and points are numbered in formula order."""
+    index, point_of = {}, {}
+
+    def visit(node, path, steps):
+        if path in collapsed:
+            return
+        if isinstance(node, Quant):
+            canon = tuple("*" if var in node.slash else b for b, var in steps)
+            point_of[path] = index.setdefault(canon, len(index))
+            visit(node.body, path + (0,), steps + ((0, None),))
+        elif isinstance(node, Connective):
+            if len(node.branches) == 1:
+                visit(node.branches[0], path + (0,), steps + ((0, None),))
+                return
+            point_of[path] = index.setdefault(tuple(b for b, _ in steps), len(index))
+            for b, branch in enumerate(node.branches):
+                visit(branch, path + (b,), steps + ((b, node.choice_var),))
+
+    visit(formula, (), ())
+    return point_of
 
 
 def _eloise_wins(s, f, assignment):

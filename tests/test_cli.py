@@ -292,6 +292,42 @@ class TestProbes:
         assert elapsed < 0.5 and peak < 5 * 2**20
 
     @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("birthday", "1024", "2"),
+                (
+                    EXIT_VALIDATION,
+                    "validation error: matrix would hold 1099511627776 cells (over the 268435456 safety cap) "
+                    "for 'Ax0 (Ax1/x0) (Ex2/x0 x1) (Ex3/x0 x1 x2) add(x0, x2) = add(x1, x3)'\n",
+                ),
+            ),
+            *[
+                (
+                    ("birthday", "1", m),
+                    (
+                        EXIT_USAGE,
+                        "usage error: the birthday game nests 2M quantifiers, so M must be at most 50 "
+                        "under the formula nesting cap of 100\n",
+                    ),
+                )
+                for m in ("51", "600")
+            ],
+        ],
+        ids=["birthday-1024-2", "birthday-1-51", "birthday-1-600"],
+    )
+    def test_birthday_refused_before_its_table_and_disjuncts_are_built(self, argv, expected):
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code, err = run_cli_stderr(*argv)
+            elapsed, peak = time.perf_counter() - started, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == expected
+        assert elapsed < 0.5 and peak < 5 * 2**20
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"size": 2, "relations": {"R": [1, 2]}}',

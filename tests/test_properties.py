@@ -3,6 +3,7 @@ and of the semantic game on small sentences and structures.
 
 Runs are derandomized, so every run draws the same examples."""
 
+import math
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from ifgames import value_engine
 from ifgames.applications import matching_pennies
 from ifgames.errors import GameBuildError
-from ifgames.formula import Quant, Vocabulary, parse, subformulas
+from ifgames.formula import Connective, Equals, Quant, Var, Vocabulary, parse, subformulas
 from ifgames.matrix_game import GameMatrix, MixedStrategy, expected_utility, reduce, security_levels
-from ifgames.semantic_game import build_matrix, build_reduced
+from ifgames.semantic_game import Game, build_matrix, build_reduced
 from ifgames.structure import Structure
 from ifgames.value_engine import (
     solve_by_support_enumeration,
@@ -27,6 +28,7 @@ from ifgames.value_engine import (
 
 from conftest import random_sentence
 from reference import _reference_matrix
+from test_reduced_form import reduced_on_route
 from test_value_engine import _verify_reference
 
 FIXED = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -164,6 +166,38 @@ def test_build_matrix_agrees_with_reference_play_and_every_form_has_one_value(f,
         assert solve_value(build_reduced(s, f, collapse=collapse, max_strategies=64).matrix).value == value
         values.add(value)
     assert len(values) <= 1
+
+
+@st.composite
+def hidden_pairs(draw):
+    """`Aa (Eb/a) (a = b | g)` or with `&`: a hidden pair of moves over a
+    random sentence g that slashes nothing but its choice variables, so
+    that its quantifier chains collapse and its choice disjunctions stay
+    moves."""
+    rng = draw(st.randoms(use_true_random=False))
+    inner = random_sentence(rng, bound=["a", "b"], depth=draw(st.integers(1, 4)))
+    body = Connective(draw(st.sampled_from(["or", "and"])), None, (Equals(Var("a"), Var("b")), inner))
+    return Quant("forall", "a", frozenset(), Quant("exists", "b", frozenset({"a"}), body))
+
+
+@settings(FIXED, max_examples=300)
+@given(st.one_of(sentences(), hidden_pairs()), structures())
+def test_grid_route_gives_the_walks_reduced_form(f, s):
+    """With the grid taken by every game that has a move, R's matrix and
+    both sides' cells, representatives and multiplicities equal the walk's,
+    with and without collapse (collapsed chains and choice connectives
+    included)."""
+    for collapse in (True, False):
+        try:
+            walked, walk_used_grid = reduced_on_route(s, f, math.inf, collapse=collapse, max_strategies=64)
+        except GameBuildError:  # over budget, or positions that no game can merge
+            continue
+        gridded, grid_used = reduced_on_route(s, f, 1, collapse=collapse, max_strategies=64)
+        assert not walk_used_grid
+        assert grid_used == bool(Game(s, f, collapse).points)
+        assert gridded.matrix == walked.matrix
+        for got, want in ((gridded.eloise, walked.eloise), (gridded.abelard, walked.abelard)):
+            assert (got.cells, got.reps, got.weights) == (want.cells, want.reps, want.weights)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -9,11 +9,14 @@ import io
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ifgames import semantic_game
 from ifgames.applications import (
+    birthday_game,
     birthday_sentence,
     cyclic_structure,
     hash_structure,
@@ -22,11 +25,12 @@ from ifgames.applications import (
 )
 from ifgames.cli import main
 from ifgames.errors import GameBuildError
-from ifgames.formula import Vocabulary, format_formula, parse
+from ifgames.formula import Equals, Quant, Var, Vocabulary, format_formula, parse
 from ifgames.matrix_game import reduce
 from ifgames.semantic_game import (
     ABELARD,
     ELOISE,
+    Game,
     build_matrix,
     build_reduced,
 )
@@ -194,3 +198,47 @@ def test_printed_strategies_certify_on_the_printed_matrix(index, tmp_path):
     if not collapse:
         argv.append("--no-collapse")
     _certify(_cli("value", *argv, "--format", "machine"), _cli("matrix", *argv))
+
+
+# ---------------------------------------------------------------------------
+# The two payoff routes
+
+
+def reduced_on_route(s, f, grid_cells=semantic_game._GRID_CELLS, **build):
+    """R with the grid threshold at `grid_cells`, and whether `Game._grid` scored it."""
+    with mock.patch.object(semantic_game, "_GRID_CELLS", grid_cells), mock.patch.object(
+        Game, "_grid", autospec=True, side_effect=Game._grid
+    ) as grid:
+        form = build_reduced(s, f, **build)
+    return form, grid.called
+
+
+@pytest.mark.parametrize(
+    "game, shape, wide",
+    [
+        (birthday_game(4, 3), (64, 64), True),
+        (birthday_game(5, 3), (125, 125), True),
+        ((hashing_sentence(hash_structure(3, 2)[1]), hash_structure(3, 2)[0]), (8, 25), False),
+        (matching_pennies(9), (9, 9), False),
+    ],
+    ids=["birthday-4-3", "birthday-5-3", "hashing-3-2", "mp-9"],
+)
+def test_r_of_256_cells_or_more_takes_the_grid(game, shape, wide):
+    f, s = game
+    form, grid = reduced_on_route(s, f)
+    assert (form.matrix.m, form.matrix.n) == shape
+    assert grid == wide
+
+
+def test_a_98_deep_collapsed_chain_runs_on_the_grid():
+    """A hidden pair of moves over 98 nested quantifiers that slash nothing:
+    one collapsed chain, which the array form must evaluate without an axis
+    per quantifier (numpy caps arrays at 64)."""
+    names = [f"z{k}" for k in range(98)]
+    body = Equals(Var(names[-1]), Var("x"))
+    for name in reversed(names):
+        body = Quant("forall", name, frozenset(), body)
+    f = Quant("forall", "x", frozenset(), Quant("exists", "y", frozenset({"x"}), body))
+    form, grid = reduced_on_route(Structure(size=1), f, grid_cells=1)
+    assert grid and form.matrix.array.tolist() == [[1]]
+    assert build_reduced(Structure(size=1), f).matrix == form.matrix

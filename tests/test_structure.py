@@ -2,11 +2,14 @@ import random
 import re
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifgames import structure
 from ifgames.applications import cyclic_structure
 from ifgames.errors import EvaluationError, StructureFormatError
 from ifgames.formula import App, Atom, Connective, Equals, Quant, Var
@@ -212,6 +215,26 @@ class TestCompiledEvaluator:
                     holds_qf(s, a, f)
             else:
                 assert holds_qf(s, a, f) is expected
+
+    @settings(FIXED, max_examples=300)
+    @given(structures(), _formulas(TERMS), st.permutations(range(5)), st.booleans())
+    def test_array_form_agrees_with_the_scalar_form(self, s, f, order, narrow):
+        """Every assignment at once, one entry each, against the scalar test
+        one at a time.  Narrow, the array limit is 1: every relation is
+        looked up tuple by tuple and every quantifier repeats one assignment
+        at a time."""
+        slots = dict(zip(NAMES, order))
+        assignments = list(_assignments(s))
+        values = [np.full(len(assignments), s.size + 5) for _ in range(5)]
+        for i, a in enumerate(assignments):
+            for name, value in a.items():
+                values[slots[name]][i] = value
+        limit = 1 if narrow else structure.MAX_ARRAY_ELEMENTS
+        with mock.patch.object(structure, "MAX_ARRAY_ELEMENTS", limit):
+            got = compile_qf(s, f, slots, arrays=True)(values)
+        scalar = compile_qf(s, f, slots)
+        want = [scalar([int(v[i]) for v in values] + [0] * _quantifier_depth(f)) for i in range(len(assignments))]
+        assert got.dtype == bool and got.tolist() == want
 
     @settings(FIXED, max_examples=100)
     @given(structures(), TERMS)
