@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from pathlib import Path
 
 from . import applications
 from .errors import (
@@ -81,11 +80,8 @@ class _Report:
             self.pairs.append((key, f"{_frac(x)} (~{float(x):.6f})"))
 
     def print(self) -> None:
-        for key, value in self.pairs:
-            if self.fmt == "machine":
-                print(f"{key}={value}")
-            else:
-                print(f"{key} {value}")
+        sep = "=" if self.fmt == "machine" else " "
+        sys.stdout.write("".join(f"{key}{sep}{value}\n" for key, value in self.pairs))
 
 
 def _add_game_inputs(p: _Parser) -> None:
@@ -136,6 +132,7 @@ def build_parser() -> _Parser:
     p.add_argument("values", type=int)
     _add_format(p)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -145,13 +142,25 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`argv` read in one pass by the parser of the command it names; any
+    other argv goes to the top-level parser, for its help or usage error."""
+    parser = _parser()
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
+
+
 def _read_input(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
         raise _UsageError(str(e)) from None
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8 text: {e.reason}", e.start) from None
+    except ValueError as e:  # a NUL byte in the path
+        raise _UsageError(f"{e}: {path!r}") from None
 
 
 def _case_study(make, *args):
@@ -278,8 +287,7 @@ def _run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return _run(args)
+        return _run(_parse_args(sys.argv[1:] if argv is None else argv))
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -122,28 +122,20 @@ class Violation:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<choice>\\/_)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<sym>[()&|~=,{}/])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# Each match skips whitespace, then takes a choice, an identifier, a symbol
+# (its own kind) or, as an error, any other character: `\S`, not `.`, so it
+# never takes a space `\s*` gave back, and only trailing space goes unmatched.
+_TOKEN_RE = re.compile(r"\s*(?:(\\/_)|([A-Za-z_][A-Za-z0-9_']*)|([()&|~=,{}/])|(\S))")
+_KINDS = (None, "choice", "ident")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    # `bad` matches any single character, so the matches tile the text.
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.group() if kind == "sym" else kind, m.group(), m.start()))
+        i = m.lastindex
+        if i == 4:
+            raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
+        tokens.append((m[3] or _KINDS[i], m[i], m.start(i)))
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -60,12 +60,12 @@ class GameMatrix:
 
     def row_sums(self) -> list[int]:
         if self._row_sums is None:
-            self._row_sums = [int(x) for x in self._a.sum(axis=1, dtype=np.int64)]
+            self._row_sums = self._a.sum(axis=1, dtype=np.int64).tolist()
         return self._row_sums
 
     def col_sums(self) -> list[int]:
         if self._col_sums is None:
-            self._col_sums = [int(x) for x in self._a.sum(axis=0, dtype=np.int64)]
+            self._col_sums = self._a.sum(axis=0, dtype=np.int64).tolist()
         return self._col_sums
 
     def __eq__(self, other) -> bool:

@@ -3,15 +3,18 @@
 A full-table strategy enumerator and a walker-free play resolver, which
 resolve each play on its own, one path through the formula with every move
 read off a choice table; the hashing lambda-step behind
-`minimal_degree_indices`; and the canonical structure writer the tests use to
-make fixture files.
+`minimal_degree_indices`; the canonical structure writer the tests use to
+make fixture files; and the named-group tokenizer the formula tokenizer is
+checked against.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import product
 
 from ifgames.applications import function_degree
+from ifgames.errors import ParseError
 from ifgames.formula import Connective, Quant
 from ifgames.matrix_game import GameMatrix
 from ifgames.semantic_game import ABELARD, DEFAULT_STRATEGY_BUDGET, ELOISE, Game
@@ -192,3 +195,33 @@ def save_structure(s) -> str:
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Tokens
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<choice>\\/_)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<sym>[()&|~=,{}/])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """`formula._tokenize` by named groups: `bad` matches any single
+    character, so the matches tile the text."""
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group() if kind == "sym" else kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens

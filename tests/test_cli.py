@@ -228,6 +228,14 @@ class TestProbes:
         assert code == EXIT_PARSE
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--matrix", "--structure", "--formula-file"])
+    def test_input_path_with_a_nul_byte(self, flag):
+        inputs = [flag, "a\x00b"]
+        if flag != "--matrix":
+            inputs += ["--formula", "Ax x = x"] if flag == "--structure" else ["--structure", str(FIXTURES / "cyclic3.json")]
+        code, err = run_cli_stderr("value", *inputs)
+        assert (code, err) == (EXIT_USAGE, "usage error: embedded null byte: 'a\\x00b'\n")
+
     @pytest.mark.parametrize("flag", ["--matrix", "--formula-file"])
     def test_input_file_that_is_not_utf8(self, tmp_path, flag):
         bad = tmp_path / "utf16.txt"
@@ -694,6 +702,107 @@ class TestFormulaFuzz:
         code, err = run_cli_stderr(*argv)
         assert code in _EXIT_CODES
         assert "Traceback" not in err
+
+
+# An argv that works for each command, the unknown command alone or the empty
+# argv, with up to three pieces inserted: the flags, their abbreviations,
+# `--flag=value` and `--`, and values that name a file, a missing file or a
+# directory, or hold a NUL byte or an odd number.
+_ARGV_COMMANDS = ("value", "bounds", "equilibrium", "reduce", "matrix", "mp", "birthday", "hashing", "frobnicate")
+_ARGV_GAMES = (
+    ("--matrix", "<matrix>"),
+    ("--structure", "<structure>", "--formula", "Ax (Ey/x) x = y"),
+    ("--structure", "<structure>", "--formula-file", "<formula-file>"),
+)
+_ARGV_NUMBERS = ("2", "3", "\u0663", "1_000", "-5", "99999999999999999999")
+_ARGV_VALUES = ("<matrix>", "<structure>", "<formula-file>", "<missing>", "<directory>", "a\x00b", "Ax (Ey/x) x = y",
+                "machine", *_ARGV_NUMBERS)
+# Each flag with the values that fit it; any value may still be drawn.
+_ARGV_FLAGS = {
+    "--matrix": ("<matrix>", "<missing>", "<directory>", "a\x00b"),
+    "--structure": ("<structure>", "<missing>", "a\x00b"),
+    "--formula": ("Ax (Ey/x) x = y", "Ax x ="),
+    "--formula-file": ("<formula-file>", "<directory>", "a\x00b"),
+    "--max-strategies": _ARGV_NUMBERS,
+    "--max": _ARGV_NUMBERS,
+    "--form": ("machine",),
+    "--format": ("machine", "text"),
+    "--no-collapse": (),
+    "--help": (),
+    "-h": (),
+    "--": (),
+    "--bogus": (),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(_ARGV_COMMANDS))
+    if command in ("mp", "birthday", "hashing"):
+        argv = [command, *(draw(st.sampled_from(_ARGV_NUMBERS)) for _ in range(1 if command == "mp" else 2))]
+    else:
+        argv = [command, *draw(st.sampled_from(_ARGV_GAMES))] if command != "frobnicate" else [command]
+    if draw(st.integers(0, 9)) == 9:
+        argv = []
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        flag = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+        fitting = _ARGV_FLAGS[flag] if draw(st.integers(0, 3)) < 3 else ()
+        value = draw(st.sampled_from(fitting or _ARGV_VALUES))
+        shape = draw(st.sampled_from(["flag value", "flag value", "flag=value", "flag", "value"]))
+        at = draw(st.integers(1 if argv and draw(st.integers(0, 9)) < 9 else 0, len(argv)))
+        argv[at:at] = {"flag value": [flag, value], "flag=value": [f"{flag}={value}"], "flag": [flag],
+                       "value": [value]}[shape]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("argv")
+    (directory / "formula.txt").write_text("Ax (Ey/x) x = y")
+    return {
+        "<matrix>": str(FIXTURES / "m5x6_b.txt"),
+        "<structure>": str(FIXTURES / "cyclic3.json"),
+        "<formula-file>": str(directory / "formula.txt"),
+        "<missing>": str(directory / "missing.txt"),
+        "<directory>": str(directory),
+    }
+
+
+def _parse_outcome(parse, argv):
+    """The namespace, usage message or help exit of one parse, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            outcome = ("args", vars(parse(argv)))
+    except cli._UsageError as e:
+        outcome = ("usage", str(e))
+    except SystemExit as e:
+        outcome = ("exit", e.code)
+    return outcome, out.getvalue(), err.getvalue()
+
+
+class TestArgvFuzz:
+    """Drawn argvs exit with a documented code, or end in help, and never
+    print a traceback; an argv that names a command parses the same through
+    that command's parser as through the top-level parser."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(argv=_argvs())
+    @example(argv=["value", "--matrix", "a\x00b"])  # once a traceback
+    def test_exit_codes_are_documented(self, argv_paths, argv):
+        for placeholder, path in argv_paths.items():
+            argv = [arg.replace(placeholder, path) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as e:  # help
+            assert e.code == 0 and out.getvalue().startswith("usage: ifgames")
+        else:
+            assert code in _EXIT_CODES
+        assert "Traceback" not in err.getvalue()
+        if argv and argv[0] in cli._parser().commands:
+            assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._parser().parse_args, argv)
 
 
 # Structure files and matrix files cut, swapped and spliced byte by byte.

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifgames.errors import ParseError
 from ifgames.formula import (
@@ -26,6 +27,7 @@ from ifgames.semantic_game import build_matrix
 from ifgames.structure import Structure
 
 from conftest import TEST_VOCAB, random_sentence
+from reference import reference_tokenize
 from test_cli import _formula_texts
 
 EMPTY = Vocabulary()
@@ -248,18 +250,19 @@ def loop_tokens(text):
     while pos < len(text):
         m = _LOOP_TOKEN_RE.match(text, pos)
         if m is None:
-            return f"unexpected character {text[pos]!r} (at position {pos})"
+            return f"unexpected character {text[pos]!r} (at position {pos})", pos
         if m.lastgroup != "ws":
             tokens.append((m.group() if m.lastgroup == "sym" else m.lastgroup, m.group(), pos))
         pos = m.end()
     return tokens + [("eof", "", len(text))]
 
 
-def tokens_or_error(text):
+def tokens_or_error(text, tokenize=_tokenize):
+    """The token list, or the ParseError's message and position."""
     try:
-        return _tokenize(text)
+        return tokenize(text)
     except ParseError as e:
-        return str(e)
+        return str(e), e.position
 
 
 def _sentence_corpus_formulas(seeds):
@@ -280,7 +283,7 @@ class TestTokenize:
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(_formula_texts())
     def test_matches_loop_on_fuzz_texts(self, text):
-        assert tokens_or_error(text) == loop_tokens(text)
+        assert tokens_or_error(text) == loop_tokens(text) == tokens_or_error(text, reference_tokenize)
 
     def test_matches_loop_on_sentence_corpus(self):
         formulas = list(_sentence_corpus_formulas((1, 4242, 9090)))
@@ -290,4 +293,11 @@ class TestTokenize:
 
     @pytest.mark.parametrize("text", ["", "  ", "Ax \n Ey x = y", "x # y", "\u00e9", "Ax\tP(x)\r\n!", "\\/_i{P, Q}"])
     def test_matches_loop_on_edge_cases(self, text):
-        assert tokens_or_error(text) == loop_tokens(text)
+        assert tokens_or_error(text) == loop_tokens(text) == tokens_or_error(text, reference_tokenize)
+
+    # Whitespace of every kind the regex knows, the choice's backslash, and
+    # characters outside every token: non-ASCII letters and digits, `#`, NUL.
+    @settings(derandomize=True, deadline=None, database=None, max_examples=500)
+    @given(st.text(alphabet=" \t\r\n\x0b\u2028\\/_xAE'1(),{}=&|~#\x00\u00e9\u00b2\u0663", max_size=16))
+    def test_matches_reference_on_random_strings(self, text):
+        assert tokens_or_error(text) == loop_tokens(text) == tokens_or_error(text, reference_tokenize)
