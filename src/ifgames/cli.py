@@ -185,6 +185,8 @@ def _load_game(args, build) -> ReducedForm:
         raise _UsageError("--formula needs --structure")
     if (args.formula is None) == (args.formula_file is None):
         raise _UsageError("provide exactly one of --formula / --formula-file")
+    if args.max_strategies < 1:
+        raise _UsageError(f"--max-strategies must be at least 1, not {args.max_strategies}")
     structure = load_structure(_read_input(args.structure))
     text = args.formula if args.formula is not None else _read_input(args.formula_file)
     sentence = parse_formula(text, structure.vocabulary())

@@ -18,9 +18,11 @@ representative, so R is the full game restricted to the representatives, and
 every full row and column is a copy of one in R.  `build_reduced` builds R
 directly; `build_matrix` builds R and expands it to the full game.
 
-The walk that finds R's strategies scores each play until R proves to have
-256 cells.  Then a walk that only enumerates them, walking once the body of a
-quantifier no later move sees, is followed by numpy scoring every play at once.
+One walk enumerates R's strategies and scores no play; it walks once the
+body of a quantifier that no later move sees.  R is then scored by its shape:
+below 256 cells by a walk of R's strategies that tests each end once for all
+the pairs reaching it, and from there with numpy, every pair of a block of
+rows at once.
 
 A quantifier that slashes the choice variable of an enclosing branching
 disjunction cannot tell the branches apart, so structurally corresponding
@@ -63,8 +65,10 @@ _PLAYERS = (ELOISE, ABELARD)
 
 DEFAULT_STRATEGY_BUDGET = 2**20
 _MAX_MATRIX_CELLS = 2**28
-# R's size from which `Game._grid` scores it: timed alone, the grid was
-# slower than the walk below 100 cells and 1.5-26x faster from 256.
+# R's cell count from which `Game._grid` scores it rather than `Game._play`.
+# Timed alone, `_play` was as fast or faster on every benchmark game below 256
+# cells (1.5x at 128-255, 1.4x on hashing 3/2's 8x25), the grid 3x faster on
+# birthday 4 2 (16x16) and 27x on birthday 5 3 (125x125).
 _GRID_CELLS = 256
 
 Path = tuple[int, ...]
@@ -125,24 +129,30 @@ class ReducedForm:
 class _Node:
     """A compiled position in a play, whose values sit in a list of slots:
     an identifier's slot is its binding depth.  An end of play has no
-    `children`, and `holds`, its compiled formula, tells on that list whether
-    Eloise wins; a collapsed quantifier in it writes the slots past the
+    `children`; its test from `_compile_ends` tells on that list whether
+    Eloise wins, and a collapsed quantifier in it writes the slots past the
     end's bindings.  Otherwise `side` (0 Eloise, 1 Abelard)
     moves at the flat table cell `base` + the mixed-radix code of the
     `visible` (slot, range) pairs, and option k is written to slot `var` and
     continues at `children[k]`.  A connective without a choice variable
     writes to the next free slot, which nothing reads before a deeper
-    quantifier rebinds it."""
+    quantifier rebinds it.  Bit i of `seen` tells whether a move from the
+    node down reads slot i; a quantifier, built with its one body, is
+    `merged` when no move below it sees its variable, as every option's walk
+    is then the same."""
 
-    __slots__ = ("holds", "side", "base", "visible", "var", "children")
+    __slots__ = ("side", "base", "visible", "var", "children", "seen", "merged")
 
-    def __init__(self, holds, side=0, base=0, visible=(), var=0, children=()):
-        self.holds = holds
+    def __init__(self, side=0, base=0, visible=(), var=0, children=()):
         self.side = side
         self.base = base
         self.visible = visible
         self.var = var
         self.children = children
+        self.seen = sum(1 << slot for slot, _ in visible)  # distinct slots
+        for child in children:
+            self.seen |= child.seen
+        self.merged = len(children) == 1 and not self.seen >> var & 1
 
 
 def _owner_of(node: Quant | Connective) -> str:
@@ -174,7 +184,7 @@ class Game:
         self._cells = [0, 0]  # flat table length per side
         self._slots = 1  # length of the value list a play writes
         self._ends: list[tuple[_Node, Formula, tuple, int]] = []  # each end, its bindings and chain
-        self._quantifiers: list[_Node] = []  # one child each until the first walk
+        self._quantifiers: list[_Node] = []  # one child each until the budget check
         self._chain = 0  # the longest quantifier chain in a collapsed subformula
         self._collapsible = _collapsible(formula) if collapse else set()
         self._root = self._compile(formula, (), (), ())
@@ -217,28 +227,27 @@ class Game:
         return self._end(node, bound)
 
     def _end(self, formula: Formula, bound, chain: int = 0) -> _Node:
-        node = _Node(None)
+        """An end of play, compiled by `_compile_ends`.  A move writes a slot
+        no higher than the binding count of each end after it, and the end's
+        k-th nested quantifier the k-th slot past that count."""
+        node = _Node()
         self._ends.append((node, formula, bound, chain))
         self._chain = max(self._chain, chain)
+        self._slots = max(self._slots, len(bound) + max(chain, 1))
         return node
 
     def _compile_ends(self, arrays: bool = False) -> dict[_Node, object]:
-        """Each end of play's test, and each quantifier's body repeated per value,
-        after the budget check so that a refused game builds neither.  A move
-        writes a slot no higher than the binding count of each end after it,
-        and an end's k-th nested quantifier the k-th slot past that count."""
+        """Each end of play's test, scalar or on arrays, compiled after the
+        budget check so that a refused game compiles none."""
         tests = {}
-        for node, formula, bound, chain in self._ends:
+        for node, formula, bound, _ in self._ends:
             slots = {name: slot for slot, (name, _) in enumerate(bound)}
             tests[node] = compile_qf(self.structure, formula, slots, arrays)
-            self._slots = max(self._slots, len(bound) + max(chain, 1))
-        while self._quantifiers:
-            self._quantifiers.pop().children *= self.structure.size
         return tests
 
     def _move(self, idx: int, visible, var: int, children) -> _Node:
         side = _PLAYERS.index(self.points[idx].owner)
-        return _Node(None, side, self._base[idx], visible, var, children)
+        return _Node(side, self._base[idx], visible, var, children)
 
     def _register(self, canon, path: Path, owner: str, visible, options: int) -> int:
         point = DecisionPoint(owner, tuple(n for n, _ in visible), options, tuple(r for _, r in visible))
@@ -307,29 +316,23 @@ class Game:
 
     # -- the walker ----------------------------------------------------------
 
-    def _resolve(self, n_rows: int, n_cols: int, won=None):
-        """Walk every play of the candidate strategies, from one a side.
+    def _resolve(self, n_rows: int, n_cols: int):
+        """Enumerate R's strategies in one walk of the candidate strategies,
+        from one a side.
 
         `tables[side]` holds a side's candidates, flat choice tables with -1
         at unassigned cells, and `keys[side][i]` candidate i's
         (representative, multiplicity).  At a move, the mover's candidates
         split by their option at the cell reached; one without an option is
-        first replaced by one copy per option, appended with its key.  The
+        first split into one copy per option, each appended with its key.  The
         opponent's candidates pass through each option's subtree in turn, so
         every candidate comes out assigned at each cell it can reach against
-        some opponent play.  At an end Eloise wins, `won((eloise, abelard))`
-        gets the indices of the candidates playing it; one replaced
-        afterwards stands for its copies.  `_Wide` stops the walk once live
-        candidates (made, not replaced), which end at R's shape, span
-        _GRID_CELLS pairs.  Without `won` it only enumerates: it evaluates no
-        end, and walks a quantifier's body once with every option's
-        candidates when no move below sees its variable.  Returns the tables,
-        the keys, both sides' final indices and each replaced index's copies."""
+        some opponent play.  No end is evaluated, and a `merged` quantifier
+        walks its body once with every option's candidates.
+        Returns the tables, the keys and both sides' final indices."""
         tables = tuple([[-1] * len(radices)] for radices, _ in self._layout)
         keys = ([(0, n_rows)], [(0, n_cols)])  # all cells unassigned: rep 0, every full strategy
-        replaced: tuple[dict, dict] = ({}, {})
         values = [0] * self._slots
-        merged = () if won else self._merging()
 
         def walk(node: _Node, pair):
             while node.children:
@@ -351,7 +354,7 @@ class Game:
                         groups[k].append(i)
                     else:
                         copy(side, i, cell, groups)
-                if merged and node in merged:
+                if node.merged:
                     groups = [[i for group in groups for i in group]]
                 own, other = [], pair[1 - side]
                 for k, group in enumerate(groups):
@@ -361,8 +364,6 @@ class Game:
                         own += sub[side]
                         other = sub[1 - side]
                 return (own, other) if side == 0 else (other, own)
-            if won and node.holds(values):
-                won(pair)
             return pair
 
         def copy(side: int, i: int, cell: int, groups) -> None:
@@ -374,35 +375,48 @@ class Game:
             table, key = tables[side], keys[side]
             rep, weight = key[i]
             weight //= radices[cell]
-            first = len(table)
             for k, group in enumerate(groups):
                 cells = table[i].copy()
                 cells[cell] = k
+                group.append(len(table))
                 table.append(cells)
                 key.append((rep + k * strides[cell], weight))
-                group.append(first + k)
-            replaced[side][i] = range(first, len(table))
-            if won and (len(tables[0]) - len(replaced[0])) * (len(tables[1]) - len(replaced[1])) >= _GRID_CELLS:
-                raise _Wide
 
         final = walk(self._root, ([0], [0]))
         del walk  # it reaches itself through its closure; do not leave the cycle to gc
-        return tables, keys, final, replaced
+        return tables, keys, final
 
-    def _merging(self) -> set[_Node]:
-        """The quantifiers whose variable no move below them sees."""
-        found = set()
+    def _play(self, eloise: ReducedStrategies, abelard: ReducedStrategies) -> np.ndarray:
+        """R's payoffs by one walk of its strategies: at a move the mover's
+        strategies split by their option at the cell reached, and an end's
+        scalar test scores at once every pair that reaches it, as all of them
+        bind the same values."""
+        tests = self._compile_ends()
+        tables = (eloise.cells, abelard.cells)
+        values = [0] * self._slots
+        out = [bytearray(len(abelard.cells)) for _ in eloise.cells]
 
-        def seen(node: _Node) -> set[int]:  # the slots read at moves from `node` down
-            children = set(node.children)
-            below = set().union(*map(seen, children))
-            if len(children) == 1 and node.var not in below:  # a quantifier: one body for every option
-                found.add(node)
-            return below.union(slot for slot, _ in node.visible)
+        def visit(node: _Node, pair) -> None:
+            if not node.children:
+                if tests[node](values):
+                    for i in pair[0]:
+                        for j in pair[1]:
+                            out[i][j] = 1
+                return
+            code = 0
+            for slot, r in node.visible:
+                code = code * r + values[slot]
+            groups = [[] for _ in node.children]
+            for i in pair[node.side]:
+                groups[tables[node.side][i][node.base + code]].append(i)
+            for k, group in enumerate(groups):
+                if group:
+                    values[node.var] = k
+                    visit(node.children[k], (group, pair[1]) if node.side == 0 else (pair[0], group))
 
-        seen(self._root)
-        del seen  # a cycle through its closure, as in `_resolve`
-        return found
+        visit(self._root, (range(len(eloise.cells)), range(len(abelard.cells))))
+        del visit  # a cycle through its closure, as in `_resolve`
+        return np.frombuffer(b"".join(out), dtype=np.uint8).reshape(len(out), -1)
 
     def _grid(self, eloise: ReducedStrategies, abelard: ReducedStrategies) -> np.ndarray:
         """R's payoffs, all pairs of a block of rows at once: a move reads each
@@ -444,50 +458,33 @@ class Game:
     # -- strategic forms -----------------------------------------------------
 
     def reduced_form(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
-        """R, refused exactly when the full game would be, scored by the
-        walk or, once it finds R at least _GRID_CELLS cells, by `_grid`."""
+        """R, refused exactly when the full game would be: one walk finds its
+        strategies, then `_play` scores it below _GRID_CELLS cells and
+        `_grid` from there.  A quantifier's move gets its body once per
+        universe element only after the budget check, so a refused game
+        allocates nothing per element, however large the universe."""
         n_rows, n_cols = self._checked_shape(max_strategies)
-        for node, holds in self._compile_ends().items():
-            node.holds = holds
-        wins = []
-        try:
-            tables, keys, final, replaced = self._resolve(n_rows, n_cols, wins.append)
-        except _Wide:
-            tables, keys, final, replaced = self._resolve(n_rows, n_cols)
-            wins = None
-        eloise, row_order = self._sorted(tables[0], keys[0], final[0])
-        abelard, col_order = self._sorted(tables[1], keys[1], final[1])
-        if wins is None:
-            out = self._grid(eloise, abelard)
-        else:
-            row_at, row_of = _positions(row_order, replaced[0], len(tables[0]))
-            col_at, col_of = _positions(col_order, replaced[1], len(tables[1]))
-            width = len(col_order)
-            out = np.zeros((len(row_order), width), dtype=np.uint8)
-            single = []  # flat indices of the wins of one row against one column
-            for rows, cols in wins:
-                if len(rows) == 1 == len(cols) and row_at[rows[0]] >= 0 and col_at[cols[0]] >= 0:
-                    single.append(row_at[rows[0]] * width + col_at[cols[0]])
-                else:
-                    out[np.ix_(row_of(rows), col_of(cols))] = 1
-            out.flat[single] = 1
+        while self._quantifiers:
+            self._quantifiers.pop().children *= self.structure.size
+        tables, keys, final = self._resolve(n_rows, n_cols)
+        eloise = self._sorted(tables[0], keys[0], final[0])
+        abelard = self._sorted(tables[1], keys[1], final[1])
+        score = self._grid if len(eloise.reps) * len(abelard.reps) >= _GRID_CELLS else self._play
         return ReducedForm(
-            matrix=GameMatrix._from_array(out),
+            matrix=GameMatrix._from_array(score(eloise, abelard)),
             eloise=eloise,
             abelard=abelard,
             collapsed_loci=tuple(self.collapsed),
         )
 
-    def _sorted(self, table: list[list[int]], keys: list[tuple[int, int]], final: list[int]):
-        """A side's reduced strategies in order of representative, and the
-        candidate indices in that order."""
+    def _sorted(self, table: list[list[int]], keys: list[tuple[int, int]], final: list[int]) -> ReducedStrategies:
+        """A side's reduced strategies in order of representative."""
         order = sorted(final, key=keys.__getitem__)
-        reduced = ReducedStrategies(
+        return ReducedStrategies(
             cells=tuple(tuple(table[i]) for i in order),
             reps=tuple(keys[i][0] for i in order),
             weights=tuple(keys[i][1] for i in order),
         )
-        return reduced, order
 
     def build_matrix(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
         """The full strategic game, R expanded: each full row and column is
@@ -514,10 +511,6 @@ class Game:
             out[(reps[members, None] + offsets).ravel()] = np.repeat(members, len(offsets))
         assert out.min() >= 0, "the classes miss a full strategy"
         return out
-
-
-class _Wide(Exception):
-    """R has reached _GRID_CELLS cells: its payoffs come from the grid."""
 
 
 def check_cells(n_rows: int, n_cols: int, formula: Formula) -> None:
@@ -567,27 +560,6 @@ def _quantifier_chain(f: Formula, names: set[str]) -> int:
     if isinstance(f, Connective):
         return max(_quantifier_chain(branch, names) for branch in f.branches)
     return 0
-
-
-def _positions(order: list[int], replaced: dict[int, range], count: int):
-    """Each of the `count` candidates' R index, -1 for a replaced one, and a
-    map from the candidates a play saw to the R indices they stand for: a
-    final candidate's own, or those of the copies that replaced it."""
-    at = [-1] * count
-    for r, i in enumerate(order):
-        at[i] = r
-
-    def of(candidates: list[int]) -> list[int]:
-        out, stack = [], list(candidates)
-        while stack:
-            i = stack.pop()
-            if at[i] >= 0:
-                out.append(at[i])
-            else:
-                stack.extend(replaced[i])
-        return out
-
-    return at, of
 
 
 def decision_points(f: Formula, s: Structure) -> list[DecisionPoint]:

@@ -185,6 +185,14 @@ class TestExitCodes:
         code, _ = run_cli("value", "--structure", str(structure), "--formula", "Ax x = x")
         assert code == EXIT_VALIDATION
 
+    def test_budget_below_one_is_usage_error(self):
+        for budget in ("0", "-3"):
+            code, _ = run_cli(
+                "value", "--structure", str(FIXTURES / "cyclic3.json"), "--formula", "Ax x = x",
+                "--max-strategies", budget,
+            )
+            assert code == EXIT_USAGE
+
     def test_budget_error(self, tmp_path):
         structure = tmp_path / "four.json"
         structure.write_text('{"size": 4}')

@@ -27,8 +27,9 @@ PAPER_MIX = MixedStrategy((1, 1, 2, 1, 2), 7, "row")
 
 class TestGameMatrix:
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            GameMatrix([[0, 2]])
+        for rows in ([[0, 2]], [[0.5, 1]], [[1.9, 0]], [["1", "0"]]):
+            with pytest.raises(ValueError):
+                GameMatrix(rows)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

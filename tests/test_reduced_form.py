@@ -216,18 +216,28 @@ def reduced_on_route(s, f, grid_cells=semantic_game._GRID_CELLS, **build):
 @pytest.mark.parametrize(
     "game, shape, wide",
     [
+        (birthday_game(4, 2), (16, 16), True),
         (birthday_game(4, 3), (64, 64), True),
         (birthday_game(5, 3), (125, 125), True),
         ((hashing_sentence(hash_structure(3, 2)[1]), hash_structure(3, 2)[0]), (8, 25), False),
         (matching_pennies(9), (9, 9), False),
     ],
-    ids=["birthday-4-3", "birthday-5-3", "hashing-3-2", "mp-9"],
+    ids=["birthday-4-2", "birthday-4-3", "birthday-5-3", "hashing-3-2", "mp-9"],
 )
 def test_r_of_256_cells_or_more_takes_the_grid(game, shape, wide):
     f, s = game
     form, grid = reduced_on_route(s, f)
     assert (form.matrix.m, form.matrix.n) == shape
     assert grid == wide
+
+
+@pytest.mark.parametrize("game", [birthday_game(4, 2), birthday_game(5, 3)], ids=["birthday-4-2", "birthday-5-3"])
+def test_one_walk_per_reduced_form(game):
+    """R is found by one walk and scored after it, however wide it is."""
+    f, s = game
+    with mock.patch.object(Game, "_resolve", autospec=True, side_effect=Game._resolve) as resolve:
+        build_reduced(s, f)
+    assert resolve.call_count == 1
 
 
 def test_a_98_deep_collapsed_chain_runs_on_the_grid():
