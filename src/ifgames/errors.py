@@ -29,22 +29,26 @@ class BudgetExceededError(GameBuildError):
     """Raised when a player's pure-strategy count exceeds the configured budget.
 
     `count` is exact, or None when it is at least 2 ** `log2_floor` and was
-    never formed.  A count of 2 ** SHOWN_BITS or more is shown by its bit length,
-    since printing it in full can exceed Python's integer-to-string limit."""
+    never formed.  A number of 2 ** SHOWN_BITS or more is shown by its bit
+    length, since printing it in full can exceed Python's integer-to-string limit."""
 
     SHOWN_BITS = 1024
 
     def __init__(self, player: str, count: int | None, budget: int, log2_floor: int = 0):
-        if count is not None:
-            log2_floor = count.bit_length() - 1
-        huge = count is None or log2_floor >= self.SHOWN_BITS
-        shown = f"at least 2^{log2_floor}" if huge else count
+        shown_count = f"at least 2^{log2_floor}" if count is None else shown(count)
         super().__init__(
-            f"{player} would have {shown} pure strategies, over the budget of {budget}"
+            f"{player} would have {shown_count} pure strategies, over the budget of {shown(budget)}"
         )
         self.player = player
         self.count = count
         self.budget = budget
+
+
+def shown(n: int) -> str:
+    """`n` in full, or as `at least 2^k` from 2 ** BudgetExceededError.SHOWN_BITS on."""
+    if n.bit_length() > BudgetExceededError.SHOWN_BITS:
+        return f"at least 2^{n.bit_length() - 1}"
+    return str(n)
 
 
 class SizeLimitError(IfGamesError):

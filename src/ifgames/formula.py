@@ -144,6 +144,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # frames, so input at the cap stays near 500 of the default limit of 1000.
 MAX_NESTING = 100
 
+_QUANTIFIERS = {"A": "forall", "E": "exists"}
+_FORMULA_STARTS = frozenset(("ident", "(", "~", "choice"))
+
 
 def _one_level_down(production):
     """`production`, refusing to parse deeper than MAX_NESTING levels."""
@@ -162,7 +165,9 @@ def _one_level_down(production):
 
 class _Parser:
     def __init__(self, text: str, vocab: Vocabulary):
-        self.tokens = _tokenize(text)
+        tokens = _tokenize(text)
+        # Three more `eof` sentinels let every lookahead index the list.
+        self.tokens = tokens + tokens[-1:] * 3
         self.vocab = vocab
         self.pos = 0
         self.depth = 0
@@ -183,6 +188,54 @@ class _Parser:
             raise ParseError(f"expected {kind!r} but found {tok[1]!r}", tok[2])
         return tok
 
+    # -- quantifier heads, each decided by lookahead alone
+
+    def _slashed_head(self) -> bool:
+        """Whether `(Ey/...` or `(E y/...` starts here; no other input has a `/`."""
+        t, i = self.tokens, self.pos
+        if t[i][0] != "(" or t[i + 1][0] != "ident" or t[i + 1][1][0] not in "AE":
+            return False
+        return t[i + 2][0] == "/" or t[i + 2][0] == "ident" and t[i + 3][0] == "/"
+
+    def _plain_head(self) -> bool:
+        """Whether `Ax` or `A x` starts here, followed by the start of a formula,
+        and is not a vocabulary symbol applied to an argument list."""
+        t, i = self.tokens, self.pos
+        word = t[i][1]
+        if t[i][0] != "ident" or word[0] not in "AE" or self._applied(i):
+            return False
+        if len(word) == 1:
+            if t[i + 1][0] != "ident":
+                return False
+            i += 1
+        return t[i + 1][0] in _FORMULA_STARTS
+
+    def _applied(self, i: int) -> bool:
+        """Whether token i is a vocabulary symbol directly followed by a
+        parenthesis that, up to its match, holds only identifiers, commas and
+        parentheses, with no relation directly followed by `(`.  Such a
+        parenthesis cannot be a formula, which needs an `=` or a relation's
+        atom, and nothing else can be an argument list: so `Ay(x)` applies
+        the relation `Ay` while `Ay (Ay(y))` and `Ay (y = y)` quantify `y`."""
+        t, vocab = self.tokens, self.vocab
+        if t[i + 1][0] != "(" or (t[i][1] not in vocab.relations and t[i][1] not in vocab.functions):
+            return False
+        depth = 0
+        while True:
+            i += 1
+            kind = t[i][0]
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                depth -= 1
+                if not depth:
+                    return True
+            elif kind == "ident":
+                if t[i][1] in vocab.relations and t[i + 1][0] == "(":
+                    return False
+            elif kind != ",":
+                return False
+
     # -- grammar; env maps identifier -> "var" | "choice"
 
     def sentence(self) -> Formula:
@@ -194,98 +247,29 @@ class _Parser:
 
     @_one_level_down
     def formula(self, env: dict[str, str]) -> Formula:
-        save = self.pos
-        quant = self._try_quant_head(env)
-        if quant is not None:
-            kind, var, slash = quant
-            try:
-                body = self.formula({**env, var: "var"})
-            except ParseError as quant_error:
-                # `Adj(x, y)` looks like a quantifier head `A dj`; retry the
-                # whole span as a plain formula and report whichever attempt
-                # got further when both fail.  A slashed head is never an
-                # atom, and retrying one would parse it again, without end.
-                if slash:
-                    raise
-                self.pos = save
-                try:
-                    return self.disj(env)
-                except ParseError as disj_error:
-                    raise (
-                        quant_error
-                        if quant_error.position >= disj_error.position
-                        else disj_error
-                    ) from None
-            return Quant(kind, var, slash, body)
-        self.pos = save
-        return self.disj(env)
-
-    def _try_quant_head(self, env) -> tuple[str, str, frozenset[str]] | None:
-        """Parse `Ax`, `E y`, or `(Ey/x z)`; None if the input is not one."""
-        save = self.pos
-        tok = self.peek()
-        if tok[0] == "ident":
-            kind = self._quant_kind(tok[1])
-            if kind is None:
-                return None
+        if self._slashed_head():
             self.next()
-            if len(tok[1]) > 1:
-                var = tok[1][1:]
-            else:
-                if self.peek()[0] != "ident":
-                    self.pos = save
-                    return None
-                var = self.next()[1]
-            # A quantifier must be followed by the start of a formula.
-            if self.peek()[0] not in ("ident", "(", "~", "choice"):
-                self.pos = save
-                return None
-            return kind, var, frozenset()
-        if tok[0] == "(":
-            last = len(self.tokens) - 1
-            if self.tokens[min(self.pos + 1, last)][0] != "ident":
-                return None
-            head = self.tokens[self.pos + 1][1]
-            if self._quant_kind(head) is None:
-                return None
-            offset = 2 if len(head) > 1 else 3
-            if self.tokens[min(self.pos + offset, last)][0] != "/":
-                return None
-            # Committed: only a slashed quantifier starts with '(' QE ident '/'.
-            self.next()
-            self.next()
-            kind = self._quant_kind(head)
-            if len(head) > 1:
-                var = head[1:]
-            else:
-                var = self.expect("ident")[1]
+            head = self.next()[1]
+            var = head[1:] or self.expect("ident")[1]
             self.expect("/")
             slash = self._identlist(env)
             self.expect(")")
-            return kind, var, slash
-        return None
-
-    @staticmethod
-    def _quant_kind(word: str) -> str | None:
-        if word[0] == "A":
-            return "forall"
-        if word[0] == "E":
-            return "exists"
-        return None
+        elif self._plain_head():
+            head = self.next()[1]
+            var = head[1:] or self.next()[1]
+            slash = frozenset()
+        else:
+            return self.disj(env)
+        return Quant(_QUANTIFIERS[head[0]], var, slash, self.formula({**env, var: "var"}))
 
     def _identlist(self, env) -> frozenset[str]:
         names = []
-        while True:
-            tok = self.peek()
+        while self.peek()[0] == "ident" or self.peek()[0] == "," and names:
+            tok = self.next()
             if tok[0] == "ident":
-                self.next()
                 if tok[1] not in env:
                     raise ParseError(f"slashed identifier {tok[1]!r} is not in scope", tok[2])
                 names.append(tok[1])
-            elif tok[0] == "," and names:
-                self.next()
-            else:
-                break
         if not names:
             raise ParseError("empty slash set", self.peek()[2])
         return frozenset(names)
@@ -333,10 +317,7 @@ class _Parser:
                 return Atom(atom.rel, atom.args, negated=True)
             return Equals(atom.lhs, atom.rhs, negated=True)
         if tok[0] == "(":
-            # Could be a slashed quantifier, which `formula` handles.
-            save = self.pos
-            if self._try_quant_head(env) is not None:
-                self.pos = save
+            if self._slashed_head():
                 return self.formula(env)
             self.next()
             f = self.formula(env)
@@ -349,9 +330,8 @@ class _Parser:
         if tok[0] != "ident":
             raise ParseError(f"expected an atom but found {tok[1]!r}", tok[2])
         if tok[1] in self.vocab.relations and self.tokens[self.pos + 1][0] == "(":
-            self.next()
-            self.expect("(")
-            args = self._termlist(env)
+            self.pos += 2
+            args = () if self.peek()[0] == ")" else self._termlist(env)
             self.expect(")")
             arity = self.vocab.relations[tok[1]]
             if arity is not None and len(args) != arity:

@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceededError, GameBuildError, SizeLimitError
+from .errors import BudgetExceededError, GameBuildError, SizeLimitError, shown
 from .formula import Connective, Formula, Quant, format_formula, validate
 from .matrix_game import GameMatrix
 from .structure import MAX_ARRAY_ELEMENTS, Structure, compile_qf
@@ -310,7 +310,7 @@ class Game:
         if size**chain > budget:
             raise SizeLimitError(
                 f"classical evaluation of a perfect-information subformula would visit "
-                f"{size}^{chain} assignments, over the budget of {budget}"
+                f"{size}^{chain} assignments, over the budget of {shown(budget)}"
             )
         return n_rows, n_cols
 
@@ -517,7 +517,7 @@ def check_cells(n_rows: int, n_cols: int, formula: Formula) -> None:
     """Refuse a full game of `formula` with more cells than the safety cap."""
     if n_rows * n_cols > _MAX_MATRIX_CELLS:
         raise GameBuildError(
-            f"matrix would hold {n_rows * n_cols} cells "
+            f"matrix would hold {shown(n_rows * n_cols)} cells "
             f"(over the {_MAX_MATRIX_CELLS} safety cap) for {format_formula(formula)!r}"
         )
 

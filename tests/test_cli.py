@@ -60,6 +60,13 @@ class TestValueCommand:
         assert "value=1/3" in out
         assert "rows=9" in out and "cols=9" in out
 
+    def test_zero_ary_relation(self, tmp_path):
+        structure = tmp_path / "r.json"
+        structure.write_text('{"size": 2, "relations": {"R": [[]]}}')
+        code, out = run_cli("value", "--structure", str(structure), "--formula", "Ax (Ey/x) R() | x = y", "--format", "machine")
+        assert code == EXIT_OK
+        assert "value=1/1" in out
+
     def test_text_format_carries_decimal(self):
         code, out = run_cli("value", "--matrix", str(FIXTURES / "m4_mixed.txt"))
         assert code == 0
@@ -565,6 +572,23 @@ class TestFullFormContract:
             "",
             "budget error: classical evaluation of a perfect-information subformula would visit 16^6 assignments, "
             "over the budget of 1048576\n",
+        )
+
+    def test_numbers_past_the_digit_limit_shown_by_bit_length(self, tmp_path):
+        # Both the cell count and the budget have more than the 4300 digits
+        # Python prints by default; each is shown as a power of two instead.
+        ten = tmp_path / "ten.json"
+        ten.write_text('{"size": 10}')
+        formula = (
+            "Ax Ay Az Ew1 (Ew2/w1) (Ew3/w1 w2) (Av1/x y z) (Av2/x y z v1) (Av3/x y z v1 v2) "
+            "(Ew4/x y z w1 w2 w3 v1 v2) v3 = w4"
+        )
+        argv = ["value", "--structure", ten, "--formula", formula, "--max-strategies"]
+        code, out, err = run_cli_all(*argv, 10**4200)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("validation error: matrix would hold at least 2^20333 cells (over the 268435456 safety cap)")
+        assert run_cli_all(*argv, 10**1500) == (
+            EXIT_BUDGET, "", "budget error: eloise would have at least 2^9999 pure strategies, over the budget of at least 2^4982\n"
         )
 
     @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from ifgames.formula import (
     validate,
 )
 from ifgames.semantic_game import build_matrix
-from ifgames.structure import Structure
+from ifgames.structure import Structure, load_structure
 
 from conftest import TEST_VOCAB, random_sentence
 from reference import reference_tokenize
@@ -107,6 +107,95 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("Ax x = #", EMPTY)
         assert err.value.position == 7
+
+
+# Relations and functions spelled like the heads `Ay`, `Ex`, `Ax`, `Ef` and
+# `Az`, and a relation `P` that may also be bound as a variable.
+ROUND_TRIP_VOCAB = Vocabulary(relations={"Ay": 1, "Ex": 2, "Ax": 0, "P": 1}, functions={"Ef": 1, "Az": 0})
+
+
+def _head_terms(bound):
+    leaves = st.sampled_from([Var(v) for v in bound] + [App("Az", ())])
+    return st.recursive(leaves, lambda t: t.map(lambda a: App("Ef", (a,))), max_leaves=3)
+
+
+@st.composite
+def _head_sentences(draw, bound=(), depth=4):
+    """Sentences over ROUND_TRIP_VOCAB whose quantifiers bind x, y, z, f or P."""
+    shape = draw(st.sampled_from(("quant", "atom", "and", "or") if depth else ("atom",)))
+    if shape == "quant":
+        var = draw(st.sampled_from("xyzfP"))
+        slash = draw(st.frozensets(st.sampled_from(bound), max_size=2)) if bound else frozenset()
+        body = draw(_head_sentences(tuple(sorted({*bound, var})), depth - 1))
+        return Quant(draw(st.sampled_from(("forall", "exists"))), var, slash, body)
+    if shape == "atom":
+        rel, negated = draw(st.sampled_from(("=", "Ay", "Ex", "Ax", "P"))), draw(st.booleans())
+        if rel == "=":
+            return Equals(draw(_head_terms(bound)), draw(_head_terms(bound)), negated)
+        args = tuple(draw(_head_terms(bound)) for _ in range(ROUND_TRIP_VOCAB.relations[rel]))
+        return Atom(rel, args, negated)
+    return Connective(shape, None, tuple(draw(_head_sentences(bound, depth - 1)) for _ in range(2)))
+
+
+# Symbols spelled like quantifier heads: `Ay` is a relation and a head
+# binding `y`, `Ef` a function and a head binding `f`.
+HEAD_VOCAB = Vocabulary(relations={"Ay": 1}, functions={"Ef": 1})
+
+
+class TestQuantifierHeads:
+    """`Ax` and `A x` are heads when a formula starts after them, but a
+    vocabulary symbol directly followed by an argument list is applied."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("Ay (y = y)", Quant("forall", "y", frozenset(), Equals(Var("y"), Var("y")))),
+            (
+                "Ay (Ez/y) Ay(z)",
+                Quant("forall", "y", frozenset(), Quant("exists", "z", frozenset({"y"}), Atom("Ay", (Var("z"),)))),
+            ),
+            ("Ay (Ay(y))", Quant("forall", "y", frozenset(), Atom("Ay", (Var("y"),)))),
+            ("Ef (f = f)", Quant("exists", "f", frozenset(), Equals(Var("f"), Var("f")))),
+            ("Ex Ay(x)", Quant("exists", "x", frozenset(), Atom("Ay", (Var("x"),)))),
+            ("Ax Ef(x) = x", Quant("forall", "x", frozenset(), Equals(App("Ef", (Var("x"),)), Var("x")))),
+            ("A y Ay(y)", Quant("forall", "y", frozenset(), Atom("Ay", (Var("y"),)))),
+        ],
+    )
+    def test_head_or_application(self, text, expected):
+        assert parse(text, HEAD_VOCAB) == expected
+
+    def test_relation_bound_as_a_variable_is_an_argument(self):
+        # `P` is a relation, but `AP` binds it, so `Ay(P)` is an argument list.
+        vocab = Vocabulary(relations={"Ay": 1, "P": 1})
+        P = Var("P")
+        assert parse("AP Ay(P)", vocab) == Quant("forall", "P", frozenset(), Atom("Ay", (P,)))
+        assert parse("AP Ay (P(P))", vocab) == Quant(
+            "forall", "P", frozenset(), Quant("forall", "y", frozenset(), Atom("P", (P,)))
+        )
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(_head_sentences())
+    def test_round_trip_with_heads_spelling_symbols(self, sentence):
+        assert parse(format_formula(sentence), ROUND_TRIP_VOCAB) == sentence
+
+
+class TestZeroAryRelations:
+    VOCAB = load_structure('{"size": 2, "relations": {"R": [[]], "P": [[0]]}}').vocabulary()
+
+    def test_round_trip(self):
+        sentence = parse("Ax R() | ~R() & P(x)", self.VOCAB)
+        assert sentence.body.branches[0] == Atom("R", ())
+        assert format_formula(sentence) == "Ax R() | ~R() & P(x)"
+        assert parse(format_formula(sentence), self.VOCAB) == sentence
+        assert validate(sentence, self.VOCAB) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("P()", "relation 'P' expects 1 arguments, got 0"), ("R(x)", "unbound"), ("R", "relation 'R' used as a term")],
+    )
+    def test_refusals(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse(text, self.VOCAB)
 
 
 def _nested_sentences(depth: int) -> list[str]:

@@ -1,12 +1,16 @@
-"""Layout rules for the package source."""
+"""Layout rules for the package source, and the README's library example."""
 
 import ast
+import io
+import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import ifgames
 
 SRC = Path(ifgames.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
+README = SRC.parents[1] / "README.md"
 
 # Public names that nothing in the package or the benchmark calls, each with
 # the reason it stays.
@@ -87,3 +91,14 @@ def test_every_public_name_has_a_caller():
     called_now = sorted(set(ALLOWED) - set(uncalled))
     assert (no_caller, called_now) == ([], [])
     assert all(ALLOWED.values())
+
+
+def test_readme_library_example_prints_its_comments():
+    """The README's one python block, run as written, prints on each line
+    the `# ...` comment of the `print` call that made it."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    expected = [line.partition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == expected

@@ -112,6 +112,16 @@ class TestEnumerate:
         with pytest.raises(SizeLimitError, match=r"would visit 16\^6 assignments, over the budget of 1048576"):
             build_matrix(Structure(size=16), f)
 
+    def test_budget_error_past_the_digit_limit(self):
+        err = BudgetExceededError("eloise", None, 10**5000, 12)
+        assert str(err) == "eloise would have at least 2^12 pure strategies, over the budget of at least 2^16609"
+        assert err.budget == 10**5000
+        # Below 2 ** SHOWN_BITS a number is shown in full.
+        limit = 2**BudgetExceededError.SHOWN_BITS
+        assert str(BudgetExceededError("abelard", limit, limit - 1)) == (
+            f"abelard would have at least 2^1024 pure strategies, over the budget of {limit - 1}"
+        )
+
     def test_count_formula_on_fixtures(self):
         cases = [
             (parse("Ax Ey x = y", EMPTY), Structure(size=3)),
