@@ -30,12 +30,15 @@ class BudgetExceededError(GameBuildError):
 
     `count` is exact, or None when it is at least 2 ** `log2_floor` and was
     never formed.  A number of 2 ** SHOWN_BITS or more is shown by its bit
-    length, since printing it in full can exceed Python's integer-to-string limit."""
+    length, since printing it in full can exceed Python's integer-to-string
+    limit; so is a `log2_floor` that long, as at least 2^(2^k) with 2^k <= log2_floor."""
 
     SHOWN_BITS = 1024
 
     def __init__(self, player: str, count: int | None, budget: int, log2_floor: int = 0):
-        shown_count = f"at least 2^{log2_floor}" if count is None else shown(count)
+        bits = log2_floor.bit_length()
+        exponent = f"(2^{bits - 1})" if bits > self.SHOWN_BITS else log2_floor
+        shown_count = f"at least 2^{exponent}" if count is None else shown(count)
         super().__init__(
             f"{player} would have {shown_count} pure strategies, over the budget of {shown(budget)}"
         )

@@ -47,7 +47,7 @@ class GameMatrix:
     @classmethod
     def _from_array(cls, arr: np.ndarray) -> "GameMatrix":
         self = object.__new__(cls)
-        self._a = arr.astype(np.uint8)
+        self._a = arr.astype(np.uint8, copy=False)
         self._a.setflags(write=False)
         self.m, self.n = arr.shape
         self._row_sums = None
@@ -247,41 +247,31 @@ def reduce(u: GameMatrix) -> tuple[GameMatrix, tuple[int, ...], tuple[int, ...]]
     column indices, in order.
     """
     arr = u.array
-    rows = list(range(u.m))
-    cols = list(range(u.n))
-    changed = True
-    while changed:
-        changed = False
-        sub = arr[np.ix_(rows, cols)]
-        keep = _dominance_keep(sub, larger_survives=True)
-        if len(keep) < len(rows):
-            rows = [rows[i] for i in keep]
-            changed = True
-        sub = arr[np.ix_(rows, cols)].T
-        keep = _dominance_keep(sub, larger_survives=False)
-        if len(keep) < len(cols):
-            cols = [cols[j] for j in keep]
-            changed = True
-    reduced = GameMatrix._from_array(arr[np.ix_(rows, cols)].copy())
-    return reduced, tuple(rows), tuple(cols)
+    rows, cols = np.arange(u.m), np.arange(u.n)
+    while True:  # a row pass on the columns it last saw removes nothing
+        rows = rows[_dominance_keep(arr[np.ix_(rows, cols)], larger_survives=True)]
+        kept = cols[_dominance_keep(arr[np.ix_(rows, cols)].T, larger_survives=False)]
+        if len(kept) == len(cols):
+            return GameMatrix._from_array(arr[np.ix_(rows, cols)]), tuple(rows.tolist()), tuple(cols.tolist())
+        cols = kept
 
 
 def _dominance_keep(vectors: np.ndarray, larger_survives: bool) -> list[int]:
-    """Indices (ascending) of vectors not weakly dominated by another live vector."""
-    # Deduplicate first so wide strategic games stay tractable: each vector,
-    # bit-packed, is one fixed-width byte key, and the stable sort behind
-    # return_index makes the smallest index the representative of its copies.
+    """Indices (ascending) of vectors not weakly dominated by another live vector.
+
+    Live vectors, the first of each set of copies, are pairwise distinct, so
+    dominance is a strict order on them: each dominated one lies below an
+    undominated one, and removals in any order leave just the undominated."""
+    # Bit-packed, each vector is one fixed-width byte key; the stable sort
+    # behind return_index makes the smallest index its copies' representative.
     packed = np.ascontiguousarray(np.packbits(vectors, axis=1))
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    alive = sorted(np.unique(keys, return_index=True)[1].tolist())
-    # Live vectors are pairwise distinct, so a weak dominance never ties.
-    dominated_by = np.less_equal if larger_survives else np.greater_equal
-    removed = set()
-    for i in alive:
-        vi = vectors[i]
-        if any(j != i and j not in removed and dominated_by(vi, vectors[j]).all() for j in alive):
-            removed.add(i)
-    return [i for i in alive if i not in removed]
+    alive = np.sort(np.unique(keys, return_index=True)[1])
+    live = packed[alive]
+    # v <= w iff v & ~w has no bit set, and packbits pads with zeros, which
+    # never count: mine[i] & others[j] is zero iff j dominates i or is i.
+    mine, others = (live, ~live) if larger_survives else (~live, live)
+    return [i for i, v in zip(alive.tolist(), mine) if np.count_nonzero((v & others).any(axis=1)) == len(live) - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 `solve_value` is the reference route: the security-level linear program over
 exact rationals.  `solve_by_support_enumeration` is an independent oracle that
 solves the equalizing linear system for every square support pair instead.
-The remaining operations are shortcuts: the trivial and balanced shortcuts,
-the row-submatrix lower bound, and the balanced-row-submatrix certificate
-(the uniform-strategy bounds are `matrix_game.tallies`).  `solve_game` is the one solve policy that chains them.  Every
+`solve_game` is the one solve policy: trivial detection, the balanced
+shortcut, then, past 64 strategies on a side, reduce-and-lift (the shortcuts
+or the LP on the `matrix_game.reduce`d game, lifted back), and else the LP.
+The paper's row-submatrix lower bound and balanced-row-submatrix certificate
+have no caller yet; the uniform bounds are `matrix_game.tallies`.  Every
 report handed out is certified before it leaves this module: what Eloise's
 strategy guarantees and what Abelard's caps both equal the reported value.
 """

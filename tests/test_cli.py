@@ -592,6 +592,24 @@ class TestFullFormContract:
         )
 
     @pytest.mark.parametrize(
+        "argv, exponent",
+        [
+            (("birthday", str(10**4299), str(10**4299)), 14294),
+            (("value", "--structure", "HUGE", "--formula", "Ax Ay Az (Ew/x) x = w"), 14616),
+        ],
+        ids=["birthday", "value"],
+    )
+    def test_exponent_past_the_digit_limit_shown_by_bit_length(self, tmp_path, argv, exponent):
+        # Eloise's count is at least 2 ** k for a k of more than 4300 digits:
+        # 14280 * 10**4299 for the birthday game, one table of 10**4400 cells for `value`.
+        huge = tmp_path / "huge.json"
+        huge.write_text(f'{{"size": {10**2200}}}')
+        argv = [huge if word == "HUGE" else word for word in argv]
+        assert run_cli_all(*argv) == (
+            EXIT_BUDGET, "", f"budget error: eloise would have at least 2^(2^{exponent}) pure strategies, over the budget of 1048576\n"
+        )
+
+    @pytest.mark.parametrize(
         "text, size, flags, expected",
         [
             ('Ax Ey x = y', 3, ["--no-collapse"], 'command=value\nrows=27\ncols=3\nfloor=1/3\nceil=1/1\nvalue=1/1\nmethod=trivial-win\neloise=5:1/1\nabelard=0:1/1\n'),

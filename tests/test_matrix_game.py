@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -305,7 +306,10 @@ def _dominance_keep_reference(vectors: np.ndarray, larger_survives: bool) -> lis
 
 
 def _games_for_reduction(rng: random.Random):
-    """Random games: wide ones, and ones whose rows and columns repeat a few vectors."""
+    """Random games: wide ones, ones whose rows and columns repeat a few
+    vectors, shuffled staircases with copies, where every vector but one is
+    dominated and the order of removals matters to a sequential pass, and tall
+    and wide ones with 64 to 200 distinct vectors."""
     for _ in range(30):
         yield random_matrix(rng, 5, 300)
     for _ in range(30):
@@ -318,9 +322,28 @@ def _games_for_reduction(rng: random.Random):
                 for row in rows:
                     row[j] = row[source]
         yield GameMatrix(rows)
+    for _ in range(8):
+        k, width = rng.randint(2, 40), rng.randint(2, 43)
+        stair = [[int(j < i) for j in range(width)] for i in range(k)]
+        rows = stair + [rng.choice(stair) for _ in range(rng.randint(0, 5))]
+        cols = list(range(width)) + [rng.randrange(width) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        yield GameMatrix([[row[j] for j in cols] for row in rows])
+    for tall in (True, False, True, False):
+        short = rng.randint(8, 12)
+        vectors = [[v >> b & 1 for b in range(short)] for v in rng.sample(range(2**short), rng.randint(64, 200))]
+        u = GameMatrix(vectors)
+        yield u if tall else GameMatrix(u.array.T)
 
 
 class TestReduceAgainstReference:
+    def test_all_distinct_columns_reduce_to_the_zero_column(self):
+        # The 4096 distinct 12-bit columns: no row dominates another, the zero
+        # column (index 0) lies below every other, and then the rows are 12 copies of 0.
+        u = GameMatrix(np.array(list(itertools.product((0, 1), repeat=12)), dtype=np.uint8).T)
+        assert reduce(u) == (GameMatrix([[0]]), (0,), (0,))
+
     def test_dominance_keep_matches(self, rng):
         for u in _games_for_reduction(rng):
             for vectors in (u.array, u.array.T):

@@ -116,6 +116,9 @@ class TestEnumerate:
         err = BudgetExceededError("eloise", None, 10**5000, 12)
         assert str(err) == "eloise would have at least 2^12 pure strategies, over the budget of at least 2^16609"
         assert err.budget == 10**5000
+        # So is an exponent too long to print: 2^16609 <= 10**5000.
+        err = BudgetExceededError("eloise", None, 2**20, 10**5000)
+        assert str(err) == "eloise would have at least 2^(2^16609) pure strategies, over the budget of 1048576"
         # Below 2 ** SHOWN_BITS a number is shown in full.
         limit = 2**BudgetExceededError.SHOWN_BITS
         assert str(BudgetExceededError("abelard", limit, limit - 1)) == (
