@@ -63,13 +63,11 @@ from .structure import (
 )
 from .value_engine import (
     ValueReport,
-    balanced_submatrix_certificate,
     balanced_value,
     detect_trivial,
     solve_by_support_enumeration,
     solve_game,
     solve_value,
-    submatrix_lower_bound,
     verify_equilibrium,
 )
 

@@ -179,14 +179,14 @@ def _load_game(args, build) -> ReducedForm:
     from_sentence = args.structure is not None or args.formula is not None or args.formula_file is not None
     if from_matrix == from_sentence:
         raise _UsageError("provide either --matrix or a --structure with a formula")
+    if args.max_strategies < 1:
+        raise _UsageError(f"--max-strategies must be at least 1, not {args.max_strategies}")
     if from_matrix:
         return ReducedForm.of_matrix(parse_matrix(_read_input(args.matrix)))
     if args.structure is None:
         raise _UsageError("--formula needs --structure")
     if (args.formula is None) == (args.formula_file is None):
         raise _UsageError("provide exactly one of --formula / --formula-file")
-    if args.max_strategies < 1:
-        raise _UsageError(f"--max-strategies must be at least 1, not {args.max_strategies}")
     structure = load_structure(_read_input(args.structure))
     text = args.formula if args.formula is not None else _read_input(args.formula_file)
     sentence = parse_formula(text, structure.vocabulary())

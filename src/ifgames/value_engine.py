@@ -1,4 +1,4 @@
-"""Exact game values, equilibrium certificates, and every bound that implies them.
+"""Exact game values and the equilibrium certificates that back them.
 
 `solve_value` is the reference route: the security-level linear program over
 exact rationals.  `solve_by_support_enumeration` is an independent oracle that
@@ -6,19 +6,16 @@ solves the equalizing linear system for every square support pair instead.
 `solve_game` is the one solve policy: trivial detection, the balanced
 shortcut, then, past 64 strategies on a side, reduce-and-lift (the shortcuts
 or the LP on the `matrix_game.reduce`d game, lifted back), and else the LP.
-The paper's row-submatrix lower bound and balanced-row-submatrix certificate
-have no caller yet; the uniform bounds are `matrix_game.tallies`.  Every
-report handed out is certified before it leaves this module: what Eloise's
-strategy guarantees and what Abelard's caps both equal the reported value.
+The uniform bounds are `matrix_game.tallies`.  Every report handed out is
+certified before it leaves this module: what Eloise's strategy guarantees
+and what Abelard's caps both equal the reported value.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
 
 import numpy as np
 
@@ -33,13 +30,10 @@ from .matrix_game import (
 
 METHOD_LP = "lp"
 METHOD_BALANCED = "balanced"
-METHOD_BALANCED_SUBMATRIX = "balanced-submatrix"
 METHOD_TRIVIAL_WIN = "trivial-win"
 METHOD_TRIVIAL_LOSS = "trivial-loss"
 METHOD_SUPPORT_ENUMERATION = "support-enumeration"
 
-_GREEDY_RESTARTS = 100
-_EXHAUSTIVE_ROW_LIMIT = 15
 _SOLVE_DIRECTLY_LIMIT = 64
 _SUPPORT_ENUMERATION_LIMIT = 7
 
@@ -152,87 +146,6 @@ def _try_support_pair(u, support_i, support_j) -> ValueReport | None:
     if security_levels(u, mu, nu) != (value, value):
         return None
     return ValueReport(value=value, eloise=mu, abelard=nu, method=METHOD_SUPPORT_ENUMERATION)
-
-
-# ---------------------------------------------------------------------------
-# Row-submatrix machinery
-
-
-def submatrix_lower_bound(u: GameMatrix) -> tuple[Fraction, frozenset[int]]:
-    """The best floor over nonempty row submatrices; always a lower bound on the value.
-
-    Every subset is scanned when there are at most 15 rows; above that, a
-    seeded local search with single-row adds and drops from random starts.
-    """
-    scored = _scored_subsets(range(u.m), lambda subset: _floor_of_rows(u, subset))
-    return max(scored, key=itemgetter(0))  # the first of the best
-
-
-def _scored_subsets(items, score):
-    """(score, subset) pairs over nonempty subsets of `items`: every subset, by
-    size and then in combination order, for at most 15 items; otherwise each
-    seeded restart's local optimum."""
-    items = list(items)
-    if len(items) > _EXHAUSTIVE_ROW_LIMIT:
-        yield from _local_optima(items, score)
-        return
-    for size in range(1, len(items) + 1):
-        for subset in combinations(items, size):
-            yield score(subset), frozenset(subset)
-
-
-def _local_optima(items, score):
-    """For each seeded random start, the (score, subset) of nonempty subsets of
-    `items` that no single add or drop raises the score of."""
-    items = list(items)
-    rng = random.Random(0)
-    for _ in range(_GREEDY_RESTARTS):
-        current = frozenset(i for i in items if rng.random() < 0.5) or frozenset(
-            {items[rng.randrange(len(items))]}
-        )
-        best = score(current)
-        improved = True
-        while improved:
-            improved = False
-            for i in items:
-                candidate = current - {i} if i in current else current | {i}
-                if candidate:
-                    s = score(candidate)
-                    if s > best:
-                        current, best, improved = candidate, s, True
-        yield best, current
-
-
-def _col_sums(u: GameMatrix, subset):
-    return u.array[list(subset), :].sum(axis=0, dtype=int)
-
-
-def _floor_of_rows(u: GameMatrix, subset) -> Fraction:
-    return Fraction(int(_col_sums(u, subset).min()), len(subset))
-
-
-def _col_spread(u: GameMatrix, subset) -> int:
-    cols = _col_sums(u, subset)
-    return int(cols.max() - cols.min())
-
-
-def balanced_submatrix_certificate(u: GameMatrix) -> ValueReport | None:
-    """A certified equilibrium from a balanced row submatrix with the full row maximum.
-
-    Row balance plus the row-maximum condition force every candidate row to be
-    a maximum-sum row, so the search runs over subsets of those, toward equal
-    column sums.  Returns None when no certified pair is found.
-    """
-    rowmax = max(u.row_sums())
-    value = Fraction(rowmax, u.n)
-    nu = MixedStrategy.uniform(u.n, "column")
-    rowargmax = [i for i, s in enumerate(u.row_sums()) if s == rowmax]
-    for spread, subset in _scored_subsets(rowargmax, lambda s: -_col_spread(u, s)):
-        if spread == 0:
-            mu = MixedStrategy.uniform_on(subset, u.m, "row")
-            if security_levels(u, mu, nu) == (value, value):
-                return ValueReport(value=value, eloise=mu, abelard=nu, method=METHOD_BALANCED_SUBMATRIX)
-    return None
 
 
 # ---------------------------------------------------------------------------

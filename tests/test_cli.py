@@ -193,12 +193,12 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
 
     def test_budget_below_one_is_usage_error(self):
-        for budget in ("0", "-3"):
-            code, _ = run_cli(
-                "value", "--structure", str(FIXTURES / "cyclic3.json"), "--formula", "Ax x = x",
-                "--max-strategies", budget,
-            )
-            assert code == EXIT_USAGE
+        sentence = ("--structure", str(FIXTURES / "cyclic3.json"), "--formula", "Ax x = x")
+        matrix = ("--matrix", str(FIXTURES / "m5x6_b.txt"))
+        for game in (sentence, matrix):
+            for budget in ("0", "-3"):
+                code, _ = run_cli("value", *game, "--max-strategies", budget)
+                assert code == EXIT_USAGE
 
     def test_budget_error(self, tmp_path):
         structure = tmp_path / "four.json"

@@ -1,6 +1,7 @@
 """Layout rules for the package source, and the README's library example."""
 
 import ast
+import importlib
 import io
 import re
 from contextlib import redirect_stdout
@@ -15,8 +16,6 @@ README = SRC.parents[1] / "README.md"
 # Public names that nothing in the package or the benchmark calls, each with
 # the reason it stays.
 ALLOWED = {
-    "value_engine.submatrix_lower_bound": "the paper's row-submatrix lower bound, not yet wired into `bounds`",
-    "value_engine.balanced_submatrix_certificate": "the paper's certificate, not yet wired into `solve_game`",
     "value_engine.solve_by_support_enumeration": "the independent oracle the tests check the LP against",
 }
 
@@ -91,6 +90,28 @@ def test_every_public_name_has_a_caller():
     called_now = sorted(set(ALLOWED) - set(uncalled))
     assert (no_caller, called_now) == ([], [])
     assert all(ALLOWED.values())
+
+
+def test_every_trace_target_resolves():
+    """Each `(module, attr)` in the benchmark tracer's `TARGETS`, read from
+    its source without importing the benchmark, names a live attribute: the
+    tracer refuses to install with one missing."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    ]
+    names = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert ("ifgames.matrix_game", "MixedStrategy.__post_init__") in names
+    missing = []
+    for module, attr in names:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
 
 
 def test_readme_library_example_prints_its_comments():

@@ -5,11 +5,11 @@ Runs are derandomized, so every run draws the same examples."""
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifgames import value_engine
@@ -112,6 +112,55 @@ def test_reduce_keeps_the_value_and_the_lifted_pair_verifies(u):
         report = solve_game(u)
     assert report.value == value
     assert verify_equilibrium(u, report.eloise, report.abelard)
+
+
+# ---------------------------------------------------------------------------
+# The paper's two theorems, as properties of the exact solver
+
+
+@st.composite
+def games_with_planted_blocks(draw, max_side=7):
+    """`games()`, in about half of them with every cyclic shift of one row
+    planted among the rows: a block whose column sums are all equal."""
+    u = draw(games(max_side))
+    if not draw(st.booleans()):
+        return u
+    first = draw(st.lists(st.integers(0, 1), min_size=u.n, max_size=u.n))
+    block = [[first[(j - i) % u.n] for j in range(u.n)] for i in range(u.n)]
+    return GameMatrix(draw(st.permutations(block + u.array.tolist()[: max(u.m - u.n, 0)])))
+
+
+def _col_sums(u: GameMatrix, rows) -> list[int]:
+    return u.array[list(rows), :].sum(axis=0).tolist()
+
+
+def _subsets(items):
+    return (s for k in range(1, len(items) + 1) for s in combinations(items, k))
+
+
+@FIXED
+@given(games_with_planted_blocks())
+def test_every_row_submatrix_floor_is_at_most_the_value(u):
+    """(a) Eloise uniform on a set S of rows secures the least column sum
+    over S divided by |S|, so no such floor exceeds the value."""
+    value = solve_game(u).value
+    for rows in _subsets(range(u.m)):
+        assert Fraction(min(_col_sums(u, rows)), len(rows)) <= value
+
+
+@FIXED
+@given(games_with_planted_blocks())
+def test_balanced_maximum_sum_rows_give_the_value(u):
+    """(b) If some set S of maximum-sum rows has equal column sums, the
+    value is rowmax / n, met by uniform on S against uniform on the columns."""
+    rowmax = max(u.row_sums())
+    top = [i for i, s in enumerate(u.row_sums()) if s == rowmax]
+    balanced = [rows for rows in _subsets(top) if len(set(_col_sums(u, rows))) == 1]
+    assume(balanced)
+    value = Fraction(rowmax, u.n)
+    assert solve_game(u).value == value
+    mu = MixedStrategy.uniform_on(balanced[0], u.m, "row")
+    assert security_levels(u, mu, MixedStrategy.uniform(u.n, "column")) == (value, value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -11,22 +9,17 @@ from ifgames.errors import SizeLimitError
 from ifgames.linalg import solve_linear_system
 from ifgames.matrix_game import GameMatrix, MixedStrategy, reduce, tallies
 from ifgames.value_engine import (
-    _GREEDY_RESTARTS,
     METHOD_BALANCED,
-    METHOD_BALANCED_SUBMATRIX,
     METHOD_LP,
     METHOD_SUPPORT_ENUMERATION,
     METHOD_TRIVIAL_LOSS,
     METHOD_TRIVIAL_WIN,
     _certified,
-    _local_optima,
-    balanced_submatrix_certificate,
     balanced_value,
     detect_trivial,
     solve_by_support_enumeration,
     solve_game,
     solve_value,
-    submatrix_lower_bound,
     verify_equilibrium,
 )
 
@@ -138,191 +131,6 @@ class TestBalancedValue:
             assert report is not None
             assert report.value == solve_value(u).value
             assert verify_equilibrium(u, report.eloise, report.abelard)
-
-
-class TestSubmatrixLowerBound:
-    def test_winning_row_found(self):
-        bound, rows = submatrix_lower_bound(M4_WIN)
-        assert bound == 1 and rows == frozenset({3})
-
-    def test_identity_needs_all_rows(self):
-        bound, rows = submatrix_lower_bound(identity_matrix(3))
-        assert bound == Fraction(1, 3) and rows == frozenset({0, 1, 2})
-
-    def test_zero_row(self):
-        assert submatrix_lower_bound(GameMatrix([[0, 0]]))[0] == 0
-
-    def test_exhaustive_size_cap(self):
-        # Past 15 rows the bound comes from the local search.
-        big = GameMatrix([[1] * 2 for _ in range(16)])
-        bound, _ = submatrix_lower_bound(big)
-        assert bound == 1
-
-    def test_bounds_value_on_random_corpus(self, rng):
-        for _ in range(60):
-            u = random_matrix(rng, 10, 8)
-            value = solve_value(u).value
-            bound, _ = submatrix_lower_bound(u)
-            assert bound <= value
-            greedy = _local_optima(range(u.m), lambda subset: _reference_floor(u, subset))
-            greedy_bound, _ = max(greedy, key=itemgetter(0))
-            assert greedy_bound <= bound
-
-
-class TestBalancedSubmatrixCertificate:
-    def test_balanced_game_uses_all_rows(self):
-        report = balanced_submatrix_certificate(identity_matrix(3))
-        assert report is not None
-        assert report.value == Fraction(1, 3)
-        assert report.method == METHOD_BALANCED_SUBMATRIX
-        assert report.eloise.probs == (Fraction(1, 3),) * 3
-
-    def test_duplicated_identity_row(self):
-        u = GameMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])
-        report = balanced_submatrix_certificate(u)
-        assert report is not None
-        assert report.value == Fraction(1, 3)
-        assert verify_equilibrium(u, report.eloise, report.abelard)
-
-    def test_worked_5x6_never_unverified(self):
-        for u in (M5X6_A, M5X6_B):
-            report = balanced_submatrix_certificate(u)
-            if report is not None:
-                assert verify_equilibrium(u, report.eloise, report.abelard)
-                assert report.value == solve_value(u).value
-
-    def test_sound_on_random_corpus(self, rng):
-        hits = 0
-        for _ in range(80):
-            u = random_matrix(rng, 7, 7)
-            report = balanced_submatrix_certificate(u)
-            if report is not None:
-                hits += 1
-                assert report.value == solve_value(u).value
-        assert hits > 0
-
-    def test_greedy_search_above_the_exhaustive_cap(self):
-        u = GameMatrix([[1, 1, 1]] * 17)  # 17 candidate rows forces the greedy path
-        report = balanced_submatrix_certificate(u)
-        assert report is not None and report.value == 1
-
-    def test_greedy_may_come_up_empty_but_never_lies(self):
-        report = balanced_submatrix_certificate(identity_matrix(17))
-        if report is not None:
-            assert report.value == Fraction(1, 17)
-
-
-class TestLocalSearchAgainstReference:
-    """The shared local search gives what the two searches it replaced gave."""
-
-    def test_greedy_lower_bound(self, rng):
-        for _ in range(12):
-            u = random_matrix_with_rows(rng, rng.randint(16, 20), rng.randint(3, 8))
-            assert submatrix_lower_bound(u) == _reference_greedy_search(
-                u, lambda subset: _reference_floor(u, subset)
-            )
-
-    def test_certificate_on_many_max_sum_rows(self, rng):
-        games = [identity_matrix(17), GameMatrix([[1, 1, 0]] * 17)]
-        for _ in range(24):
-            m, n = rng.randint(16, 20), rng.randint(3, 6)
-            k = rng.randint(1, n - 1)
-            # Most rows share the maximum sum k, so more than 15 candidates
-            # send the certificate down its local-search branch.
-            rows = [rng.sample(range(n), k) for _ in range(m)]
-            rows = [row if rng.random() < 0.95 else row[:-1] for row in rows]
-            games.append(GameMatrix([[1 if j in row else 0 for j in range(n)] for row in rows]))
-        greedy_runs = hits = 0
-        for u in games:
-            greedy_runs += u.row_sums().count(max(u.row_sums())) > 15
-            report = balanced_submatrix_certificate(u)
-            assert report == _reference_certificate(u)
-            hits += report is not None
-        assert greedy_runs >= 12 and 3 <= hits < len(games)
-
-
-def random_matrix_with_rows(rng, m, n):
-    p = rng.uniform(0.2, 0.8)
-    return GameMatrix([[1 if rng.random() < p else 0 for _ in range(n)] for _ in range(m)])
-
-
-def _reference_floor(u, subset):
-    cols = u.array[list(subset), :].sum(axis=0, dtype=int)
-    return Fraction(int(cols.min()), len(subset))
-
-
-def _reference_spread(u, subset):
-    cols = u.array[list(subset), :].sum(axis=0, dtype=int)
-    return int(cols.max() - cols.min())
-
-
-def _reference_greedy_search(u, score):
-    """The row-submatrix local search as it stood on its own."""
-    rng = random.Random(0)
-    best = None
-    for _ in range(_GREEDY_RESTARTS):
-        current = frozenset(i for i in range(u.m) if rng.random() < 0.5) or frozenset({rng.randrange(u.m)})
-        current_score = score(current)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(u.m):
-                candidate = current - {i} if i in current else current | {i}
-                if not candidate:
-                    continue
-                s = score(candidate)
-                if s > current_score:
-                    current, current_score = frozenset(candidate), s
-                    improved = True
-        if best is None or current_score > best[0]:
-            best = (current_score, current)
-    return best
-
-
-def _reference_certificate(u):
-    """The balanced-row-submatrix certificate with its own inline search."""
-    rowmax = max(u.row_sums())
-    candidates = [i for i, s in enumerate(u.row_sums()) if s == rowmax]
-    nu = MixedStrategy.uniform(u.n, "column")
-    value = Fraction(rowmax, u.n)
-
-    def attempt(subset):
-        if _reference_spread(u, subset) != 0:
-            return None
-        mu = MixedStrategy.uniform_on(subset, u.m, "row")
-        if not verify_equilibrium(u, mu, nu):
-            return None
-        return _certified(u, value, mu, nu, METHOD_BALANCED_SUBMATRIX)
-
-    if len(candidates) <= 15:
-        for size in range(1, len(candidates) + 1):
-            for subset in combinations(candidates, size):
-                report = attempt(subset)
-                if report is not None:
-                    return report
-        return None
-    rng = random.Random(0)
-    for _ in range(_GREEDY_RESTARTS):
-        subset = frozenset(i for i in candidates if rng.random() < 0.5) or frozenset(
-            {candidates[rng.randrange(len(candidates))]}
-        )
-        spread = _reference_spread(u, subset)
-        improved = True
-        while improved and spread > 0:
-            improved = False
-            for i in candidates:
-                candidate = subset - {i} if i in subset else subset | {i}
-                if not candidate:
-                    continue
-                s = _reference_spread(u, candidate)
-                if s < spread:
-                    subset, spread = frozenset(candidate), s
-                    improved = True
-        if spread == 0:
-            report = attempt(sorted(subset))
-            if report is not None:
-                return report
-    return None
 
 
 class TestVerifyEquilibrium:
