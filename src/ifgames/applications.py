@@ -17,7 +17,7 @@ from math import factorial
 from .errors import BudgetExceededError, SizeLimitError
 from .formula import MAX_NESTING, App, Atom, Connective, Equals, Formula, Quant, Var
 from .matrix_game import MixedStrategy, expected_utility, security_levels
-from .semantic_game import DEFAULT_STRATEGY_BUDGET, ELOISE, ReducedForm, build_reduced, check_cells
+from .semantic_game import DEFAULT_STRATEGY_BUDGET, ELOISE, ReducedForm, build_reduced, check_matrix_size
 from .structure import Structure, total_function_table
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def birthday_game(n: int, m: int) -> tuple[Formula, Structure]:
             f"under the formula nesting cap of {MAX_NESTING}"
         )
     sentence = birthday_sentence(m)
-    check_cells(count, count, sentence)
+    check_matrix_size(count, count, sentence)
     return sentence, cyclic_structure(n)
 
 
@@ -216,20 +216,15 @@ def minimal_degree_indices(spec: HashStructureSpec) -> frozenset[int]:
 def adversary_pair_columns(spec: HashStructureSpec, form: ReducedForm) -> frozenset[int]:
     """Reduced columns of the hashing game whose adversary realizes two distinct keys.
 
-    The adversary's decision points are the merged first and second universal;
-    a reduced strategy assigns exactly its first pick c, its flat cell 0,
-    and its second-pick table entry at c, the cell after it.  With a single
-    function the sentence has perfect information and collapses: the
-    adversary has no decision point, no cells, and no pair column."""
-    chosen = []
-    for j, cells in enumerate(form.abelard.cells):
-        if not cells:
-            continue
-        first = cells[0]
-        second = cells[1 + first]
-        if first < spec.key_count and second < spec.key_count and first != second:
-            chosen.append(j)
-    return frozenset(chosen)
+    Table 0 is the constant function, which sends every key to one value: it
+    collides on exactly the distinct-key pairs, so Eloise's row for it
+    (representative 0) is 0 in exactly those columns.  A single table leaves
+    no choice to hide: the sentence has perfect information and collapses to
+    a 1x1 game with no pair column."""
+    if len(spec.functions) == 1:
+        return frozenset()
+    row = form.matrix.array[form.eloise.reps.index(0)].tolist()
+    return frozenset(j for j, win in enumerate(row) if not win)
 
 
 def hashing_equilibrium(structure: Structure, spec: HashStructureSpec) -> HashingEquilibrium:

@@ -153,7 +153,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _read_input(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:  # a leading byte-order mark is dropped
             return f.read()
     except OSError as e:
         raise _UsageError(str(e)) from None

@@ -298,7 +298,9 @@ def parse_matrix(text: str) -> GameMatrix:
         if len(entries) != n or not {"0", "1"}.issuperset(entries):
             raise IfGamesError(f"bad matrix row {line!r}")
         digits.append("".join(entries))
-    return GameMatrix((np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8) - ord("0")).reshape(m, n))
+    # Every entry is checked above, so the fresh array is taken without a rescan or a copy.
+    entries = np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8) - ord("0")
+    return GameMatrix._from_array(entries.reshape(m, n))
 
 
 def format_matrix(u: GameMatrix) -> str:

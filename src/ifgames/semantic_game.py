@@ -305,7 +305,7 @@ class Game:
         refuses a game that `collapse=False` accepts."""
         n_rows = self.strategy_count(ELOISE, budget)
         n_cols = self.strategy_count(ABELARD, budget)
-        check_cells(n_rows, n_cols, self.formula)
+        check_matrix_size(n_rows, n_cols, self.formula)
         size, chain = self.structure.size, self._chain
         if size**chain > budget:
             raise SizeLimitError(
@@ -513,7 +513,7 @@ class Game:
         return out
 
 
-def check_cells(n_rows: int, n_cols: int, formula: Formula) -> None:
+def check_matrix_size(n_rows: int, n_cols: int, formula: Formula) -> None:
     """Refuse a full game of `formula` with more cells than the safety cap."""
     if n_rows * n_cols > _MAX_MATRIX_CELLS:
         raise GameBuildError(

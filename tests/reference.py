@@ -3,7 +3,8 @@
 A full-table strategy enumerator and a walker-free play resolver, which
 resolve each play on its own, one path through the formula with every move
 read off a choice table; the hashing lambda-step behind
-`minimal_degree_indices`; the canonical structure writer the tests use to
+`minimal_degree_indices` and the table reading behind
+`adversary_pair_columns`; the canonical structure writer the tests use to
 make fixture files; and the named-group tokenizer the formula tokenizer is
 checked against.
 """
@@ -154,7 +155,7 @@ def _eloise_wins(s, f, assignment):
 
 
 # ---------------------------------------------------------------------------
-# The hashing lambda-step
+# Hashing: the lambda-step and the adversary's distinct-key columns
 
 
 def lambda_step(table: tuple[int, ...], value_count: int) -> tuple[int, ...]:
@@ -178,6 +179,22 @@ def lambda_step(table: tuple[int, ...], value_count: int) -> tuple[int, ...]:
 def colliding_pair_count(table: tuple[int, ...], value_count: int) -> int:
     """Ordered pairs of distinct keys the table sends to one value."""
     return sum(z * (z - 1) for z in map(table.count, range(value_count)))
+
+
+def reference_adversary_pairs(spec, form) -> frozenset[int]:
+    """Reduced columns whose adversary picks two distinct keys, read off
+    Abelard's flat choice tables: the merged first universal is cell 0, and
+    the second universal's table entry at first pick c is cell 1 + c.  With a
+    single table the game collapses and the adversary has no cells."""
+    chosen = []
+    for j, cells in enumerate(form.abelard.cells):
+        if not cells:
+            continue
+        first = cells[0]
+        second = cells[1 + first]
+        if first < spec.key_count and second < spec.key_count and first != second:
+            chosen.append(j)
+    return frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------

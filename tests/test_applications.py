@@ -16,14 +16,14 @@ from ifgames.applications import (
     matching_pennies,
     minimal_degree_indices,
 )
-from ifgames.errors import SizeLimitError
+from ifgames.errors import BudgetExceededError, SizeLimitError
 from ifgames.formula import Connective, Equals, Quant, format_formula, parse, validate
 from ifgames.matrix_game import GameMatrix, MixedStrategy, reduce as mg_reduce
 from ifgames.semantic_game import build_matrix, build_reduced
 from ifgames.value_engine import solve_value, verify_equilibrium
 
 from conftest import identity_matrix
-from reference import colliding_pair_count, lambda_step
+from reference import colliding_pair_count, lambda_step, reference_adversary_pairs
 
 
 def birthday_oracle_matrix(n: int, m: int) -> GameMatrix:
@@ -343,3 +343,25 @@ class TestHashingEquilibrium:
         assert len(pairs) == 3 * 2
         assert {form.abelard.weights[j] for j in pairs} == {5**4}
         assert hashing_equilibrium(structure, spec).adversary_pair_count == 3 * 2 * 5**4
+
+    def test_adversary_pair_columns_match_the_table_reading(self):
+        # Every spec with at most 6 keys and 6 values: the 16 that build
+        # within the default budget agree with the reading of Abelard's
+        # choice tables; the rest are refused before either rule runs.
+        built = []
+        for keys, values in product(range(1, 7), repeat=2):
+            try:
+                structure, spec = hash_structure(keys, values)
+                form = build_reduced(structure, hashing_sentence(spec))
+            except (BudgetExceededError, SizeLimitError):
+                continue
+            assert adversary_pair_columns(spec, form) == reference_adversary_pairs(spec, form), (keys, values)
+            built.append((keys, values))
+        assert built == [
+            (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+            (2, 1), (2, 2), (2, 3), (2, 4),
+            (3, 1), (3, 2), (3, 3),
+            (4, 1), (4, 2),
+            (5, 1),
+            (6, 1),
+        ]

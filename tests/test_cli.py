@@ -117,15 +117,21 @@ class TestOtherCommands:
         assert "verified=true" in out
         assert "minimal_degree_indices=1,2" in out
 
-    def test_hashing_single_function(self):
-        # One function leaves no choice to hide: the sentence has perfect
-        # information and collapses to one cell, which the adversary loses.
-        code, out = run_cli("hashing", "2", "1", "--format", "machine")
-        assert code == 0
-        assert out == (
-            "command=hashing\nrows=1\ncols=1\nfloor=0/1\nceil=0/1\nvalue=0/1\nmethod=hashing-certificate\n"
-            "verified=true\nminimal_degree_indices=0\neloise=0:1/1\nadversary_pair_count=0\n"
-        )
+    @pytest.mark.parametrize(
+        "keys, values, expected",
+        [
+            # One table leaves no choice to hide: the sentence has perfect
+            # information, collapses to one cell, and has no pair column.
+            (2, 1, "rows=1\ncols=1\nfloor=0/1\nceil=0/1\nvalue=0/1\nmethod=hashing-certificate\nverified=true\n"
+                   "minimal_degree_indices=0\neloise=0:1/1\nadversary_pair_count=0\n"),
+            # Two tables but one key: no distinct pair exists, and every column wins for Eloise.
+            (1, 2, "rows=2\ncols=81\nfloor=1/1\nceil=1/1\nvalue=1/1\nmethod=hashing-certificate\nverified=true\n"
+                   "minimal_degree_indices=0,1\neloise=0:1/2 1:1/2\nadversary_pair_count=0\n"),
+        ],
+        ids=["one-table", "one-key"],
+    )
+    def test_hashing_output_pinned(self, keys, values, expected):
+        assert run_cli_all("hashing", keys, values, "--format", "machine") == (0, "command=hashing\n" + expected, "")
 
     def test_hashing_unverified_pair_reports_the_solved_value(self, monkeypatch):
         real = applications.hashing_equilibrium
@@ -261,6 +267,28 @@ class TestProbes:
         code, err = run_cli_stderr("value", *inputs)
         assert code == EXIT_PARSE
         assert "Traceback" not in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--structure", "--formula-file"])
+    def test_input_file_with_a_utf8_byte_order_mark(self, tmp_path, flag):
+        # The mark is dropped: the run matches the one on the same file without it.
+        plain = {
+            "--matrix": FIXTURES / "m5x6_b.txt",
+            "--structure": FIXTURES / "cyclic3.json",
+            "--formula-file": tmp_path / "formula.txt",
+        }
+        plain["--formula-file"].write_text("Ax (Ey/x) x = y", encoding="utf-8")
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain[flag].read_bytes())
+
+        def argv(paths):
+            if flag == "--matrix":
+                return ["value", "--matrix", paths["--matrix"], "--format", "machine"]
+            return ["value", "--structure", paths["--structure"], "--formula-file", paths["--formula-file"],
+                    "--format", "machine"]
+
+        expected = run_cli_all(*argv(plain))
+        assert expected[0] == EXIT_OK and expected[1].startswith("command=value\n")
+        assert run_cli_all(*argv({**plain, flag: marked})) == expected
 
     @pytest.mark.parametrize(
         "size, formula, flags, refusal",

@@ -408,6 +408,13 @@ class TestTextFormat:
         assert u.array.tolist() == [[0, 1, 1], [1, 0, 0]]
         assert u.array.dtype == np.uint8
 
+    @pytest.mark.parametrize("name", ["m5x6_a.txt", "m5x6_b.txt", "m4_mixed.txt", "zeros1x1.txt"])
+    def test_parsed_matrix_is_read_only_uint8(self, name):
+        text = (FIXTURES / name).read_text()
+        u = parse_matrix(text)
+        assert u.array.dtype == np.uint8 and not u.array.flags.writeable
+        assert u.array.tolist() == [[int(d) for d in line.split()] for line in text.splitlines()[1:] if line.strip()]
+
 
 def _random_mix(rng: random.Random, k: int, side: str) -> MixedStrategy:
     weights = [rng.randint(0, 6) for _ in range(k)]
