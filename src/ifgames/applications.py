@@ -17,7 +17,7 @@ from math import factorial
 from .errors import BudgetExceededError, SizeLimitError
 from .formula import MAX_NESTING, App, Atom, Connective, Equals, Formula, Quant, Var
 from .matrix_game import MixedStrategy, expected_utility, security_levels
-from .semantic_game import DEFAULT_STRATEGY_BUDGET, ELOISE, ReducedForm, build_reduced, check_matrix_size
+from .semantic_game import ABELARD, DEFAULT_STRATEGY_BUDGET, ELOISE, ReducedForm, build_reduced, check_matrix_size
 from .structure import Structure, total_function_table
 
 # ---------------------------------------------------------------------------
@@ -112,10 +112,6 @@ class HashStructureSpec:
     value_count: int
     functions: tuple[tuple[int, ...], ...]
 
-    @property
-    def universe_size(self) -> int:
-        return self.key_count + self.value_count
-
 
 @dataclass(frozen=True)
 class HashingEquilibrium:
@@ -143,17 +139,22 @@ _MAX_FUNCTIONS = 4096
 def hash_structure(key_count: int, value_count: int) -> tuple[Structure, HashStructureSpec]:
     """Keys 0..k-1 marked by the unary relation U, values after them, and one
     unary function symbol per table (identity off the key block, which never
-    matters because the sentence guards with U)."""
+    matters because the sentence guards with U).  Refused before any table
+    is built when Abelard's strategies in the hashing game pass the default
+    budget: he picks x blind and y seeing x, so a universe of size s gives
+    him s^(s + 1), unless a single table collapses the game."""
     if key_count < 1 or value_count < 1:
         raise ValueError("need at least one key and one value")
-    if key_count + value_count > _MAX_UNIVERSE:
-        raise SizeLimitError(f"universe of {key_count + value_count} exceeds the {_MAX_UNIVERSE} cap")
+    size = key_count + value_count
+    if size > _MAX_UNIVERSE:
+        raise SizeLimitError(f"universe of {size} exceeds the {_MAX_UNIVERSE} cap")
     total = value_count**key_count
     if total > _MAX_FUNCTIONS:
         raise SizeLimitError(f"{total} hash functions exceed the {_MAX_FUNCTIONS} cap")
+    if total > 1 and size ** (size + 1) > DEFAULT_STRATEGY_BUDGET:
+        raise BudgetExceededError(ABELARD, size ** (size + 1), DEFAULT_STRATEGY_BUDGET)
     tables = tuple(product(range(value_count), repeat=key_count))
     spec = HashStructureSpec(key_count=key_count, value_count=value_count, functions=tables)
-    size = spec.universe_size
     functions = {}
     for i, table in enumerate(tables):
         functions[f"f{i}"] = {

@@ -6,11 +6,15 @@ stores.  They share one integer-preserving (Edmonds/Bareiss) pivot, an
 in-place numpy update of the whole table.  Every entry it leaves is a minor of
 the starting table, so a Hadamard bound on those minors picks the dtype once:
 int64 when no pivot product can reach 2^62, else `object` (exact Python ints).
-The simplex, for the security-level program of a payoff matrix, enters the
-largest reduced cost (Dantzig, ties to the smallest index); after
-`_DEGENERATE_RUN` pivots in a row that leave v unchanged it enters the smallest
-improving index (Bland) until v rises.  Bland cannot cycle and v never falls,
+The simplex solves the textbook game program of a payoff matrix u, maximize
+sum y s.t. u.y <= 1, y >= 0, whose value is 1 / sum y, with the columns sorted
+by ascending sum and the rows by descending sum.  It enters the largest
+reduced cost (Dantzig, ties to the smallest index); after `_DEGENERATE_RUN`
+pivots in a row that leave sum y unchanged it enters the smallest improving
+index (Bland) until sum y rises.  Bland cannot cycle and sum y never falls,
 so it terminates, with an exact optimum and dual certificate.
+Its minors have order at most min(m, n) + 1, so 0/1 games of up to 14
+strategies on the smaller side run in int64.
 """
 
 from __future__ import annotations
@@ -84,39 +88,46 @@ def solve_linear_system(a: np.ndarray, b: np.ndarray) -> tuple[tuple[list[int], 
 
 
 def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], tuple[list[int], int]]:
-    """Exact optimum of: maximize v s.t. mu.col(j) >= v for all j, sum mu = 1, mu >= 0.
+    """The value of the game with payoff matrix `u` and an optimal pair, by
+    the textbook program: maximize sum y s.t. u.y <= 1, y >= 0.
 
-    `u` is the m x n payoff matrix, an integer numpy array.  Its entries
-    must be nonnegative, which makes the optimal v nonnegative, so v needs no
-    sign split.  Returns (v, (mu_nums, d), (nu_raw, total)): mu_i = mu_nums[i] / d
-    attains the maximum, and nu_j = nu_raw[j] / total, the dual vector read off
-    the optimal tableau, is a column mixture with max_i row(i).nu == v; d > 0
-    and total > 0.
+    `u` is an m x n integer numpy array of nonnegative entries.  A zero column
+    holds every row to 0, so such a game has value 0 and the point masses on
+    row 0 and the first zero column, with no tableau.  Otherwise the value v
+    is positive and the program bounded: v = 1 / sum y, Abelard's mix is
+    y / sum y, and Eloise's is x / sum x for the duals x of the rows, the
+    slack reduced costs, where sum x = sum y.  Columns enter in order of
+    ascending sum and rows sit in order of descending sum (both stable).
+    Returns (v, (mu_nums, d), (nu_raw, total)) with mu_i = mu_nums[i] / d and
+    nu_j = nu_raw[j] / total in the caller's order, d > 0 and total > 0.
     """
     _check_integer(u)
-    if u.ndim != 2 or 0 in u.shape or (u < 0).any():
+    if u.ndim != 2 or 0 in u.shape or u.min() < 0:
         raise ValueError("this LP form requires a nonempty matrix of nonnegative entries")
     m, n = u.shape
-    # Variable order (also the Bland order): mu_0..mu_{m-1}, v, s_0..s_{n-1}.
-    v_idx, nvars, reduced = m, m + 1 + n, n + 1
-
-    # Row j encodes -mu.col(j) + v + s_j = 0; row n encodes sum mu = 1.
-    # Pivoting mu_0 into the sum row and adding u[0][j] times it to row j
-    # yields a feasible starting basis {s_0..s_{n-1}, mu_0} with determinant
-    # 1, so the common denominator starts at 1.  The last row holds the
-    # reduced costs for maximizing v; all initial basic variables cost 0.
-    # Every entry is at most max(u) in absolute value, and past the identity
-    # columns every minor is one of the (n + 2) x (m + 2) block.
-    u = u.astype(_dtype(max(int(u.max()), 1), min(m, n) + 2))
-    tableau = np.zeros((n + 2, nvars + 1), dtype=u.dtype)
-    tableau[:n, :m] = u[0, :, None] - u.T
-    tableau[:n, nvars] = u[0]
-    np.fill_diagonal(tableau[:n, v_idx + 1 : nvars], 1)
-    tableau[:n, v_idx] = tableau[n, :m] = tableau[n, nvars] = tableau[reduced, v_idx] = 1
-    basis = [v_idx + 1 + j for j in range(n)] + [0]
-    d, degenerate = 1, 0  # degenerate: pivots in a row that left v unchanged
+    # Past the identity columns every minor of [u | I | 1; 1 | 0 | 0] has
+    # order min(m, n) + 1 or less, and every entry is at most max(u).
+    u = u.astype(_dtype(int(u.max()), min(m, n) + 1))
+    col_sums = u.sum(axis=0).tolist()
+    if 0 in col_sums:
+        mu, nu = [0] * m, [0] * n
+        mu[0] = nu[col_sums.index(0)] = 1
+        return Fraction(0), (mu, 1), (nu, 1)
+    row_sums = u.sum(axis=1).tolist()
+    rows = sorted(range(m), key=row_sums.__getitem__, reverse=True)
+    cols = sorted(range(n), key=col_sums.__getitem__)
+    # Variable order (also the Bland order): y_0..y_{n-1}, s_0..s_{m-1}.  The
+    # slacks form a feasible starting basis with determinant 1, so the common
+    # denominator starts at 1.  Row m holds the reduced costs of sum y.
+    nvars = n + m
+    tableau = np.zeros((m + 1, nvars + 1), dtype=u.dtype)
+    tableau[:m, :n] = u.take(rows, 0).take(cols, 1)
+    np.fill_diagonal(tableau[:m, n:nvars], 1)
+    tableau[:m, nvars] = tableau[m, :n] = 1
+    basis = list(range(n, nvars))
+    d, degenerate = 1, 0  # degenerate: pivots in a row that left sum y unchanged
     while True:
-        costs = tableau[reduced, :nvars].tolist()
+        costs = tableau[m, :nvars].tolist()
         best = max(costs)
         if best <= 0:
             break
@@ -124,7 +135,7 @@ def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], t
         entering = costs.index(best) if dantzig else next(j for j, x in enumerate(costs) if x > 0)
         # The ratios rhs/coef do not depend on d; compare them by
         # cross-multiplying (coef > 0); ties go to the smaller basis index.
-        column, values = tableau[:reduced, entering].tolist(), tableau[:reduced, nvars].tolist()
+        column, values = tableau[:m, entering].tolist(), tableau[:m, nvars].tolist()
         pivot_row = None
         for r, coef in enumerate(column):
             if coef > 0:
@@ -140,12 +151,13 @@ def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], t
         d = _pivot(tableau, pivot_row, entering, d)
         basis[pivot_row] = entering
 
-    # Basic values share the denominator d; nonbasic ones are 0.
-    basic = dict(zip(basis, tableau[:reduced, nvars].tolist()))
-    # Duals of the column constraints sit in the slack reduced costs; they
-    # form an unnormalized column mixture whose normalization caps the value.
-    raw = (-tableau[reduced, v_idx + 1 : nvars]).tolist()
-    total = sum(raw)
-    if total <= 0:
-        raise RuntimeError("optimal tableau yielded no dual mixture")
-    return Fraction(basic.get(v_idx, 0), d), ([basic.get(i, 0) for i in range(m)], d), (raw, total)
+    # Basic values share the denominator d and nonbasic ones are 0; the
+    # objective's right-hand side is -d * sum y, and the slack reduced costs
+    # are -d * x, so both mixes share the denominator d * sum y.
+    total = -int(tableau[m, nvars])
+    mu, nu = [0] * m, [0] * n
+    for i, x, b, y in zip(rows, (-tableau[m, n:nvars]).tolist(), basis, tableau[:m, nvars].tolist()):
+        mu[i] = x
+        if b < n:
+            nu[cols[b]] = y
+    return Fraction(d, total), (mu, total), (nu, total)

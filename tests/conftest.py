@@ -1,7 +1,9 @@
 """Shared fixtures: the worked matrices, seeded generators, fixture paths, and
 a formula evaluator that shares no code with the package."""
 
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,19 @@ from ifgames.formula import App, Atom, Connective, Equals, Quant, Var, Vocabular
 from ifgames.matrix_game import GameMatrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def perfbench_workloads():
+    """The benchmark's `perfbench/workloads.py`, loaded by its path, so the
+    tests read the benchmark's inputs without importing perfbench."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
 
 # The two wins-for-one-side 4x4 games and the undetermined one worked out in full.
 M4_LOSS = GameMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 0]])

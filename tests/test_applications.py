@@ -19,7 +19,7 @@ from ifgames.applications import (
 from ifgames.errors import BudgetExceededError, SizeLimitError
 from ifgames.formula import Connective, Equals, Quant, format_formula, parse, validate
 from ifgames.matrix_game import GameMatrix, MixedStrategy, reduce as mg_reduce
-from ifgames.semantic_game import build_matrix, build_reduced
+from ifgames.semantic_game import ABELARD, DEFAULT_STRATEGY_BUDGET, Game, build_matrix, build_reduced
 from ifgames.value_engine import solve_value, verify_equilibrium
 
 from conftest import identity_matrix
@@ -44,7 +44,7 @@ def hashing_oracle_matrix(spec: HashStructureSpec) -> GameMatrix:
     """Directly tabulated hashing game over realized pairs: one column per
     ordered universe pair; the row player loses only on a colliding distinct
     key pair."""
-    size = spec.universe_size
+    size = spec.key_count + spec.value_count
     columns = list(product(range(size), repeat=2))
     rows = []
     for table in spec.functions:
@@ -169,6 +169,26 @@ class TestHashStructure:
             hash_structure(40, 40)
         with pytest.raises(SizeLimitError):
             hash_structure(13, 2)  # 8192 tables
+
+    def test_abelard_count_refused_before_building(self):
+        # Abelard's count in the hashing game is s^(s + 1) on a universe of
+        # s whenever there are two or more tables: checked against the built
+        # game wherever it fits the budget, and refused with it elsewhere.
+        built = 0
+        for keys, values in list(product(range(1, 9), repeat=2)) + [(12, 2), (1, 63), (2, 62)]:
+            size, tables = keys + values, values**keys
+            if tables == 1 or tables > 4096:
+                continue
+            if size ** (size + 1) > DEFAULT_STRATEGY_BUDGET:
+                with pytest.raises(BudgetExceededError) as refused:
+                    hash_structure(keys, values)
+                assert (refused.value.player, refused.value.count) == (ABELARD, size ** (size + 1))
+                continue
+            structure, spec = hash_structure(keys, values)
+            game = Game(structure, hashing_sentence(spec))
+            assert game.strategy_count(ABELARD, DEFAULT_STRATEGY_BUDGET) == size ** (size + 1)
+            built += 1
+        assert built == 10  # every spec with K + V <= 6 and V >= 2
 
 
 class TestHashingSentence:

@@ -1,8 +1,5 @@
-import importlib.util
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +23,7 @@ from ifgames.formula import (
 from ifgames.semantic_game import build_matrix
 from ifgames.structure import Structure, load_structure
 
-from conftest import TEST_VOCAB, random_sentence
+from conftest import TEST_VOCAB, perfbench_workloads, random_sentence
 from reference import reference_tokenize
 from test_cli import _formula_texts
 
@@ -356,16 +353,10 @@ def tokens_or_error(text, tokenize=_tokenize):
 
 def _sentence_corpus_formulas(seeds):
     """Every `--formula` of the benchmark's sentence_corpus workload."""
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(workloads)
-        for seed in seeds:
-            for op in workloads.sentence_corpus(seed).ops:
-                yield op.argv[op.argv.index("--formula") + 1]
-    finally:
-        del sys.modules[spec.name]
+    workloads = perfbench_workloads()
+    for seed in seeds:
+        for op in workloads.sentence_corpus(seed).ops:
+            yield op.argv[op.argv.index("--formula") + 1]
 
 
 class TestTokenize:
