@@ -65,7 +65,6 @@ from .value_engine import (
     ValueReport,
     balanced_value,
     detect_trivial,
-    solve_by_support_enumeration,
     solve_game,
     solve_value,
     verify_equilibrium,

@@ -70,9 +70,9 @@ def birthday_sentence(m: int) -> Formula:
 
 def birthday_game(n: int, m: int) -> tuple[Formula, Structure]:
     """`birthday_sentence(m)` on `cyclic_structure(n)`, refused before the
-    n x n table is built: past the default budget on n ** m strategies (not
-    formed when too long to print), past the nesting cap of parsed formulas
-    on 2m quantifiers, and then past the cell cap."""
+    sentence or the n x n table is built: past the default budget on n ** m
+    strategies (not formed when too long to print), past the nesting cap of
+    parsed formulas on 2m quantifiers, and then past the cell cap."""
     if m < 2 or n < 1:  # the builders' to refuse
         return birthday_sentence(m), cyclic_structure(n)
     log2_floor = m * (n.bit_length() - 1)  # n ** m >= 2 ** log2_floor
@@ -84,9 +84,8 @@ def birthday_game(n: int, m: int) -> tuple[Formula, Structure]:
             f"the birthday game nests 2M quantifiers, so M must be at most {MAX_NESTING // 2} "
             f"under the formula nesting cap of {MAX_NESTING}"
         )
-    sentence = birthday_sentence(m)
-    check_matrix_size(count, count, sentence)
-    return sentence, cyclic_structure(n)
+    check_matrix_size(count, count)
+    return birthday_sentence(m), cyclic_structure(n)
 
 
 def birthday_closed_form(n: int, m: int) -> tuple[Fraction, Fraction]:

@@ -1,11 +1,12 @@
-"""Exact linear algebra on integer numpy tables: Gauss-Jordan elimination and a tableau simplex.
+"""Exact linear programming on integer numpy tables: a tableau simplex for the game program.
 
-Both take integer numpy arrays (any other dtype raises ValueError) and return
-numerators over one positive common denominator, the pair a `MixedStrategy`
-stores.  They share one integer-preserving (Edmonds/Bareiss) pivot, an
-in-place numpy update of the whole table.  Every entry it leaves is a minor of
-the starting table, so a Hadamard bound on those minors picks the dtype once:
-int64 when no pivot product can reach 2^62, else `object` (exact Python ints).
+It takes an integer numpy array (any other dtype raises ValueError) and
+returns numerators over one positive common denominator, the pair a
+`MixedStrategy` stores.  Its pivot is integer-preserving (Edmonds/Bareiss),
+an in-place numpy update of the whole table.  Every entry it leaves is a
+minor of the starting table, so a Hadamard bound on those minors picks the
+dtype once: int64 when no pivot product can reach 2^62, else `object` (exact
+Python ints).
 The simplex solves the textbook game program of a payoff matrix u, maximize
 sum y s.t. u.y <= 1, y >= 0, whose value is 1 / sum y, with the columns sorted
 by ascending sum and the rows by descending sum.  It enters the largest
@@ -26,8 +27,8 @@ import numpy as np
 _DEGENERATE_RUN = 4
 
 
-def _check_integer(*arrays: np.ndarray) -> None:
-    if not all(isinstance(a, np.ndarray) and a.dtype.kind in "biu" for a in arrays):
+def _check_integer(a: np.ndarray) -> None:
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "biu"):
         raise ValueError("coefficients must be an integer numpy array")
 
 
@@ -50,41 +51,6 @@ def _pivot(table: np.ndarray, r: int, c: int, d: int) -> int:
     table //= d
     table[r] = prow
     return int(p)
-
-
-def solve_linear_system(a: np.ndarray, b: np.ndarray) -> tuple[tuple[list[int], int], bool] | None:
-    """Solve a . x = b exactly, for an m x n integer array `a` and an integer
-    vector `b` of length m.
-
-    Returns None when the system is inconsistent; otherwise ((nums, den),
-    unique) with x[c] = nums[c] / den and den > 0, where free variables, if
-    any, are set to 0 and `unique` says whether the solution is the only one.
-    """
-    _check_integer(a, b)
-    if a.ndim != 2 or b.shape != a.shape[:1]:
-        raise ValueError("matrix and right-hand side sizes differ")
-    aug = np.column_stack((a.astype(object), b.astype(object)))  # exact Python ints
-    aug = aug.astype(_dtype(int(abs(aug).max(initial=0)), min(aug.shape)))
-    ncols = aug.shape[1] - 1
-
-    d = 1
-    pivots: dict[int, int] = {}  # row -> its pivot column
-    for c in range(ncols):
-        column = aug[:, c].tolist()
-        r = next((i for i, x in enumerate(column) if x != 0 and i not in pivots), None)
-        if r is not None:
-            d = _pivot(aug, r, c, d)
-            pivots[r] = c
-    last = aug[:, ncols].tolist()
-    if any(x != 0 for i, x in enumerate(last) if i not in pivots):
-        return None
-    # Every pivot row ends with the final d on its pivot column; a negative d
-    # flips the signs of all numerators with it.
-    sign = 1 if d > 0 else -1
-    nums = [0] * ncols
-    for r, c in pivots.items():
-        nums[c] = sign * last[r]
-    return (nums, sign * d), len(pivots) == ncols
 
 
 def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], tuple[list[int], int]]:

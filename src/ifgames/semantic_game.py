@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, GameBuildError, SizeLimitError, shown
-from .formula import Connective, Formula, Quant, format_formula, validate
+from .formula import Connective, Formula, Quant, validate
 from .matrix_game import GameMatrix
 from .structure import MAX_ARRAY_ELEMENTS, Structure, compile_qf
 
@@ -305,7 +305,7 @@ class Game:
         refuses a game that `collapse=False` accepts."""
         n_rows = self.strategy_count(ELOISE, budget)
         n_cols = self.strategy_count(ABELARD, budget)
-        check_matrix_size(n_rows, n_cols, self.formula)
+        check_matrix_size(n_rows, n_cols)
         size, chain = self.structure.size, self._chain
         if size**chain > budget:
             raise SizeLimitError(
@@ -513,12 +513,11 @@ class Game:
         return out
 
 
-def check_matrix_size(n_rows: int, n_cols: int, formula: Formula) -> None:
-    """Refuse a full game of `formula` with more cells than the safety cap."""
+def check_matrix_size(n_rows: int, n_cols: int) -> None:
+    """Refuse a full game with more cells than the safety cap."""
     if n_rows * n_cols > _MAX_MATRIX_CELLS:
         raise GameBuildError(
-            f"matrix would hold {shown(n_rows * n_cols)} cells "
-            f"(over the {_MAX_MATRIX_CELLS} safety cap) for {format_formula(formula)!r}"
+            f"matrix would hold {shown(n_rows * n_cols)} cells (over the {_MAX_MATRIX_CELLS} safety cap)"
         )
 
 

@@ -1,26 +1,23 @@
 """Exact game values and the equilibrium certificates that back them.
 
-`solve_value` is the reference route: the security-level linear program over
-exact rationals.  `solve_by_support_enumeration` is an independent oracle that
-solves the equalizing linear system for every square support pair instead.
-`solve_game` is the one solve policy: trivial detection, the balanced
-shortcut, then, past 64 strategies on a side, reduce-and-lift (the shortcuts
-or the LP on the `matrix_game.reduce`d game, lifted back), and else the LP.
-The uniform bounds are `matrix_game.tallies`.  Every report handed out is
-certified before it leaves this module: what Eloise's strategy guarantees
-and what Abelard's caps both equal the reported value.
+`solve_value` is the exact route: the security-level linear program of
+`linalg.security_level_lp`, the package's one exact solver.  `solve_game` is
+the one solve policy: trivial detection, the balanced shortcut, then, past 64
+strategies on a side, reduce-and-lift (the shortcuts or the LP on the
+`matrix_game.reduce`d game, lifted back), and else the LP.  The uniform
+bounds are `matrix_game.tallies`.  Every report handed out is certified
+before it leaves this module: what Eloise's strategy guarantees and what
+Abelard's caps both equal the reported value.  The support-enumeration
+oracle the LP is checked against lives with the tests, in
+`tests/reference.py`, and shares no arithmetic with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-import numpy as np
-
-from .errors import SizeLimitError
-from .linalg import security_level_lp, solve_linear_system
+from .linalg import security_level_lp
 from .matrix_game import (
     GameMatrix,
     MixedStrategy,
@@ -32,10 +29,8 @@ METHOD_LP = "lp"
 METHOD_BALANCED = "balanced"
 METHOD_TRIVIAL_WIN = "trivial-win"
 METHOD_TRIVIAL_LOSS = "trivial-loss"
-METHOD_SUPPORT_ENUMERATION = "support-enumeration"
 
 _SOLVE_DIRECTLY_LIMIT = 64
-_SUPPORT_ENUMERATION_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -98,54 +93,6 @@ def solve_value(u: GameMatrix) -> ValueReport:
     built from the final tableau's integers."""
     value, (mu_nums, d), (nu_raw, total) = security_level_lp(u.array)
     return _certified(u, value, MixedStrategy(mu_nums, d, "row"), MixedStrategy(nu_raw, total, "column"), METHOD_LP)
-
-
-def solve_by_support_enumeration(u: GameMatrix) -> ValueReport:
-    """Independent oracle: solve the equalizing system for each square support pair.
-
-    Trivial wins and losses are peeled off first; for any other value some
-    square support pair admits a unique equalizing solution that passes the
-    deviation checks, so the scan below always returns.
-    """
-    cap = _SUPPORT_ENUMERATION_LIMIT
-    if u.m > cap or u.n > cap:
-        raise SizeLimitError(f"support enumeration is capped at {cap}x{cap}, got {u.m}x{u.n}")
-    trivial = detect_trivial(u)
-    if trivial is not None:
-        return replace(trivial, method=METHOD_SUPPORT_ENUMERATION)
-    for k in range(1, min(u.m, u.n) + 1):
-        for support_i in combinations(range(u.m), k):
-            for support_j in combinations(range(u.n), k):
-                report = _try_support_pair(u, support_i, support_j)
-                if report is not None:
-                    return report
-    raise RuntimeError("no support pair admitted an equilibrium; matrix entries outside {0,1}?")
-
-
-def _try_support_pair(u, support_i, support_j) -> ValueReport | None:
-    k = len(support_i)
-    sub = u.array[np.ix_(support_i, support_j)]
-    # mu on support_i equalizes the support_j columns at v, [sub.T | -1], and
-    # nu on support_j the support_i rows at w, [sub | -1].  Each mixture sums
-    # to 1, row 1 - unit, so v and w both equal the pair's expected utility.
-    unit = np.eye(k + 1, dtype=np.int64)[k]
-    solutions = []
-    for equalized in (sub.T, sub):
-        system = np.vstack((np.column_stack((equalized, np.full(k, -1))), 1 - unit))
-        solved = solve_linear_system(system, unit)
-        if solved is None or not solved[1]:
-            return None
-        (nums, den), _ = solved
-        if min(nums[:k]) < 0:
-            return None
-        solutions.append((nums, den))
-    (mu_nums, mu_den), (nu_nums, nu_den) = solutions
-    value = Fraction(mu_nums[k], mu_den)
-    mu = _lift(MixedStrategy(mu_nums[:k], mu_den, "row"), support_i, u.m)
-    nu = _lift(MixedStrategy(nu_nums[:k], nu_den, "column"), support_j, u.n)
-    if security_levels(u, mu, nu) != (value, value):
-        return None
-    return ValueReport(value=value, eloise=mu, abelard=nu, method=METHOD_SUPPORT_ENUMERATION)
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,25 @@ resolve each play on its own, one path through the formula with every move
 read off a choice table; the hashing lambda-step behind
 `minimal_degree_indices` and the table reading behind
 `adversary_pair_columns`; the canonical structure writer the tests use to
-make fixture files; and the named-group tokenizer the formula tokenizer is
-checked against.
+make fixture files; the named-group tokenizer the formula tokenizer is
+checked against; and the support-enumeration oracle the LP is checked
+against, which solves its equalizing systems by `Fraction` Gauss-Jordan
+elimination and so shares no arithmetic with `ifgames.linalg`.
 """
 
 import json
+import math
 import re
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from itertools import combinations, product
 
 from ifgames.applications import function_degree
-from ifgames.errors import ParseError
+from ifgames.errors import ParseError, SizeLimitError
 from ifgames.formula import Connective, Quant
-from ifgames.matrix_game import GameMatrix
+from ifgames.matrix_game import GameMatrix, MixedStrategy, security_levels
 from ifgames.semantic_game import ABELARD, DEFAULT_STRATEGY_BUDGET, ELOISE, Game
+from ifgames.value_engine import ValueReport, detect_trivial
 
 from conftest import _naive_eval
 
@@ -195,6 +200,103 @@ def reference_adversary_pairs(spec, form) -> frozenset[int]:
         if first < spec.key_count and second < spec.key_count and first != second:
             chosen.append(j)
     return frozenset(chosen)
+
+
+# ---------------------------------------------------------------------------
+# The support-enumeration oracle
+
+METHOD_SUPPORT_ENUMERATION = "support-enumeration"
+_SUPPORT_ENUMERATION_LIMIT = 7
+
+
+def reference_linear_system(rows, rhs):
+    """Gauss-Jordan elimination with one `Fraction` per cell.
+
+    Returns None when the system is inconsistent; otherwise (x, unique), with
+    free variables, if any, set to 0 and `unique` saying whether x is the
+    only solution."""
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    ncols = len(aug[0]) - 1
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        factor = aug[r][c]
+        aug[r] = [x / factor for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(aug):
+            break
+    if any(aug[i][ncols] != 0 for i in range(r, len(aug))):
+        return None
+    solution = [Fraction(0)] * ncols
+    for i, c in enumerate(pivot_cols):
+        solution[c] = aug[i][ncols]
+    return solution, len(pivot_cols) == ncols
+
+
+def solve_by_support_enumeration(u: GameMatrix) -> ValueReport:
+    """Independent oracle: solve the equalizing system for each square support pair.
+
+    Trivial wins and losses are peeled off first; for any other value some
+    square support pair admits a unique equalizing solution that passes the
+    deviation checks, so the scan below always returns.
+    """
+    cap = _SUPPORT_ENUMERATION_LIMIT
+    if u.m > cap or u.n > cap:
+        raise SizeLimitError(f"support enumeration is capped at {cap}x{cap}, got {u.m}x{u.n}")
+    trivial = detect_trivial(u)
+    if trivial is not None:
+        return replace(trivial, method=METHOD_SUPPORT_ENUMERATION)
+    table = u.array.tolist()
+    for k in range(1, min(u.m, u.n) + 1):
+        for support_i in combinations(range(u.m), k):
+            for support_j in combinations(range(u.n), k):
+                report = _try_support_pair(u, table, support_i, support_j)
+                if report is not None:
+                    return report
+    raise RuntimeError("no support pair admitted an equilibrium; matrix entries outside {0,1}?")
+
+
+def _try_support_pair(u, table, support_i, support_j) -> ValueReport | None:
+    k = len(support_i)
+    sub = [[table[i][j] for j in support_j] for i in support_i]
+    # mu on support_i equalizes the support_j columns at v, [sub.T | -1], and
+    # nu on support_j the support_i rows at w, [sub | -1].  Each mixture sums
+    # to 1, the last row, so v and w both equal the pair's expected utility.
+    solutions = []
+    for equalized in (list(zip(*sub)), sub):
+        system = [[*row, -1] for row in equalized] + [[1] * k + [0]]
+        solved = reference_linear_system(system, [0] * k + [1])
+        if solved is None or not solved[1]:
+            return None
+        x, _ = solved
+        if min(x[:k]) < 0:
+            return None
+        solutions.append(x)
+    mu_x, nu_x = solutions
+    value = mu_x[k]
+    mu = _on_support(mu_x[:k], support_i, u.m, "row")
+    nu = _on_support(nu_x[:k], support_j, u.n, "column")
+    if security_levels(u, mu, nu) != (value, value):
+        return None
+    return ValueReport(value=value, eloise=mu, abelard=nu, method=METHOD_SUPPORT_ENUMERATION)
+
+
+def _on_support(probs, support, k, side) -> MixedStrategy:
+    """`probs` on `support`, zero on the other `k - len(support)` strategies."""
+    den = math.lcm(*(q.denominator for q in probs))
+    nums = [0] * k
+    for i, q in zip(support, probs):
+        nums[i] = q.numerator * (den // q.denominator)
+    return MixedStrategy(nums, den, side)
 
 
 # ---------------------------------------------------------------------------

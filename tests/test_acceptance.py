@@ -8,8 +8,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from ifgames.applications import (
     birthday_closed_form,
     birthday_sentence,
@@ -20,14 +18,12 @@ from ifgames.applications import (
     matching_pennies,
 )
 from ifgames.formula import format_formula, parse
-from ifgames.linalg import solve_linear_system
 from ifgames.matrix_game import GameMatrix
 from ifgames.matrix_game import reduce as mg_reduce
 from ifgames.matrix_game import tallies
 from ifgames.semantic_game import build_matrix
 from ifgames.value_engine import (
     balanced_value,
-    solve_by_support_enumeration,
     solve_value,
     verify_equilibrium,
 )
@@ -41,7 +37,7 @@ from conftest import (
     circulant_matrix,
     random_matrix,
 )
-from reference import colliding_pair_count, lambda_step
+from reference import colliding_pair_count, lambda_step, reference_linear_system, solve_by_support_enumeration
 from test_applications import birthday_oracle_matrix
 
 
@@ -95,7 +91,7 @@ def test_criterion_03_equalizing_system_infeasible():
         [1, 0, 0, 0, 1, -1],
         [1, 1, 1, 1, 1, 0],
     ]
-    solved = solve_linear_system(np.array(rows), np.array([0] * 6 + [1]))
+    solved = reference_linear_system(rows, [0] * 6 + [1])
     _criterion("3 equality-form column system has no solution", solved is None)
 
 

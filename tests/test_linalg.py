@@ -1,9 +1,9 @@
-"""Differential tests: the integer-preserving solvers in `ifgames.linalg`
-against plain `Fraction` references kept here, and the LP value against the
-support-enumeration oracle.  The solvers return numerators over a positive
-common denominator; the comparisons read them back as `Fraction`s."""
+"""Differential tests: the integer-preserving simplex in `ifgames.linalg`
+against the plain `Fraction` tableau simplex kept here, and the LP value
+against the support-enumeration oracle of `reference`.  The simplex returns
+numerators over a positive common denominator; the comparisons read them
+back as `Fraction`s."""
 
-import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,42 +13,12 @@ import pytest
 from hypothesis import given
 
 from ifgames import linalg
-from ifgames.linalg import security_level_lp, solve_linear_system
+from ifgames.linalg import security_level_lp
 from ifgames.matrix_game import GameMatrix, MixedStrategy, security_levels
-from ifgames.value_engine import solve_by_support_enumeration
-from conftest import perfbench_workloads
+from ifgames.value_engine import solve_value
+from conftest import M4_MIXED, M5X6_B, perfbench_workloads
+from reference import solve_by_support_enumeration
 from test_properties import FIXED, games
-
-
-def reference_linear_system(rows, rhs):
-    """Gauss-Jordan elimination with one `Fraction` per cell."""
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if not aug:
-        return [], True
-    ncols = len(aug[0]) - 1
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        factor = aug[r][c]
-        aug[r] = [x / factor for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    if any(aug[i][ncols] != 0 for i in range(r, len(aug))):
-        return None
-    solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][ncols]
-    return solution, len(pivot_cols) == ncols
 
 
 def reference_lp(matrix, degenerate_run=0):
@@ -137,9 +107,9 @@ def lp_as_fractions(matrix):
 
 def spy_pivots(monkeypatch):
     """Replace `linalg._pivot` by a spy; returns the list it fills, for every
-    pivot, with the table's dtype and, meaningful on LP tables only, whether
-    the entering column has the largest reduced cost (the first of equals).
-    An LP pivot elsewhere can only come from the Bland fallback."""
+    pivot, with the table's dtype and whether the entering column has the
+    largest reduced cost (the first of equals).  A pivot elsewhere can only
+    come from the Bland fallback."""
     seen = []
     pivot = linalg._pivot
 
@@ -170,6 +140,20 @@ class TestSecurityLevelLP:
             u = GameMatrix(matrix)
             value, _, _ = security_level_lp(u.array)
             assert value == solve_by_support_enumeration(u).value, matrix
+
+    def test_shares_no_pivot_with_the_lp(self, monkeypatch):
+        # The oracle solves its systems by `Fraction` Gauss-Jordan, so a fault
+        # in the simplex's integer pivot cannot reach both sides of a check.
+        rng = random.Random(2023)
+        games = [M4_MIXED, M5X6_B]
+        games += [GameMatrix([[rng.randint(0, 1) for _ in range(6)] for _ in range(6)]) for _ in range(50)]
+        values = [solve_value(u).value for u in games]
+        seen = spy_pivots(monkeypatch)
+        for u, value in zip(games, values):
+            assert solve_by_support_enumeration(u).value == value, u.array.tolist()
+        assert seen == []
+        solve_value(M4_MIXED)  # the spy sees the LP's pivots
+        assert seen
 
     @pytest.mark.parametrize("top", [1, 7, 2**40])
     def test_zero_column_has_value_zero(self, top):
@@ -256,99 +240,3 @@ class TestDegenerateCorpus:
                 matrix = [[int(rng.random() < p) for _ in range(n)] for _ in range(m)]
                 assert lp_as_fractions(matrix) == reference_lp(matrix, linalg._DEGENERATE_RUN), matrix
         assert {dt for dt, _ in seen} == {np.dtype(dtype)}
-
-
-def random_system(rng, m, n, entry):
-    rows = [[entry() for _ in range(n)] for _ in range(m)]
-    return rows, [entry() for _ in range(m)]
-
-
-class TestLinearSystem:
-    def _check(self, rows, rhs):
-        solved = solve_linear_system(np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64))
-        if solved is not None:
-            (nums, den), unique = solved
-            assert den > 0
-            solved = [Fraction(q, den) for q in nums], unique
-        assert solved == reference_linear_system(rows, rhs), (rows, rhs)
-
-    def test_square_and_rectangular(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            m, n = rng.randint(1, 8), rng.randint(1, 8)
-            self._check(*random_system(rng, m, n, lambda: rng.randint(-3, 3)))
-
-    def test_singular_systems(self):
-        rng = random.Random(12)
-        for _ in range(150):
-            n = rng.randint(2, 7)
-            rows, rhs = random_system(rng, n, n, lambda: rng.randint(0, 1))
-            i, j = rng.sample(range(n), 2)
-            k = rng.randint(-2, 2)
-            rows[i] = [k * x for x in rows[j]]
-            # Half consistent, half (usually) not.
-            rhs[i] = k * rhs[j] if rng.random() < 0.5 else k * rhs[j] + 1
-            self._check(rows, rhs)
-
-    def test_underdetermined_systems(self):
-        rng = random.Random(13)
-        for _ in range(150):
-            n = rng.randint(2, 8)
-            m = rng.randint(1, n - 1)
-            rows, rhs = random_system(rng, m, n, lambda: rng.randint(-2, 2))
-            solved = solve_linear_system(np.array(rows), np.array(rhs))
-            assert solved is None or solved[1] is False
-            self._check(rows, rhs)
-
-    def test_inconsistent_systems(self):
-        rng = random.Random(14)
-        for _ in range(100):
-            n = rng.randint(1, 6)
-            rows, rhs = random_system(rng, n, n, lambda: rng.randint(-2, 2))
-            rows.append([sum(col) for col in zip(*rows)])
-            rhs.append(sum(rhs) + 1)
-            assert solve_linear_system(np.array(rows), np.array(rhs)) is None
-            self._check(rows, rhs)
-
-    def test_security_level_support_systems(self):
-        # The equalizing systems support enumeration builds: 0/1 columns, a -1
-        # value column and a probability row.
-        rng = random.Random(16)
-        for _ in range(200):
-            k = rng.randint(1, 6)
-            rows = [[rng.randint(0, 1) for _ in range(k)] + [-1] for _ in range(k)]
-            rows.append([1] * k + [0])
-            self._check(rows, [0] * k + [1])
-
-    def test_int64_guard_boundary(self, monkeypatch):
-        # Entries at the largest size the guard admits for a 3 x 3 augmented
-        # matrix run in int64; one more runs on Python ints, and both match.
-        seen = spy_pivots(monkeypatch)
-        top = next(t for t in itertools.count(1) if linalg._dtype(t + 1, 3) is object)
-        rng = random.Random(18)
-        for size in (top, top + 1):
-            for _ in range(40):
-                rows, rhs = random_system(rng, 3, 2, lambda: rng.choice((-size, size, rng.randint(-size, size))))
-                self._check(rows, rhs)
-            assert seen and {dt for dt, _ in seen} == {np.dtype(np.int64 if size == top else object)}
-            seen.clear()
-
-    def test_large_entries_run_on_python_ints(self, monkeypatch):
-        # Entries within int64 whose pivot products could pass 2^62.
-        seen = spy_pivots(monkeypatch)
-        rng = random.Random(19)
-        for _ in range(100):
-            m, n = rng.randint(1, 7), rng.randint(1, 7)
-            self._check(*random_system(rng, m, n, lambda: rng.randint(-(2**40), 2**40)))
-        assert {dt for dt, _ in seen} == {np.dtype(object)}
-
-    def test_empty_and_ragged(self):
-        no_rhs = np.zeros(0, dtype=np.int64)
-        assert solve_linear_system(np.zeros((0, 0), dtype=np.int64), no_rhs) == (([], 1), True)
-        assert solve_linear_system(np.zeros((0, 2), dtype=np.int64), no_rhs) == (([0, 0], 1), False)
-        with pytest.raises(ValueError):  # ragged rows make an object array
-            solve_linear_system(np.array([[1, 2], [1]], dtype=object), np.array([0, 0]))
-        with pytest.raises(ValueError):
-            solve_linear_system(np.array([[1]]), np.array([0, 0]))
-        with pytest.raises(ValueError):
-            solve_linear_system(np.array([[1, 0], [0, 1]]), np.array([1, 0.5]))

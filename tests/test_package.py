@@ -13,12 +13,6 @@ SRC = Path(ifgames.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
 README = SRC.parents[1] / "README.md"
 
-# Public names that nothing in the package or the benchmark calls, each with
-# the reason it stays.
-ALLOWED = {
-    "value_engine.solve_by_support_enumeration": "the independent oracle the tests check the LP against",
-}
-
 
 def test_no_module_imports_a_private_name_from_another():
     offenders = []
@@ -86,10 +80,7 @@ def test_every_public_name_has_a_caller():
             refs = seen.get(name.rpartition(".")[2], [])
             if not any(p != path or line not in own for p, line in refs):
                 uncalled.append(f"{path.stem}.{name}")
-    no_caller = sorted(set(uncalled) - set(ALLOWED))
-    called_now = sorted(set(ALLOWED) - set(uncalled))
-    assert (no_caller, called_now) == ([], [])
-    assert all(ALLOWED.values())
+    assert uncalled == []
 
 
 def test_every_trace_target_resolves():

@@ -20,14 +20,13 @@ from ifgames.matrix_game import GameMatrix, MixedStrategy, expected_utility, red
 from ifgames.semantic_game import build_matrix, build_reduced
 from ifgames.structure import Structure
 from ifgames.value_engine import (
-    solve_by_support_enumeration,
     solve_game,
     solve_value,
     verify_equilibrium,
 )
 
 from conftest import random_sentence
-from reference import _reference_matrix
+from reference import _reference_matrix, solve_by_support_enumeration
 from test_reduced_form import reduced_on_route
 from test_value_engine import _verify_reference
 

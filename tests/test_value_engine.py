@@ -1,23 +1,19 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ifgames import value_engine
 from ifgames.errors import SizeLimitError
-from ifgames.linalg import solve_linear_system
 from ifgames.matrix_game import GameMatrix, MixedStrategy, reduce, tallies
 from ifgames.value_engine import (
     METHOD_BALANCED,
     METHOD_LP,
-    METHOD_SUPPORT_ENUMERATION,
     METHOD_TRIVIAL_LOSS,
     METHOD_TRIVIAL_WIN,
     _certified,
     balanced_value,
     detect_trivial,
-    solve_by_support_enumeration,
     solve_game,
     solve_value,
     verify_equilibrium,
@@ -33,6 +29,7 @@ from conftest import (
     identity_matrix,
     random_matrix,
 )
+from reference import METHOD_SUPPORT_ENUMERATION, reference_linear_system, solve_by_support_enumeration
 
 
 class TestSolveValue:
@@ -324,13 +321,4 @@ class TestEqualitySystem:
             [1, 0, 0, 0, 1, -1],
             [1, 1, 1, 1, 1, 0],
         ]
-        assert solve_linear_system(np.array(rows), np.array([0] * 6 + [1])) is None
-
-    def test_solver_finds_unique_solutions(self):
-        (nums, den), unique = solve_linear_system(np.array([[1, 1], [1, -1]]), np.array([3, 1]))
-        assert den > 0 and unique
-        assert [Fraction(q, den) for q in nums] == [2, 1]
-
-    def test_underdetermined_flagged(self):
-        solved = solve_linear_system(np.array([[1, 1]]), np.array([2]))
-        assert solved is not None and solved[1] is False
+        assert reference_linear_system(rows, [0] * 6 + [1]) is None
