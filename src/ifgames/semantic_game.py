@@ -18,11 +18,12 @@ representative, so R is the full game restricted to the representatives, and
 every full row and column is a copy of one in R.  `build_reduced` builds R
 directly; `build_matrix` builds R and expands it to the full game.
 
-One walk enumerates R's strategies and scores no play; it walks once the
-body of a quantifier that no later move sees.  R is then scored by its shape:
-below 256 cells by a walk of R's strategies that tests each end once for all
-the pairs reaching it, and from there with numpy, every pair of a block of
-rows at once.
+One walk per player enumerates that player's reduced strategies and scores
+no play: it skips the subtrees where the player never moves and walks once
+the body of a quantifier that none of the player's later moves sees.  R is
+then scored by its shape: below 256 cells by a walk of R's strategies that
+tests each end once for all the pairs reaching it, and from there with
+numpy, every pair of a block of rows at once.
 
 A quantifier that slashes the choice variable of an enclosing branching
 disjunction cannot tell the branches apart, so structurally corresponding
@@ -136,12 +137,11 @@ class _Node:
     `visible` (slot, range) pairs, and option k is written to slot `var` and
     continues at `children[k]`.  A connective without a choice variable
     writes to the next free slot, which nothing reads before a deeper
-    quantifier rebinds it.  Bit i of `seen` tells whether a move from the
-    node down reads slot i; a quantifier, built with its one body, is
-    `merged` when no move below it sees its variable, as every option's walk
-    is then the same."""
+    quantifier rebinds it.  Bit s of `moves` tells whether side s moves at
+    the node or below it, and bit i of `seen[s]` whether one of those moves
+    reads slot i."""
 
-    __slots__ = ("side", "base", "visible", "var", "children", "seen", "merged")
+    __slots__ = ("side", "base", "visible", "var", "children", "seen", "moves")
 
     def __init__(self, side=0, base=0, visible=(), var=0, children=()):
         self.side = side
@@ -149,10 +149,16 @@ class _Node:
         self.visible = visible
         self.var = var
         self.children = children
-        self.seen = sum(1 << slot for slot, _ in visible)  # distinct slots
+        seen = [0, 0]
+        self.moves = 0
+        if children:
+            seen[side] = sum(1 << slot for slot, _ in visible)  # distinct slots
+            self.moves = 1 << side
         for child in children:
-            self.seen |= child.seen
-        self.merged = len(children) == 1 and not self.seen >> var & 1
+            seen[0] |= child.seen[0]
+            seen[1] |= child.seen[1]
+            self.moves |= child.moves
+        self.seen = tuple(seen)
 
 
 def _owner_of(node: Quant | Connective) -> str:
@@ -316,75 +322,72 @@ class Game:
 
     # -- the walker ----------------------------------------------------------
 
-    def _resolve(self, n_rows: int, n_cols: int):
-        """Enumerate R's strategies in one walk of the candidate strategies,
-        from one a side.
+    def _strategies(self, side: int, count: int) -> ReducedStrategies:
+        """Enumerate one side's reduced strategies in one walk of its
+        candidates, flat choice tables with -1 at unassigned cells, from one
+        that assigns nothing and stands for all `count` full strategies.
 
-        `tables[side]` holds a side's candidates, flat choice tables with -1
-        at unassigned cells, and `keys[side][i]` candidate i's
-        (representative, multiplicity).  At a move, the mover's candidates
-        split by their option at the cell reached; one without an option is
-        first split into one copy per option, each appended with its key.  The
-        opponent's candidates pass through each option's subtree in turn, so
-        every candidate comes out assigned at each cell it can reach against
-        some opponent play.  No end is evaluated, and a `merged` quantifier
-        walks its body once with every option's candidates.
-        Returns the tables, the keys and both sides' final indices."""
-        tables = tuple([[-1] * len(radices)] for radices, _ in self._layout)
-        keys = ([(0, n_rows)], [(0, n_cols)])  # all cells unassigned: rep 0, every full strategy
+        At the side's own move the candidates split by their option at the
+        cell reached; one without an option is first split into one copy per
+        option, with its representative plus the option times the cell's
+        place value and its multiplicity over the cell's option count.  At an
+        opponent's move the candidates pass through each option's subtree in
+        turn, as some opponent play takes each option, so every candidate
+        comes out assigned at each cell it can reach against some opponent
+        play.  No end is evaluated, a subtree where the side never moves is
+        skipped, and a quantifier whose variable none of the side's moves
+        below it sees walks its body once."""
+        radices, strides = self._layout[side]
+        tables = [[-1] * len(radices)]
+        keys = [(0, count)]  # per candidate, (representative, multiplicity)
         values = [0] * self._slots
 
-        def walk(node: _Node, pair):
-            while node.children:
-                side = node.side
+        def walk(node: _Node, mine: list[int]) -> list[int]:
+            while node.moves >> side & 1:
+                once = node.children[0] is node.children[-1] and not node.seen[side] >> node.var & 1
+                if node.side != side:
+                    if once:
+                        node = node.children[0]
+                        continue
+                    for k, child in enumerate(node.children):
+                        values[node.var] = k
+                        mine = walk(child, mine)
+                    return mine
                 code = 0
                 for slot, r in node.visible:
                     code = code * r + values[slot]
                 cell = node.base + code
-                table = tables[side]
-                mine = pair[side]
-                if len(mine) == 1 and (k := table[mine[0]][cell]) >= 0:  # nothing to split
-                    values[node.var] = k
-                    node = node.children[k]
-                    continue
                 groups = [[] for _ in node.children]
                 for i in mine:
-                    k = table[i][cell]
+                    k = tables[i][cell]
                     if k >= 0:
                         groups[k].append(i)
-                    else:
-                        copy(side, i, cell, groups)
-                if node.merged:
-                    groups = [[i for group in groups for i in group]]
-                own, other = [], pair[1 - side]
+                        continue
+                    rep, weight = keys[i]
+                    for k, group in enumerate(groups):
+                        group.append(len(tables))
+                        tables.append(tables[i].copy())
+                        tables[-1][cell] = k
+                        keys.append((rep + k * strides[cell], weight // radices[cell]))
+                if once:
+                    mine = [i for group in groups for i in group]
+                    node = node.children[0]
+                    continue
+                mine = []
                 for k, group in enumerate(groups):
                     if group:
                         values[node.var] = k
-                        sub = walk(node.children[k], (group, other) if side == 0 else (other, group))
-                        own += sub[side]
-                        other = sub[1 - side]
-                return (own, other) if side == 0 else (other, own)
-            return pair
+                        mine += walk(node.children[k], group)
+                return mine
+            return mine
 
-        def copy(side: int, i: int, cell: int, groups) -> None:
-            """Replace candidate i, unassigned at `cell`, by one copy per
-            option, each added to its option's group.  The copy with option k
-            has i's representative plus k times the cell's place value, and
-            i's multiplicity over the cell's option count."""
-            radices, strides = self._layout[side]
-            table, key = tables[side], keys[side]
-            rep, weight = key[i]
-            weight //= radices[cell]
-            for k, group in enumerate(groups):
-                cells = table[i].copy()
-                cells[cell] = k
-                group.append(len(table))
-                table.append(cells)
-                key.append((rep + k * strides[cell], weight))
-
-        final = walk(self._root, ([0], [0]))
+        order = sorted(walk(self._root, [0]), key=keys.__getitem__)
         del walk  # it reaches itself through its closure; do not leave the cycle to gc
-        return tables, keys, final
+        return ReducedStrategies(
+            cells=tuple(tuple(tables[i]) for i in order),
+            reps=tuple(keys[i][0] for i in order),
+            weights=tuple(keys[i][1] for i in order),
+        )
 
     def _play(self, eloise: ReducedStrategies, abelard: ReducedStrategies) -> np.ndarray:
         """R's payoffs by one walk of its strategies: at a move the mover's
@@ -415,7 +418,7 @@ class Game:
                     visit(node.children[k], (group, pair[1]) if node.side == 0 else (pair[0], group))
 
         visit(self._root, (range(len(eloise.cells)), range(len(abelard.cells))))
-        del visit  # a cycle through its closure, as in `_resolve`
+        del visit  # a cycle through its closure, as in `_strategies`
         return np.frombuffer(b"".join(out), dtype=np.uint8).reshape(len(out), -1)
 
     def _grid(self, eloise: ReducedStrategies, abelard: ReducedStrategies) -> np.ndarray:
@@ -452,38 +455,27 @@ class Game:
             picks[0] = np.arange(start, start + len(block))[:, None]
             values = [0] * self._slots
             visit(self._root, np.ones(block.shape, dtype=bool))
-        del visit  # a cycle through its closure, as in `_resolve`
+        del visit  # a cycle through its closure, as in `_strategies`
         return out
 
     # -- strategic forms -----------------------------------------------------
 
     def reduced_form(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
-        """R, refused exactly when the full game would be: one walk finds its
-        strategies, then `_play` scores it below _GRID_CELLS cells and
-        `_grid` from there.  A quantifier's move gets its body once per
+        """R, refused exactly when the full game would be: one walk per side
+        finds its strategies, then `_play` scores it below _GRID_CELLS cells
+        and `_grid` from there.  A quantifier's move gets its body once per
         universe element only after the budget check, so a refused game
         allocates nothing per element, however large the universe."""
         n_rows, n_cols = self._checked_shape(max_strategies)
         while self._quantifiers:
             self._quantifiers.pop().children *= self.structure.size
-        tables, keys, final = self._resolve(n_rows, n_cols)
-        eloise = self._sorted(tables[0], keys[0], final[0])
-        abelard = self._sorted(tables[1], keys[1], final[1])
+        eloise, abelard = self._strategies(0, n_rows), self._strategies(1, n_cols)
         score = self._grid if len(eloise.reps) * len(abelard.reps) >= _GRID_CELLS else self._play
         return ReducedForm(
             matrix=GameMatrix._from_array(score(eloise, abelard)),
             eloise=eloise,
             abelard=abelard,
             collapsed_loci=tuple(self.collapsed),
-        )
-
-    def _sorted(self, table: list[list[int]], keys: list[tuple[int, int]], final: list[int]) -> ReducedStrategies:
-        """A side's reduced strategies in order of representative."""
-        order = sorted(final, key=keys.__getitem__)
-        return ReducedStrategies(
-            cells=tuple(tuple(table[i]) for i in order),
-            reps=tuple(keys[i][0] for i in order),
-            weights=tuple(keys[i][1] for i in order),
         )
 
     def build_matrix(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:

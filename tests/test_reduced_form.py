@@ -233,11 +233,12 @@ def test_r_of_256_cells_or_more_takes_the_grid(game, shape, wide):
 
 @pytest.mark.parametrize("game", [birthday_game(4, 2), birthday_game(5, 3)], ids=["birthday-4-2", "birthday-5-3"])
 def test_one_walk_per_reduced_form(game):
-    """R is found by one walk and scored after it, however wide it is."""
+    """R's strategies are found by one walk per side, Eloise's first, and R
+    is scored after them, however wide it is."""
     f, s = game
-    with mock.patch.object(Game, "_resolve", autospec=True, side_effect=Game._resolve) as resolve:
+    with mock.patch.object(Game, "_strategies", autospec=True, side_effect=Game._strategies) as strategies:
         build_reduced(s, f)
-    assert resolve.call_count == 1
+    assert [call.args[1] for call in strategies.call_args_list] == [0, 1]
 
 
 def test_a_98_deep_collapsed_chain_runs_on_the_grid():
