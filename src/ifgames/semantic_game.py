@@ -19,11 +19,10 @@ every full row and column is a copy of one in R.  `build_reduced` builds R
 directly; `build_matrix` builds R and expands it to the full game.
 
 One walk per player enumerates that player's reduced strategies and scores
-no play: it skips the subtrees where the player never moves and walks once
-the body of a quantifier that none of the player's later moves sees.  R is
-then scored by its shape: below 256 cells by a walk of R's strategies that
-tests each end once for all the pairs reaching it, and from there with
-numpy, every pair of a block of rows at once.
+no play: it walks once the body of an opponent's quantifier that none of the
+player's later moves sees.  R is then scored by its shape: below 256 cells by
+a walk of R's strategies that tests each end once for all the pairs reaching
+it, and from there with numpy, every pair of a block of rows at once.
 
 A quantifier that slashes the choice variable of an enclosing branching
 disjunction cannot tell the branches apart, so structurally corresponding
@@ -137,11 +136,10 @@ class _Node:
     `visible` (slot, range) pairs, and option k is written to slot `var` and
     continues at `children[k]`.  A connective without a choice variable
     writes to the next free slot, which nothing reads before a deeper
-    quantifier rebinds it.  Bit s of `moves` tells whether side s moves at
-    the node or below it, and bit i of `seen[s]` whether one of those moves
-    reads slot i."""
+    quantifier rebinds it.  Bit i of `seen[s]` tells whether a move of side
+    s at the node or below it reads slot i."""
 
-    __slots__ = ("side", "base", "visible", "var", "children", "seen", "moves")
+    __slots__ = ("side", "base", "visible", "var", "children", "seen")
 
     def __init__(self, side=0, base=0, visible=(), var=0, children=()):
         self.side = side
@@ -150,14 +148,11 @@ class _Node:
         self.var = var
         self.children = children
         seen = [0, 0]
-        self.moves = 0
         if children:
             seen[side] = sum(1 << slot for slot, _ in visible)  # distinct slots
-            self.moves = 1 << side
         for child in children:
             seen[0] |= child.seen[0]
             seen[1] |= child.seen[1]
-            self.moves |= child.moves
         self.seen = tuple(seen)
 
 
@@ -334,19 +329,17 @@ class Game:
         opponent's move the candidates pass through each option's subtree in
         turn, as some opponent play takes each option, so every candidate
         comes out assigned at each cell it can reach against some opponent
-        play.  No end is evaluated, a subtree where the side never moves is
-        skipped, and a quantifier whose variable none of the side's moves
-        below it sees walks its body once."""
+        play.  No end is evaluated, and an opponent's quantifier whose
+        variable none of the side's moves below it sees walks its body once."""
         radices, strides = self._layout[side]
         tables = [[-1] * len(radices)]
         keys = [(0, count)]  # per candidate, (representative, multiplicity)
         values = [0] * self._slots
 
         def walk(node: _Node, mine: list[int]) -> list[int]:
-            while node.moves >> side & 1:
-                once = node.children[0] is node.children[-1] and not node.seen[side] >> node.var & 1
+            while node.children:
                 if node.side != side:
-                    if once:
+                    if node.children[0] is node.children[-1] and not node.seen[side] >> node.var & 1:
                         node = node.children[0]
                         continue
                     for k, child in enumerate(node.children):
@@ -369,10 +362,6 @@ class Game:
                         tables.append(tables[i].copy())
                         tables[-1][cell] = k
                         keys.append((rep + k * strides[cell], weight // radices[cell]))
-                if once:
-                    mine = [i for group in groups for i in group]
-                    node = node.children[0]
-                    continue
                 mine = []
                 for k, group in enumerate(groups):
                     if group:

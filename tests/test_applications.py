@@ -174,6 +174,7 @@ class TestHashStructure:
         # Abelard's count in the hashing game is s^(s + 1) on a universe of
         # s whenever there are two or more tables: checked against the built
         # game wherever it fits the budget, and refused with it elsewhere.
+        # R is then V^K x (K + V)^2: one row per table, one column per (x, y).
         built = 0
         for keys, values in list(product(range(1, 9), repeat=2)) + [(12, 2), (1, 63), (2, 62)]:
             size, tables = keys + values, values**keys
@@ -187,6 +188,8 @@ class TestHashStructure:
             structure, spec = hash_structure(keys, values)
             game = Game(structure, hashing_sentence(spec))
             assert game.strategy_count(ABELARD, DEFAULT_STRATEGY_BUDGET) == size ** (size + 1)
+            matrix = game.reduced_form().matrix
+            assert (matrix.m, matrix.n) == (tables, size**2)
             built += 1
         assert built == 10  # every spec with K + V <= 6 and V >= 2
 
