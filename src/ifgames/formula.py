@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import ParseError
@@ -122,93 +124,93 @@ class Violation:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# Each match skips whitespace, then takes a choice, an identifier, a symbol
-# (its own kind) or, as an error, any other character: `\S`, not `.`, so it
-# never takes a space `\s*` gave back, and only trailing space goes unmatched.
-_TOKEN_RE = re.compile(r"\s*(?:(\\/_)|([A-Za-z_][A-Za-z0-9_']*)|([()&|~=,{}/])|(\S))")
-_KINDS = (None, "choice", "ident")
+# A token is a choice, an identifier, a symbol or, as an error, any other
+# character but a space, which no alternative takes, so `findall` skips it.
+_TOKEN_RE = re.compile(r"\\/_|[A-Za-z_][A-Za-z0-9_']*|[()&|~=,{}/]|\S")
+# Each token's kind, by its first character: a symbol is its own kind.  A
+# lone backslash, not a choice, is the one other token starting with one.
+_KINDS = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident") | {c: c for c in "()&|~=,{}/"}
+_KINDS["\\"] = "choice"
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        i = m.lastindex
-        if i == 4:
-            raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
-        tokens.append((m[3] or _KINDS[i], m[i], m.start(i)))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens of `text`, ending with `eof`;
+    `_token_start` gives a token's position."""
+    texts = _TOKEN_RE.findall(text)
+    kinds = list(map(_KINDS.get, map(itemgetter(0), texts)))
+    if None in kinds or "\\" in texts:
+        i = next(i for i, k in enumerate(kinds) if k is None or texts[i] == "\\")
+        raise ParseError(f"unexpected character {texts[i]!r}", _token_start(text, i))
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts
 
 
-# How deeply formulas and terms may nest.  A parenthesis costs the parser five
-# frames, so input at the cap stays near 500 of the default limit of 1000.
+def _token_start(text: str, index: int) -> int:
+    """The position of token `index` of `text`; `eof` is at the end."""
+    m = next(islice(_TOKEN_RE.finditer(text), index, None), None)
+    return len(text) if m is None else m.start()
+
+
+# How deeply formulas and terms may nest.  A parenthesis costs the parser four
+# frames, so input at the cap stays near 400 of the default limit of 1000.
 MAX_NESTING = 100
 
 _QUANTIFIERS = {"A": "forall", "E": "exists"}
 _FORMULA_STARTS = frozenset(("ident", "(", "~", "choice"))
 
 
-def _one_level_down(production):
-    """`production`, refusing to parse deeper than MAX_NESTING levels."""
-
-    def nested(self: "_Parser", env):
-        if self.depth == MAX_NESTING:
-            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", self.peek()[2])
-        self.depth += 1
-        try:
-            return production(self, env)
-        finally:
-            self.depth -= 1
-
-    return nested
-
-
 class _Parser:
+    """Recursive descent over parallel token lists; `depth` counts the
+    formulas and terms being parsed, up to MAX_NESTING."""
+
     def __init__(self, text: str, vocab: Vocabulary):
-        tokens = _tokenize(text)
-        # Three more `eof` sentinels let every lookahead index the list.
-        self.tokens = tokens + tokens[-1:] * 3
+        kinds, texts = _tokenize(text)
+        # Three more `eof` sentinels let every lookahead index the lists.
+        self.kinds = kinds + ["eof"] * 3
+        self.texts = texts + [""] * 3
+        self.text = text
         self.vocab = vocab
         self.pos = 0
         self.depth = 0
 
-    # -- token plumbing
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, _token_start(self.text, i))
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def expect(self, kind: str) -> str:
+        """The text of the next token, which must be a `kind`."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self.error(f"expected {kind!r} but found {self.texts[i]!r}", i)
+        self.pos = i + 1
+        return self.texts[i]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r} but found {tok[1]!r}", tok[2])
-        return tok
+    def deeper(self) -> None:
+        """Enter one more formula or term, refused past MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"formula nested deeper than {MAX_NESTING} levels", self.pos)
+        self.depth += 1
 
     # -- quantifier heads, each decided by lookahead alone
 
-    def _slashed_head(self) -> bool:
-        """Whether `(Ey/...` or `(E y/...` starts here; no other input has a `/`."""
-        t, i = self.tokens, self.pos
-        if t[i][0] != "(" or t[i + 1][0] != "ident" or t[i + 1][1][0] not in "AE":
+    def _slashed_head(self, i: int) -> bool:
+        """Whether `(Ey/...` or `(E y/...` starts at token i; no other input has a `/`."""
+        k = self.kinds
+        if k[i] != "(" or k[i + 1] != "ident" or self.texts[i + 1][0] not in "AE":
             return False
-        return t[i + 2][0] == "/" or t[i + 2][0] == "ident" and t[i + 3][0] == "/"
+        return k[i + 2] == "/" or k[i + 2] == "ident" and k[i + 3] == "/"
 
-    def _plain_head(self) -> bool:
-        """Whether `Ax` or `A x` starts here, followed by the start of a formula,
-        and is not a vocabulary symbol applied to an argument list."""
-        t, i = self.tokens, self.pos
-        word = t[i][1]
-        if t[i][0] != "ident" or word[0] not in "AE" or self._applied(i):
+    def _plain_head(self, i: int) -> bool:
+        """Whether `Ax` or `A x` starts at token i, followed by the start of a
+        formula, and is not a vocabulary symbol applied to an argument list."""
+        k, word = self.kinds, self.texts[i]
+        if k[i] != "ident" or word[0] not in "AE" or self._applied(i):
             return False
         if len(word) == 1:
-            if t[i + 1][0] != "ident":
+            if k[i + 1] != "ident":
                 return False
             i += 1
-        return t[i + 1][0] in _FORMULA_STARTS
+        return k[i + 1] in _FORMULA_STARTS
 
     def _applied(self, i: int) -> bool:
         """Whether token i is a vocabulary symbol directly followed by a
@@ -217,13 +219,13 @@ class _Parser:
         parenthesis cannot be a formula, which needs an `=` or a relation's
         atom, and nothing else can be an argument list: so `Ay(x)` applies
         the relation `Ay` while `Ay (Ay(y))` and `Ay (y = y)` quantify `y`."""
-        t, vocab = self.tokens, self.vocab
-        if t[i + 1][0] != "(" or (t[i][1] not in vocab.relations and t[i][1] not in vocab.functions):
+        k, t, vocab = self.kinds, self.texts, self.vocab
+        if k[i + 1] != "(" or (t[i] not in vocab.relations and t[i] not in vocab.functions):
             return False
         depth = 0
         while True:
             i += 1
-            kind = t[i][0]
+            kind = k[i]
             if kind == "(":
                 depth += 1
             elif kind == ")":
@@ -231,7 +233,7 @@ class _Parser:
                 if not depth:
                     return True
             elif kind == "ident":
-                if t[i][1] in vocab.relations and t[i + 1][0] == "(":
+                if t[i] in vocab.relations and k[i + 1] == "(":
                     return False
             elif kind != ",":
                 return False
@@ -240,142 +242,154 @@ class _Parser:
 
     def sentence(self) -> Formula:
         f = self.formula({})
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        if self.kinds[self.pos] != "eof":
+            raise self.error(f"trailing input {self.texts[self.pos]!r}", self.pos)
         return f
 
-    @_one_level_down
     def formula(self, env: dict[str, str]) -> Formula:
-        if self._slashed_head():
-            self.next()
-            head = self.next()[1]
-            var = head[1:] or self.expect("ident")[1]
+        self.deeper()
+        i = self.pos
+        if self._slashed_head(i):
+            head = self.texts[i + 1]
+            self.pos = i + 2
+            var = head[1:] or self.expect("ident")
             self.expect("/")
             slash = self._identlist(env)
             self.expect(")")
-        elif self._plain_head():
-            head = self.next()[1]
-            var = head[1:] or self.next()[1]
+        elif self._plain_head(i):
+            head = self.texts[i]
+            var = head[1:]
+            if not var:
+                i += 1
+                var = self.texts[i]
+            self.pos = i + 1
             slash = frozenset()
         else:
-            return self.disj(env)
-        return Quant(_QUANTIFIERS[head[0]], var, slash, self.formula({**env, var: "var"}))
+            f = self.disj(env)
+            self.depth -= 1
+            return f
+        f = Quant(_QUANTIFIERS[head[0]], var, slash, self.formula({**env, var: "var"}))
+        self.depth -= 1
+        return f
 
     def _identlist(self, env) -> frozenset[str]:
+        k, t, i = self.kinds, self.texts, self.pos
         names = []
-        while self.peek()[0] == "ident" or self.peek()[0] == "," and names:
-            tok = self.next()
-            if tok[0] == "ident":
-                if tok[1] not in env:
-                    raise ParseError(f"slashed identifier {tok[1]!r} is not in scope", tok[2])
-                names.append(tok[1])
+        while k[i] == "ident" or k[i] == "," and names:
+            if k[i] == "ident":
+                if t[i] not in env:
+                    raise self.error(f"slashed identifier {t[i]!r} is not in scope", i)
+                names.append(t[i])
+            i += 1
         if not names:
-            raise ParseError("empty slash set", self.peek()[2])
+            raise self.error("empty slash set", i)
+        self.pos = i
         return frozenset(names)
 
     def disj(self, env) -> Formula:
-        tok = self.peek()
-        if tok[0] == "choice":
-            self.next()
-            cv = self.expect("ident")[1]
+        k, i = self.kinds, self.pos
+        if k[i] == "choice":
+            self.pos = i + 1
+            cv = self.expect("ident")
             if cv in env:
-                raise ParseError(f"choice variable {cv!r} shadows a bound identifier", tok[2])
+                raise self.error(f"choice variable {cv!r} shadows a bound identifier", i)
             self.expect("{")
             inner = {**env, cv: "choice"}
             branches = [self.formula(inner)]
-            while self.peek()[0] == ",":
-                self.next()
+            while k[self.pos] == ",":
+                self.pos += 1
                 branches.append(self.formula(inner))
             self.expect("}")
             if len(branches) < 2:
-                raise ParseError("a choice disjunction needs at least two branches", tok[2])
+                raise self.error("a choice disjunction needs at least two branches", i)
             return Connective("or", cv, tuple(branches))
         branches = [self.conj(env)]
-        while self.peek()[0] == "|":
-            self.next()
+        while k[self.pos] == "|":
+            self.pos += 1
             branches.append(self.conj(env))
         if len(branches) == 1:
             return branches[0]
         return Connective("or", None, tuple(branches))
 
     def conj(self, env) -> Formula:
+        k = self.kinds
         branches = [self.atomf(env)]
-        while self.peek()[0] == "&":
-            self.next()
+        while k[self.pos] == "&":
+            self.pos += 1
             branches.append(self.atomf(env))
         if len(branches) == 1:
             return branches[0]
         return Connective("and", None, tuple(branches))
 
     def atomf(self, env) -> Formula:
-        tok = self.peek()
-        if tok[0] == "~":
-            self.next()
+        kind = self.kinds[self.pos]
+        if kind == "~":
+            self.pos += 1
             atom = self.atom(env)
             if isinstance(atom, Atom):
                 return Atom(atom.rel, atom.args, negated=True)
             return Equals(atom.lhs, atom.rhs, negated=True)
-        if tok[0] == "(":
-            if self._slashed_head():
+        if kind == "(":
+            if self._slashed_head(self.pos):
                 return self.formula(env)
-            self.next()
+            self.pos += 1
             f = self.formula(env)
             self.expect(")")
             return f
         return self.atom(env)
 
     def atom(self, env) -> Atom | Equals:
-        tok = self.peek()
-        if tok[0] != "ident":
-            raise ParseError(f"expected an atom but found {tok[1]!r}", tok[2])
-        if tok[1] in self.vocab.relations and self.tokens[self.pos + 1][0] == "(":
-            self.pos += 2
-            args = () if self.peek()[0] == ")" else self._termlist(env)
+        i = self.pos
+        name = self.texts[i]
+        if self.kinds[i] != "ident":
+            raise self.error(f"expected an atom but found {name!r}", i)
+        relations = self.vocab.relations
+        if name in relations and self.kinds[i + 1] == "(":
+            self.pos = i + 2
+            args = () if self.kinds[i + 2] == ")" else self._termlist(env)
             self.expect(")")
-            arity = self.vocab.relations[tok[1]]
+            arity = relations[name]
             if arity is not None and len(args) != arity:
-                raise ParseError(
-                    f"relation {tok[1]!r} expects {arity} arguments, got {len(args)}", tok[2]
-                )
-            return Atom(tok[1], args)
+                raise self.error(f"relation {name!r} expects {arity} arguments, got {len(args)}", i)
+            return Atom(name, args)
         lhs = self.term(env)
         self.expect("=")
-        rhs = self.term(env)
-        return Equals(lhs, rhs)
+        return Equals(lhs, self.term(env))
 
     def _termlist(self, env) -> tuple[Term, ...]:
+        k = self.kinds
         terms = [self.term(env)]
-        while self.peek()[0] == ",":
-            self.next()
+        while k[self.pos] == ",":
+            self.pos += 1
             terms.append(self.term(env))
         return tuple(terms)
 
-    @_one_level_down
     def term(self, env) -> Term:
-        tok = self.expect("ident")
-        name = tok[1]
-        if self.peek()[0] == "(" and name in self.vocab.functions:
-            self.next()
+        self.deeper()
+        i = self.pos
+        name = self.expect("ident")
+        functions = self.vocab.functions
+        if self.kinds[i + 1] == "(" and name in functions:
+            self.pos = i + 2
             args = self._termlist(env)
             self.expect(")")
-            arity = self.vocab.functions[name]
-            if len(args) != arity:
-                raise ParseError(
-                    f"function {name!r} expects {arity} arguments, got {len(args)}", tok[2]
-                )
+            self.depth -= 1
+            if len(args) != functions[name]:
+                raise self.error(f"function {name!r} expects {functions[name]} arguments, got {len(args)}", i)
             return App(name, args)
-        if env.get(name) == "var":
+        self.depth -= 1
+        binding = env.get(name)
+        if binding == "var":
             return Var(name)
-        if env.get(name) == "choice":
-            raise ParseError(f"choice variable {name!r} cannot occur in a term", tok[2])
-        if name in self.vocab.functions:
-            if self.vocab.functions[name] != 0:
-                raise ParseError(f"function {name!r} needs arguments", tok[2])
+        if binding == "choice":
+            raise self.error(f"choice variable {name!r} cannot occur in a term", i)
+        if name in functions:
+            if functions[name] != 0:
+                raise self.error(f"function {name!r} needs arguments", i)
             return App(name, ())
         if name in self.vocab.relations:
-            raise ParseError(f"relation {name!r} used as a term", tok[2])
-        raise ParseError(f"unbound variable or unknown symbol {name!r}", tok[2])
+            raise self.error(f"relation {name!r} used as a term", i)
+        raise self.error(f"unbound variable or unknown symbol {name!r}", i)
 
 
 def parse(text: str, vocab: Vocabulary) -> Formula:

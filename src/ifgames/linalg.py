@@ -9,7 +9,9 @@ dtype once: int64 when no pivot product can reach 2^62, else `object` (exact
 Python ints).
 The simplex solves the textbook game program of a payoff matrix u, maximize
 sum y s.t. u.y <= 1, y >= 0, whose value is 1 / sum y, with the columns sorted
-by ascending sum and the rows by descending sum.  It enters the largest
+by ascending sum and the rows by descending sum.  Its tableau has a row per
+row of u, so a tall u (more rows than columns) is solved as the complement
+game top - u^T, the short side as its rows.  It enters the largest
 reduced cost (Dantzig, ties to the smallest index); after `_DEGENERATE_RUN`
 pivots in a row that leave sum y unchanged it enters the smallest improving
 index (Bland) until sum y rises.  Bland cannot cycle and sum y never falls,
@@ -66,11 +68,20 @@ def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], t
     ascending sum and rows sit in order of descending sum (both stable).
     Returns (v, (mu_nums, d), (nu_raw, total)) with mu_i = mu_nums[i] / d and
     nu_j = nu_raw[j] / total in the caller's order, d > 0 and total > 0.
+
+    A tall u without a zero column is solved as top - u^T, for `top` its
+    largest entry: Abelard maximizes top minus Eloise's payoff there, so its
+    value is top - v, its row mix is Abelard's and its column mix Eloise's.
+    An all-`top` row of u is a zero column there.
     """
     _check_integer(u)
     if u.ndim != 2 or 0 in u.shape or u.min() < 0:
         raise ValueError("this LP form requires a nonempty matrix of nonnegative entries")
     m, n = u.shape
+    if m > n and u.any(axis=0).all():
+        top = int(u.max())
+        value, nu, mu = security_level_lp(top - u.T)
+        return top - value, mu, nu
     # Past the identity columns every minor of [u | I | 1; 1 | 0 | 0] has
     # order min(m, n) + 1 or less, and every entry is at most max(u).
     u = u.astype(_dtype(int(u.max()), min(m, n) + 1))

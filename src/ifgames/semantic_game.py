@@ -19,10 +19,13 @@ every full row and column is a copy of one in R.  `build_reduced` builds R
 directly; `build_matrix` builds R and expands it to the full game.
 
 One walk per player enumerates that player's reduced strategies and scores
-no play: it walks once the body of an opponent's quantifier that none of the
-player's later moves sees.  R is then scored by its shape: below 256 cells by
-a walk of R's strategies that tests each end once for all the pairs reaching
-it, and from there with numpy, every pair of a block of rows at once.
+no play.  At an opponent's move whose variable none of the player's later
+moves sees, it walks one child of each shape (moves of one shape consult the
+same cells under the same values): a quantifier's body once, and once the
+branches of a choice that every later quantifier slashes.  R is then scored
+by its size: below 256 cells by a walk of R's strategies that tests each end
+once for all the pairs reaching it, and from there with numpy, every pair of
+a block of rows at once.
 
 A quantifier that slashes the choice variable of an enclosing branching
 disjunction cannot tell the branches apart, so structurally corresponding
@@ -137,16 +140,20 @@ class _Node:
     continues at `children[k]`.  A connective without a choice variable
     writes to the next free slot, which nothing reads before a deeper
     quantifier rebinds it.  Bit i of `seen[s]` tells whether a move of side
-    s at the node or below it reads slot i."""
+    s at the node or below it reads slot i.  Nodes of one `shape` make the
+    same moves at the same cells under the same values: every end has shape
+    0, and `distinct` holds one child of each shape."""
 
-    __slots__ = ("side", "base", "visible", "var", "children", "seen")
+    __slots__ = ("side", "base", "visible", "var", "children", "seen", "shape", "distinct")
 
-    def __init__(self, side=0, base=0, visible=(), var=0, children=()):
+    def __init__(self, side=0, base=0, visible=(), var=0, children=(), shape=0):
         self.side = side
         self.base = base
         self.visible = visible
         self.var = var
         self.children = children
+        self.shape = shape
+        self.distinct = tuple({child.shape: child for child in children}.values())
         seen = [0, 0]
         if children:
             seen[side] = sum(1 << slot for slot, _ in visible)  # distinct slots
@@ -186,6 +193,7 @@ class Game:
         self._slots = 1  # length of the value list a play writes
         self._ends: list[tuple[_Node, Formula, tuple, int]] = []  # each end, its bindings and chain
         self._quantifiers: list[_Node] = []  # one child each until the budget check
+        self._shapes: dict[tuple, int] = {}  # a move's parts and its children's shapes -> its shape
         self._chain = 0  # the longest quantifier chain in a collapsed subformula
         self._collapsible = _collapsible(formula) if collapse else set()
         self._root = self._compile(formula, (), (), ())
@@ -247,8 +255,11 @@ class Game:
         return tests
 
     def _move(self, idx: int, visible, var: int, children) -> _Node:
+        """A move at point `idx`; a quantifier's `children` is its body alone."""
         side = _PLAYERS.index(self.points[idx].owner)
-        return _Node(side, self._base[idx], visible, var, children)
+        key = (side, self._base[idx], visible, var, self.points[idx].options, *(c.shape for c in children))
+        shape = self._shapes.setdefault(key, len(self._shapes) + 1)
+        return _Node(side, self._base[idx], visible, var, children, shape)
 
     def _register(self, canon, path: Path, owner: str, visible, options: int) -> int:
         point = DecisionPoint(owner, tuple(n for n, _ in visible), options, tuple(r for _, r in visible))
@@ -329,8 +340,10 @@ class Game:
         opponent's move the candidates pass through each option's subtree in
         turn, as some opponent play takes each option, so every candidate
         comes out assigned at each cell it can reach against some opponent
-        play.  No end is evaluated, and an opponent's quantifier whose
-        variable none of the side's moves below it sees walks its body once."""
+        play.  No end is evaluated, so at an opponent's move whose variable
+        none of the side's moves below it sees, one child of each shape is
+        walked: once the first child of a shape is passed, every candidate is
+        assigned wherever a second one reaches, under the same values."""
         radices, strides = self._layout[side]
         tables = [[-1] * len(radices)]
         keys = [(0, count)]  # per candidate, (representative, multiplicity)
@@ -339,13 +352,15 @@ class Game:
         def walk(node: _Node, mine: list[int]) -> list[int]:
             while node.children:
                 if node.side != side:
-                    if node.children[0] is node.children[-1] and not node.seen[side] >> node.var & 1:
-                        node = node.children[0]
-                        continue
-                    for k, child in enumerate(node.children):
-                        values[node.var] = k
-                        mine = walk(child, mine)
-                    return mine
+                    children = node.children if node.seen[side] >> node.var & 1 else node.distinct
+                    if len(children) > 1:
+                        for k, child in enumerate(children):
+                            values[node.var] = k
+                            mine = walk(child, mine)
+                        return mine
+                    values[node.var] = 0
+                    node = children[0]
+                    continue
                 code = 0
                 for slot, r in node.visible:
                     code = code * r + values[slot]

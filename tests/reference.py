@@ -22,7 +22,7 @@ from ifgames.applications import function_degree
 from ifgames.errors import ParseError, SizeLimitError
 from ifgames.formula import Connective, Quant
 from ifgames.matrix_game import GameMatrix, MixedStrategy, security_levels
-from ifgames.semantic_game import ABELARD, DEFAULT_STRATEGY_BUDGET, ELOISE, Game
+from ifgames.semantic_game import ABELARD, DEFAULT_STRATEGY_BUDGET, ELOISE, Game, ReducedStrategies
 from ifgames.value_engine import ValueReport, detect_trivial
 
 from conftest import _naive_eval
@@ -74,46 +74,94 @@ def enumerate_strategies(s, f, player, collapse=True, max_strategies=DEFAULT_STR
 
 def _reference_matrix(s, f, collapse) -> GameMatrix:
     """The full game, every cell by `_reference_play`."""
-    plan = Game(s, f, collapse)
+    play = _reference_player(Game(s, f, collapse))
     eloise = enumerate_strategies(s, f, ELOISE, collapse=collapse)
     abelard = enumerate_strategies(s, f, ABELARD, collapse=collapse)
-    return GameMatrix(
-        [[_reference_play(plan, {ELOISE: sigma, ABELARD: tau}) for tau in abelard] for sigma in eloise]
-    )
+    return GameMatrix([[play({ELOISE: sigma, ABELARD: tau}) for tau in abelard] for sigma in eloise])
+
+
+def reference_reduced(s, f, collapse=True) -> tuple[GameMatrix, ReducedStrategies, ReducedStrategies]:
+    """R and both players' reduced strategies, read off the full form: a
+    full strategy's class is its choices at the cells it reads against some
+    opponent strategy, with -1 elsewhere; a class's representative is its
+    smallest member, its weight its member count; R is the full game at the
+    representatives, in their order."""
+    plan = Game(s, f, collapse)
+    play = _reference_player(plan)
+    players = (ELOISE, ABELARD)
+    strategies = [enumerate_strategies(s, f, p, collapse=collapse) for p in players]
+    reads = [[set() for _ in side] for side in strategies]
+    full = []
+    for i, sigma in enumerate(strategies[0]):
+        full.append([])
+        for j, tau in enumerate(strategies[1]):
+            reached = {ELOISE: reads[0][i], ABELARD: reads[1][j]}
+            full[-1].append(play({ELOISE: sigma, ABELARD: tau}, reached))
+    forms = []
+    for p, side, side_reads in zip(players, strategies, reads):
+        offsets, at = {}, 0  # each point's first cell in the flat table
+        for idx in plan.owner_points[p]:
+            offsets[idx], at = at, at + plan.points[idx].table_size
+        classes = {}
+        for k, (strategy, read) in enumerate(zip(side, side_reads)):
+            flat = [c for table in strategy.tables for c in table]
+            cells = set(offsets[idx] + cell for idx, cell in read)
+            classes.setdefault(tuple(c if q in cells else -1 for q, c in enumerate(flat)), []).append(k)
+        forms.append(
+            ReducedStrategies(
+                cells=tuple(classes),
+                reps=tuple(members[0] for members in classes.values()),
+                weights=tuple(len(members) for members in classes.values()),
+            )
+        )
+    eloise, abelard = forms
+    return GameMatrix([[full[i][j] for j in abelard.reps] for i in eloise.reps]), eloise, abelard
 
 
 def _reference_play(plan, strategies) -> int:
     """Eloise's payoff when the owner -> PureStrategy map `strategies` meets
-    on the planned game `plan`: one path through the formula, a collapsed
-    subformula settled by backward induction."""
+    on the planned game `plan`."""
+    return _reference_player(plan)(strategies)
+
+
+def _reference_player(plan):
+    """`play(strategies, reached=None)`: one path through the formula of the
+    planned game `plan`, a collapsed subformula settled by backward
+    induction, adding each (point, cell) a move reads to its owner's set in
+    `reached`."""
     collapsed = set(plan.collapsed)
     point_of = _points_by_path(plan.formula, collapsed)
 
-    def lookup(path, a) -> int:
-        idx = point_of[path]
-        point = plan.points[idx]
-        table = strategies[point.owner].tables[plan.owner_points[point.owner].index(idx)]
-        cell = 0
-        for name, size in zip(point.visible, point.visible_ranges):
-            cell = cell * size + a[name]
-        return table[cell]
+    def play(strategies, reached=None) -> int:
+        def lookup(path, a) -> int:
+            idx = point_of[path]
+            point = plan.points[idx]
+            table = strategies[point.owner].tables[plan.owner_points[point.owner].index(idx)]
+            cell = 0
+            for name, size in zip(point.visible, point.visible_ranges):
+                cell = cell * size + a[name]
+            if reached is not None:
+                reached[point.owner].add((idx, cell))
+            return table[cell]
 
-    def walk(node, path, a) -> int:
-        if path in collapsed:
-            return 1 if _eloise_wins(plan.structure, node, a) else 0
-        if isinstance(node, Quant):
-            a[node.var] = lookup(path, a)
-            return walk(node.body, path + (0,), a)
-        if isinstance(node, Connective):
-            if len(node.branches) == 1:
-                return walk(node.branches[0], path + (0,), a)
-            option = lookup(path, a)
-            if node.choice_var is not None:
-                a[node.choice_var] = option
-            return walk(node.branches[option], path + (option,), a)
-        return 1 if _naive_eval(plan.structure, a, node) else 0
+        def walk(node, path, a) -> int:
+            if path in collapsed:
+                return 1 if _eloise_wins(plan.structure, node, a) else 0
+            if isinstance(node, Quant):
+                a[node.var] = lookup(path, a)
+                return walk(node.body, path + (0,), a)
+            if isinstance(node, Connective):
+                if len(node.branches) == 1:
+                    return walk(node.branches[0], path + (0,), a)
+                option = lookup(path, a)
+                if node.choice_var is not None:
+                    a[node.choice_var] = option
+                return walk(node.branches[option], path + (option,), a)
+            return 1 if _naive_eval(plan.structure, a, node) else 0
 
-    return walk(plan.formula, (), {})
+        return walk(plan.formula, (), {})
+
+    return play
 
 
 def _points_by_path(formula, collapsed) -> dict:
@@ -332,7 +380,8 @@ _REFERENCE_TOKEN_RE = re.compile(
 
 
 def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
-    """`formula._tokenize` by named groups: `bad` matches any single
+    """`formula._tokenize`'s kinds and texts, each with its position from
+    `formula._token_start`, by named groups: `bad` matches any single
     character, so the matches tile the text."""
     tokens = []
     for m in _REFERENCE_TOKEN_RE.finditer(text):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ifgames.errors import ParseError
 from ifgames.formula import (
     MAX_NESTING,
+    _token_start,
     _tokenize,
     App,
     Atom,
@@ -23,7 +26,7 @@ from ifgames.formula import (
 from ifgames.semantic_game import build_matrix
 from ifgames.structure import Structure, load_structure
 
-from conftest import TEST_VOCAB, perfbench_workloads, random_sentence
+from conftest import FIXTURES, TEST_VOCAB, perfbench_workloads, random_sentence
 from reference import reference_tokenize
 from test_cli import _formula_texts
 
@@ -343,41 +346,103 @@ def loop_tokens(text):
     return tokens + [("eof", "", len(text))]
 
 
-def tokens_or_error(text, tokenize=_tokenize):
-    """The token list, or the ParseError's message and position."""
+def tokens_or_error(text):
+    """`_tokenize`'s (kind, text) pairs, each with its `_token_start`, or
+    the ParseError's message and position."""
     try:
-        return tokenize(text)
+        kinds, texts = _tokenize(text)
+    except ParseError as e:
+        return str(e), e.position
+    return [(kind, token, _token_start(text, i)) for i, (kind, token) in enumerate(zip(kinds, texts))]
+
+
+def reference_or_error(text):
+    try:
+        return reference_tokenize(text)
     except ParseError as e:
         return str(e), e.position
 
 
 def _sentence_corpus_formulas(seeds):
-    """Every `--formula` of the benchmark's sentence_corpus workload."""
+    """Every `--formula` of the benchmark's sentence_corpus workload, with
+    the vocabulary of the structure its op names."""
     workloads = perfbench_workloads()
     for seed in seeds:
-        for op in workloads.sentence_corpus(seed).ops:
-            yield op.argv[op.argv.index("--formula") + 1]
+        workload = workloads.sentence_corpus(seed)
+        vocabs = {}
+        for op in workload.ops:
+            name = op.argv[op.argv.index("--structure") + 1].removeprefix("{dir}/")
+            if name not in vocabs:
+                vocabs[name] = load_structure(workload.files[name]).vocabulary()
+            yield op.argv[op.argv.index("--formula") + 1], vocabs[name]
 
 
 class TestTokenize:
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(_formula_texts())
     def test_matches_loop_on_fuzz_texts(self, text):
-        assert tokens_or_error(text) == loop_tokens(text) == tokens_or_error(text, reference_tokenize)
+        assert tokens_or_error(text) == loop_tokens(text) == reference_or_error(text)
 
     def test_matches_loop_on_sentence_corpus(self):
-        formulas = list(_sentence_corpus_formulas((1, 4242, 9090)))
+        formulas = [text for text, _ in _sentence_corpus_formulas((1, 4242, 9090))]
         assert len(formulas) > 1000
         for text in formulas:
             assert tokens_or_error(text) == loop_tokens(text), text
 
     @pytest.mark.parametrize("text", ["", "  ", "Ax \n Ey x = y", "x # y", "\u00e9", "Ax\tP(x)\r\n!", "\\/_i{P, Q}"])
     def test_matches_loop_on_edge_cases(self, text):
-        assert tokens_or_error(text) == loop_tokens(text) == tokens_or_error(text, reference_tokenize)
+        assert tokens_or_error(text) == loop_tokens(text) == reference_or_error(text)
 
     # Whitespace of every kind the regex knows, the choice's backslash, and
     # characters outside every token: non-ASCII letters and digits, `#`, NUL.
     @settings(derandomize=True, deadline=None, database=None, max_examples=500)
     @given(st.text(alphabet=" \t\r\n\x0b\u2028\\/_xAE'1(),{}=&|~#\x00\u00e9\u00b2\u0663", max_size=16))
     def test_matches_reference_on_random_strings(self, text):
-        assert tokens_or_error(text) == loop_tokens(text) == tokens_or_error(text, reference_tokenize)
+        assert tokens_or_error(text) == loop_tokens(text) == reference_or_error(text)
+
+
+# Characters a mutation inserts: every symbol, the quantifier letters, three
+# variables, the choice's backslash, a space, and `#`, which starts no token.
+_MUTATION_CHARS = "()&|~=,{}/#AExyz\\ "
+PARSE_FIXTURE = FIXTURES / "parse_mutations.json"
+
+
+def parse_mutations(count=2000, seed=5):
+    """`count` seeded edits of sentence_corpus formulas: a prefix, a deleted
+    character, or a character of _MUTATION_CHARS inserted."""
+    rng = random.Random(seed)
+    sentences = list(_sentence_corpus_formulas((1,)))
+    for _ in range(count):
+        text, vocab = rng.choice(sentences)
+        at = rng.randrange(len(text) + 1)
+        edit = rng.choice(("prefix", "delete", "insert"))
+        if edit == "prefix":
+            text = text[:at]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + rng.choice(_MUTATION_CHARS) + text[at:]
+        yield text, vocab
+
+
+def parse_outcome(text, vocab):
+    """The printed sentence, or the ParseError's message and position."""
+    try:
+        return format_formula(parse(text, vocab))
+    except ParseError as e:
+        return [str(e), e.position]
+
+
+def test_parse_mutations_match_the_recorded_outcomes():
+    """`parse_mutations.json` holds each mutation's outcome as recorded
+    before the tokenizer took its tokens in one `findall`: every printed
+    sentence, message and position must stay as it was."""
+    recorded = json.loads(PARSE_FIXTURE.read_text())
+    mutations = list(parse_mutations())
+    digest = hashlib.sha256("\0".join(text for text, _ in mutations).encode()).hexdigest()
+    assert digest == recorded["inputs_sha256"], "the benchmark's generator changed the inputs"
+    outcomes = [parse_outcome(text, vocab) for text, vocab in mutations]
+    errors = sum(isinstance(o, list) for o in outcomes)
+    assert 0 < errors < len(outcomes)
+    for (text, _), got, want in zip(mutations, outcomes, recorded["outcomes"]):
+        assert got == want, text

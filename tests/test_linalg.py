@@ -28,13 +28,19 @@ def reference_lp(matrix, degenerate_run=0):
     rows by descending sum, then Dantzig until `degenerate_run` pivots in a
     row leave sum y unchanged, and Bland until one raises it.  The default,
     0, is pure Bland.  v = 1 / sum y, nu = y / sum y and mu = x / sum x for
-    the duals x read off the slack reduced costs."""
+    the duals x read off the slack reduced costs.  A tall game without a
+    zero column is solved as top - u^T, whose value is top - v and whose row
+    and column mixes are Abelard's and Eloise's."""
     m, n = len(matrix), len(matrix[0])
     col_sums = [sum(col) for col in zip(*matrix)]
     if 0 in col_sums:
         mu, nu = [Fraction(0)] * m, [Fraction(0)] * n
         mu[0] = nu[col_sums.index(0)] = Fraction(1)
         return Fraction(0), mu, nu
+    if m > n:
+        top = max(map(max, matrix))
+        value, nu, mu = reference_lp([[top - x for x in col] for col in zip(*matrix)], degenerate_run)
+        return top - value, mu, nu
     rows = sorted(range(m), key=lambda i: -sum(matrix[i]))
     cols = sorted(range(n), key=lambda j: col_sums[j])
     nvars = n + m
@@ -178,6 +184,18 @@ class TestSecurityLevelLP:
         for matrix in games:
             security_level_lp(GameMatrix(matrix).array)
         assert len(seen) / len(games) <= 6
+
+    def test_tall_game_pivots_on_its_short_side(self, monkeypatch):
+        # A 200 x 20 game is solved as top - u^T, in a tableau of 20 + 1 rows.
+        rng = random.Random(2020)
+        u = GameMatrix([[int(rng.random() < 0.5) for _ in range(20)] for _ in range(200)])
+        heights = []
+        pivot = linalg._pivot
+        monkeypatch.setattr(linalg, "_pivot", lambda table, *args: heights.append(len(table)) or pivot(table, *args))
+        value, (mu_nums, d), (nu_raw, total) = security_level_lp(u.array)
+        assert heights and set(heights) == {21}
+        mu, nu = MixedStrategy(mu_nums, d, "row"), MixedStrategy(nu_raw, total, "column")
+        assert security_levels(u, mu, nu) == (value, value)
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, 2.25])
     def test_non_integral_payoff_raises(self, bad):

@@ -27,7 +27,7 @@ from ifgames.structure import Structure, total_function_table
 from ifgames.value_engine import solve_value
 
 from conftest import TEST_VOCAB, identity_matrix, random_qf, random_sentence
-from reference import _eloise_wins, _reference_matrix, _reference_play, enumerate_strategies
+from reference import _eloise_wins, _reference_matrix, _reference_play, enumerate_strategies, reference_reduced
 
 EMPTY = Vocabulary()
 
@@ -408,3 +408,75 @@ RANDOM_STRUCTURE = Structure(
     relations={"R": frozenset({(1,)}), "P": frozenset({(0, 1), (1, 1)})},
     functions={"add": total_function_table(2, 2, lambda a, b: (a + b) % 2), "c": {(): 1}},
 )
+
+
+def _nodes(node):
+    """Every compiled node at or below `node`, once each."""
+    seen, stack = {}, [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+    return seen.values()
+
+
+def _assert_reduced_is_the_reference(s, f, collapse):
+    form = build_reduced(s, f, collapse)
+    matrix, eloise, abelard = reference_reduced(s, f, collapse)
+    assert form.matrix == matrix
+    for got, want in ((form.eloise, eloise), (form.abelard, abelard)):
+        assert (got.cells, tuple(got.reps), got.weights) == (want.cells, want.reps, want.weights)
+
+
+class TestShapes:
+    """At an opponent's move whose variable none of the side's moves below
+    reads, the walk takes one child of each shape: children of one shape
+    reach the same cells under the same values."""
+
+    def test_hashing_branches_share_one_shape(self):
+        structure, spec = hash_structure(3, 2)
+        root = Game(structure, hashing_sentence(spec))._root
+        assert len(root.children) == 8 and len(root.distinct) == 1
+        assert len({child.shape for child in root.children}) == 1
+        assert len({id(child) for child in root.children}) == 8
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Branches whose first moves agree but whose subtrees differ.
+            "\\/_i{(Ax/i) (Ay/i) x = y, (Ax/i) x = x}",
+            # One point for (Az/i y) in both branches, reading x at slot 1 in
+            # the first and at slot 2 in the second.
+            "\\/_i{(Ax/i) (Ay/i x) (Az/i y) z = x, (Ay/i) (Ax/i y) (Az/i y) z = x}",
+        ],
+    )
+    def test_branches_of_one_point_but_not_one_shape(self, text):
+        f = parse(text, EMPTY)
+        assert len(Game(Structure(size=2), f)._root.distinct) == 2
+        _assert_reduced_is_the_reference(Structure(size=2), f, True)
+
+    @pytest.mark.parametrize("keys, values", [(2, 2), (3, 2), (2, 3)])
+    def test_hashing_matches_the_full_form(self, keys, values):
+        structure, spec = hash_structure(keys, values)
+        _assert_reduced_is_the_reference(structure, hashing_sentence(spec), True)
+
+    def test_random_choice_sentences_match_the_full_form(self):
+        rng = random.Random(2026)
+        checked = merged = 0
+        while checked < 60:
+            f = random_sentence(rng)
+            if not any(isinstance(node, Connective) and node.choice_var for _, node in _walk(f)):
+                continue
+            for collapse in (True, False):
+                try:
+                    game = Game(RANDOM_STRUCTURE, f, collapse)
+                    game.strategy_count(ELOISE, 64), game.strategy_count(ABELARD, 64)
+                except GameBuildError:  # positions no game can merge, or over the budget
+                    continue
+                game.reduced_form()
+                # Distinct children of one shape, which the quantifier rule did not merge.
+                merged += any(len(n.distinct) < len({id(c) for c in n.children}) for n in _nodes(game._root))
+                _assert_reduced_is_the_reference(RANDOM_STRUCTURE, f, collapse)
+                checked += 1
+        assert merged >= 10
