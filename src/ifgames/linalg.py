@@ -55,7 +55,7 @@ def _pivot(table: np.ndarray, r: int, c: int, d: int) -> int:
     return int(p)
 
 
-def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], tuple[list[int], int]]:
+def security_level_lp(u: np.ndarray) -> tuple[Fraction, list[int], list[int], int]:
     """The value of the game with payoff matrix `u` and an optimal pair, by
     the textbook program: maximize sum y s.t. u.y <= 1, y >= 0.
 
@@ -66,8 +66,9 @@ def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], t
     y / sum y, and Eloise's is x / sum x for the duals x of the rows, the
     slack reduced costs, where sum x = sum y.  Columns enter in order of
     ascending sum and rows sit in order of descending sum (both stable).
-    Returns (v, (mu_nums, d), (nu_raw, total)) with mu_i = mu_nums[i] / d and
-    nu_j = nu_raw[j] / total in the caller's order, d > 0 and total > 0.
+    Returns (v, mu_nums, nu_nums, den) with mu_i = mu_nums[i] / den and
+    nu_j = nu_nums[j] / den in the caller's order.  The mixes share den > 0:
+    d * sum y for the final tableau's denominator d, or 1 without a tableau.
 
     A tall u without a zero column is solved as top - u^T, for `top` its
     largest entry: Abelard maximizes top minus Eloise's payoff there, so its
@@ -80,8 +81,8 @@ def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], t
     m, n = u.shape
     if m > n and u.any(axis=0).all():
         top = int(u.max())
-        value, nu, mu = security_level_lp(top - u.T)
-        return top - value, mu, nu
+        value, nu, mu, den = security_level_lp(top - u.T)
+        return top - value, mu, nu, den
     # Past the identity columns every minor of [u | I | 1; 1 | 0 | 0] has
     # order min(m, n) + 1 or less, and every entry is at most max(u).
     u = u.astype(_dtype(int(u.max()), min(m, n) + 1))
@@ -89,7 +90,7 @@ def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], t
     if 0 in col_sums:
         mu, nu = [0] * m, [0] * n
         mu[0] = nu[col_sums.index(0)] = 1
-        return Fraction(0), (mu, 1), (nu, 1)
+        return Fraction(0), mu, nu, 1
     row_sums = u.sum(axis=1).tolist()
     rows = sorted(range(m), key=row_sums.__getitem__, reverse=True)
     cols = sorted(range(n), key=col_sums.__getitem__)
@@ -137,4 +138,4 @@ def security_level_lp(u: np.ndarray) -> tuple[Fraction, tuple[list[int], int], t
         mu[i] = x
         if b < n:
             nu[cols[b]] = y
-    return Fraction(d, total), (mu, total), (nu, total)
+    return Fraction(d, total), mu, nu, total

@@ -261,17 +261,25 @@ def _dominance_keep(vectors: np.ndarray, larger_survives: bool) -> list[int]:
 
     Live vectors, the first of each set of copies, are pairwise distinct, so
     dominance is a strict order on them: each dominated one lies below an
-    undominated one, and removals in any order leave just the undominated."""
+    undominated one.  Oriented so that the larger survives (columns are
+    complemented), a vector lies below only vectors with more ones, so in
+    order of falling count of ones, ties by index, each live vector is
+    tested only against the undominated ones kept before it."""
+    if not larger_survives:
+        vectors = 1 - vectors
     # Bit-packed, each vector is one fixed-width byte key; the stable sort
     # behind return_index makes the smallest index its copies' representative.
     packed = np.ascontiguousarray(np.packbits(vectors, axis=1))
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    alive = np.sort(np.unique(keys, return_index=True)[1])
-    live = packed[alive]
+    alive = np.unique(keys, return_index=True)[1]
     # v <= w iff v & ~w has no bit set, and packbits pads with zeros, which
-    # never count: mine[i] & others[j] is zero iff j dominates i or is i.
-    mine, others = (live, ~live) if larger_survives else (~live, live)
-    return [i for i, v in zip(alive.tolist(), mine) if np.count_nonzero((v & others).any(axis=1)) == len(live) - 1]
+    # never count: v & above[k] is zero iff the k-th kept vector dominates v.
+    above, kept = np.empty_like(packed), []
+    for i in alive[np.lexsort((alive, -vectors.sum(axis=1, dtype=np.int64)[alive]))].tolist():
+        if (packed[i] & above[: len(kept)]).any(axis=1).all():
+            above[len(kept)] = ~packed[i]
+            kept.append(i)
+    return sorted(kept)
 
 
 # ---------------------------------------------------------------------------

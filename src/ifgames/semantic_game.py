@@ -191,43 +191,42 @@ class Game:
         self._base: list[int] = []  # per point, its first cell in the owner's flat table
         self._cells = [0, 0]  # flat table length per side
         self._slots = 1  # length of the value list a play writes
-        self._ends: list[tuple[_Node, Formula, tuple, int]] = []  # each end, its bindings and chain
+        self._ends: list[tuple[_Node, Formula, tuple]] = []  # each end and its bindings
         self._quantifiers: list[_Node] = []  # one child each until the budget check
         self._shapes: dict[tuple, int] = {}  # a move's parts and its children's shapes -> its shape
-        self._chain = 0  # the longest quantifier chain in a collapsed subformula
-        self._collapsible = _collapsible(formula) if collapse else set()
-        self._root = self._compile(formula, (), (), ())
+        chains = _collapsible(formula)  # which also refuses a rebinding when nothing collapses
+        self._collapsible = chains if collapse else {}  # collapsed node id -> its quantifier chain
+        self._root = self._compile(formula, (), ())
 
     # -- planning ------------------------------------------------------------
 
-    def _compile(self, node, path: Path, stack, bound) -> _Node:
-        """`stack` holds (component, enclosing choice var) per path step;
-        `bound` holds (identifier, range) pairs in binding order, so an
-        identifier's slot is its index there and a move's `var` is the next
-        slot."""
-        if id(node) in self._collapsible:  # perfect information: evaluated classically
-            self.collapsed.append(path)
-            return self._end(node, bound, _quantifier_chain(node, {name for name, _ in bound}))
+    def _compile(self, node, stack, bound) -> _Node:
+        """`stack` holds (component, enclosing choice var) per path step, the
+        components being the path reported; `bound` holds (identifier, range)
+        pairs in binding order, so an identifier's slot is its index there and
+        a move's `var` is the next slot."""
+        chain = self._collapsible.get(id(node))
+        if chain is not None:  # perfect information: evaluated classically
+            self.collapsed.append(tuple(i for i, _ in stack))
+            return self._end(node, bound, chain)
         if isinstance(node, Quant):
-            if any(name == node.var for name, _ in bound):
-                raise _rebound(node.var)
             canon = tuple("*" if cv is not None and cv in node.slash else idx for idx, cv in stack)
             visible = tuple((name, rng) for name, rng in bound if name not in node.slash)
             size = self.structure.size
-            idx = self._register(canon, path, _owner_of(node), visible, size)
-            body = self._compile(node.body, path + (0,), stack + ((0, None),), bound + ((node.var, size),))
+            idx = self._register(canon, stack, _owner_of(node), visible, size)
+            body = self._compile(node.body, stack + ((0, None),), bound + ((node.var, size),))
             slots = tuple((slot, rng) for slot, (name, rng) in enumerate(bound) if name not in node.slash)
             self._quantifiers.append(self._move(idx, slots, len(bound), (body,)))
             return self._quantifiers[-1]
         if isinstance(node, Connective):
             if len(node.branches) == 1:
-                return self._compile(node.branches[0], path + (0,), stack + ((0, None),), bound)
-            idx = self._register(tuple(i for i, _ in stack), path, _owner_of(node), bound, len(node.branches))
+                return self._compile(node.branches[0], stack + ((0, None),), bound)
+            idx = self._register(tuple(i for i, _ in stack), stack, _owner_of(node), bound, len(node.branches))
             inner = bound
             if node.choice_var is not None:
                 inner = bound + ((node.choice_var, len(node.branches)),)
             children = tuple(
-                self._compile(branch, path + (b,), stack + ((b, node.choice_var),), inner)
+                self._compile(branch, stack + ((b, node.choice_var),), inner)
                 for b, branch in enumerate(node.branches)
             )
             slots = tuple((slot, rng) for slot, (_, rng) in enumerate(bound))
@@ -240,8 +239,7 @@ class Game:
         no higher than the binding count of each end after it, and the end's
         k-th nested quantifier the k-th slot past that count."""
         node = _Node()
-        self._ends.append((node, formula, bound, chain))
-        self._chain = max(self._chain, chain)
+        self._ends.append((node, formula, bound))
         self._slots = max(self._slots, len(bound) + max(chain, 1))
         return node
 
@@ -249,7 +247,7 @@ class Game:
         """Each end of play's test, scalar or on arrays, compiled after the
         budget check so that a refused game compiles none."""
         tests = {}
-        for node, formula, bound, _ in self._ends:
+        for node, formula, bound in self._ends:
             slots = {name: slot for slot, (name, _) in enumerate(bound)}
             tests[node] = compile_qf(self.structure, formula, slots, arrays)
         return tests
@@ -261,11 +259,12 @@ class Game:
         shape = self._shapes.setdefault(key, len(self._shapes) + 1)
         return _Node(side, self._base[idx], visible, var, children, shape)
 
-    def _register(self, canon, path: Path, owner: str, visible, options: int) -> int:
+    def _register(self, canon, stack, owner: str, visible, options: int) -> int:
         point = DecisionPoint(owner, tuple(n for n, _ in visible), options, tuple(r for _, r in visible))
         if canon in self._canon:
             idx = self._canon[canon]
             if self.points[idx] != point:
+                path = tuple(i for i, _ in stack)
                 raise GameBuildError(f"indistinguishable positions at {path} disagree on owner or information")
             return idx
         idx = len(self.points)
@@ -318,7 +317,7 @@ class Game:
         n_rows = self.strategy_count(ELOISE, budget)
         n_cols = self.strategy_count(ABELARD, budget)
         check_matrix_size(n_rows, n_cols)
-        size, chain = self.structure.size, self._chain
+        size, chain = self.structure.size, max(self._collapsible.values(), default=0)
         if size**chain > budget:
             raise SizeLimitError(
                 f"classical evaluation of a perfect-information subformula would visit "
@@ -517,44 +516,35 @@ def check_matrix_size(n_rows: int, n_cols: int) -> None:
         )
 
 
-def _rebound(var: str) -> GameBuildError:
-    return GameBuildError(f"variable {var!r} is rebound on one path; games need distinct names")
-
-
-def _collapsible(f: Formula) -> set[int]:
+def _collapsible(f: Formula) -> dict[int, int]:
     """The ids of the quantifiers and the connectives of two or more
     branches in `f` whose subtree has no quantifier with a nonempty slash
-    set, found in one bottom-up pass."""
-    found: set[int] = set()
+    set, each with its subtree's longest chain of nested quantifiers, found
+    in one pass that refuses a quantifier rebinding a quantifier or choice
+    variable above it, whether the quantifier is played or collapsed."""
+    found: dict[int, int] = {}
 
-    def slash_free(node) -> bool:
+    def chain(node, names: tuple[str, ...]) -> int | None:  # None with a slash below
         if isinstance(node, Quant):
-            free = slash_free(node.body) and not node.slash
+            if node.var in names:
+                raise GameBuildError(f"variable {node.var!r} is rebound on one path; games need distinct names")
+            below = chain(node.body, names + (node.var,))
+            longest = None if below is None or node.slash else below + 1
         elif isinstance(node, Connective):
-            free = all([slash_free(branch) for branch in node.branches])  # visit every branch
+            if node.choice_var is not None:
+                names += (node.choice_var,)
+            below = [chain(branch, names) for branch in node.branches]  # visit every branch
+            longest = None if None in below else max(below, default=0)
             if len(node.branches) < 2:
-                return free  # a lone branch is no move
+                return longest  # a lone branch is no move
         else:
-            return True
-        if free:
-            found.add(id(node))
-        return free
+            return 0
+        if longest is not None:
+            found[id(node)] = longest
+        return longest
 
-    slash_free(f)
+    chain(f, ())
     return found
-
-
-def _quantifier_chain(f: Formula, names: set[str]) -> int:
-    """The longest chain of nested quantifiers in the collapsed subformula
-    `f`, under the identifiers `names` bound above it; a rebinding is refused
-    as it would be were `f` played out."""
-    if isinstance(f, Quant):
-        if f.var in names:
-            raise _rebound(f.var)
-        return 1 + _quantifier_chain(f.body, names | {f.var})
-    if isinstance(f, Connective):
-        return max(_quantifier_chain(branch, names) for branch in f.branches)
-    return 0
 
 
 def decision_points(f: Formula, s: Structure) -> list[DecisionPoint]:

@@ -91,8 +91,8 @@ def balanced_value(u: GameMatrix) -> ValueReport | None:
 def solve_value(u: GameMatrix) -> ValueReport:
     """The exact value by linear programming, with both optimal strategies
     built from the final tableau's integers."""
-    value, (mu_nums, d), (nu_raw, total) = security_level_lp(u.array)
-    return _certified(u, value, MixedStrategy(mu_nums, d, "row"), MixedStrategy(nu_raw, total, "column"), METHOD_LP)
+    value, mu_nums, nu_nums, den = security_level_lp(u.array)
+    return _certified(u, value, MixedStrategy(mu_nums, den, "row"), MixedStrategy(nu_nums, den, "column"), METHOD_LP)
 
 
 # ---------------------------------------------------------------------------

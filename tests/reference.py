@@ -6,6 +6,7 @@ read off a choice table; the hashing lambda-step behind
 `minimal_degree_indices` and the table reading behind
 `adversary_pair_columns`; the canonical structure writer the tests use to
 make fixture files; the named-group tokenizer the formula tokenizer is
+checked against; the all-pairs dominance test the reduction's scan is
 checked against; and the support-enumeration oracle the LP is checked
 against, which solves its equalizing systems by `Fraction` Gauss-Jordan
 elimination and so shares no arithmetic with `ifgames.linalg`.
@@ -17,6 +18,8 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 from ifgames.applications import function_degree
 from ifgames.errors import ParseError, SizeLimitError
@@ -248,6 +251,26 @@ def reference_adversary_pairs(spec, form) -> frozenset[int]:
         if first < spec.key_count and second < spec.key_count and first != second:
             chosen.append(j)
     return frozenset(chosen)
+
+
+# ---------------------------------------------------------------------------
+# Dominance
+
+
+def dominance_keep_all_pairs(vectors: np.ndarray, larger_survives: bool) -> list[int]:
+    """`matrix_game._dominance_keep` by testing every live vector against
+    every live one: the indices (ascending) of the first of each set of
+    copies that no other live vector weakly dominates."""
+    # Bit-packed, each vector is one fixed-width byte key; the stable sort
+    # behind return_index makes the smallest index its copies' representative.
+    packed = np.ascontiguousarray(np.packbits(vectors, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    alive = np.sort(np.unique(keys, return_index=True)[1])
+    live = packed[alive]
+    # v <= w iff v & ~w has no bit set, and packbits pads with zeros, which
+    # never count: mine[i] & others[j] is zero iff j dominates i or is i.
+    mine, others = (live, ~live) if larger_survives else (~live, live)
+    return [i for i, v in zip(alive.tolist(), mine) if np.count_nonzero((v & others).any(axis=1)) == len(live) - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,26 @@ class TestValueCommand:
         assert code == EXIT_OK
         assert "value=1/1" in out
 
+    def test_trivial_loss_matrix(self):
+        code, out = run_cli("value", "--matrix", str(FIXTURES / "m4_loss.txt"), "--format", "machine")
+        assert code == EXIT_OK
+        for line in ("value=0/1", "method=trivial-loss", "eloise=0:1/1", "abelard=3:1/1"):
+            assert line in out.splitlines()
+
+    def test_tall_game_reduces_in_seconds(self):
+        # R is 19683 x 27, past the direct-LP limit, so it is reduced first:
+        # testing every live row against every live one took 7 s there.
+        started = time.perf_counter()
+        code, out = run_cli(
+            "value",
+            "--structure", str(FIXTURES / "tall_game.json"),
+            "--formula-file", str(FIXTURES / "tall_game.formula"),
+            "--format", "machine",
+        )
+        assert time.perf_counter() - started < 3
+        assert code == EXIT_OK
+        assert "rows=19683\ncols=2187\n" in out and "value=1/3\nmethod=lp\n" in out
+
     def test_text_format_carries_decimal(self):
         code, out = run_cli("value", "--matrix", str(FIXTURES / "m4_mixed.txt"))
         assert code == 0

@@ -106,9 +106,9 @@ def lp_cases():
 
 
 def lp_as_fractions(matrix):
-    value, (mu_nums, d), (nu_raw, total) = security_level_lp(np.array(matrix, dtype=np.int64))
-    assert d > 0 and total > 0
-    return value, [Fraction(q, d) for q in mu_nums], [Fraction(x, total) for x in nu_raw]
+    value, mu_nums, nu_nums, den = security_level_lp(np.array(matrix, dtype=np.int64))
+    assert den > 0
+    return value, [Fraction(q, den) for q in mu_nums], [Fraction(x, den) for x in nu_nums]
 
 
 def spy_pivots(monkeypatch):
@@ -144,7 +144,7 @@ class TestSecurityLevelLP:
     def test_value_matches_support_enumeration(self):
         for matrix in random_games(random.Random(7), 80, 6, 6):
             u = GameMatrix(matrix)
-            value, _, _ = security_level_lp(u.array)
+            value = security_level_lp(u.array)[0]
             assert value == solve_by_support_enumeration(u).value, matrix
 
     def test_shares_no_pivot_with_the_lp(self, monkeypatch):
@@ -170,8 +170,8 @@ class TestSecurityLevelLP:
             for j in rng.sample(range(n), rng.randint(1, n)):
                 for row in matrix:
                     row[j] = 0
-            value, (mu_nums, d), (nu_raw, total) = security_level_lp(np.array(matrix, dtype=np.int64))
-            mu, nu = MixedStrategy(mu_nums, d, "row"), MixedStrategy(nu_raw, total, "column")
+            value, mu_nums, nu_nums, den = security_level_lp(np.array(matrix, dtype=np.int64))
+            mu, nu = MixedStrategy(mu_nums, den, "row"), MixedStrategy(nu_nums, den, "column")
             # `GameMatrix` holds 0/1 entries only; `security_levels` reads the array.
             u = GameMatrix(matrix) if top == 1 else SimpleNamespace(array=np.array(matrix), m=m, n=n)
             assert value == 0 and security_levels(u, mu, nu) == (0, 0), matrix
@@ -192,9 +192,9 @@ class TestSecurityLevelLP:
         heights = []
         pivot = linalg._pivot
         monkeypatch.setattr(linalg, "_pivot", lambda table, *args: heights.append(len(table)) or pivot(table, *args))
-        value, (mu_nums, d), (nu_raw, total) = security_level_lp(u.array)
+        value, mu_nums, nu_nums, den = security_level_lp(u.array)
         assert heights and set(heights) == {21}
-        mu, nu = MixedStrategy(mu_nums, d, "row"), MixedStrategy(nu_raw, total, "column")
+        mu, nu = MixedStrategy(mu_nums, den, "row"), MixedStrategy(nu_nums, den, "column")
         assert security_levels(u, mu, nu) == (value, value)
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, 2.25])

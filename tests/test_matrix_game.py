@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifgames import matrix_game
 from ifgames.errors import IfGamesError
@@ -22,6 +24,7 @@ from ifgames.matrix_game import (
 from ifgames.value_engine import balanced_value, solve_value
 
 from conftest import FIXTURES, M4_WIN, M5X6_A, M5X6_B, identity_matrix, random_matrix
+from reference import dominance_keep_all_pairs
 
 PAPER_MIX = MixedStrategy((1, 1, 2, 1, 2), 7, "row")
 
@@ -351,6 +354,18 @@ class TestReduceAgainstReference:
                     expected = _dominance_keep_reference(vectors, larger)
                     assert matrix_game._dominance_keep(vectors, larger) == expected
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(
+        st.integers(1, 20)
+        .flatmap(lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=12))
+        .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    )
+    def test_dominance_keep_matches_all_pairs(self, rows):
+        # Rows drawn from a small pool, so most sets of vectors hold copies.
+        vectors = np.array(rows, dtype=np.uint8)
+        for larger in (True, False):
+            assert matrix_game._dominance_keep(vectors, larger) == dominance_keep_all_pairs(vectors, larger)
+
     def test_reduce_matches(self, rng, monkeypatch):
         games = list(_games_for_reduction(rng))
         got = [reduce(u) for u in games]
@@ -408,7 +423,7 @@ class TestTextFormat:
         assert u.array.tolist() == [[0, 1, 1], [1, 0, 0]]
         assert u.array.dtype == np.uint8
 
-    @pytest.mark.parametrize("name", ["m5x6_a.txt", "m5x6_b.txt", "m4_mixed.txt", "zeros1x1.txt"])
+    @pytest.mark.parametrize("name", ["m5x6_a.txt", "m5x6_b.txt", "m4_mixed.txt", "m4_loss.txt", "zeros1x1.txt"])
     def test_parsed_matrix_is_read_only_uint8(self, name):
         text = (FIXTURES / name).read_text()
         u = parse_matrix(text)

@@ -384,6 +384,14 @@ class TestPerfectInformationCollapse:
             with pytest.raises(GameBuildError, match="rebound"):
                 build_reduced(Structure(size=2), f, collapse=collapse)
 
+    def test_rebinding_a_choice_variable_is_rejected(self):
+        # The first branch is collapsed by default, the second is played.
+        for text in ("\\/_i{Ai i = i, (Ex/i) x = x}", "\\/_i{(Ai/i) i = i, (Ex/i) x = x}"):
+            f = parse(text, EMPTY)
+            for collapse in (True, False):
+                with pytest.raises(GameBuildError, match="^variable 'i' is rebound on one path"):
+                    build_reduced(Structure(size=2), f, collapse=collapse)
+
 
 def _node_at(f, path):
     for step in path:
