@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from . import applications
 from .errors import (
     BudgetExceededError,
     EvaluationError,
@@ -24,11 +23,8 @@ from .errors import (
     SizeLimitError,
     StructureFormatError,
 )
-from .formula import parse as parse_formula
-from .matrix_game import Bounds, MixedStrategy, format_matrix, parse_matrix, reduce
-from .matrix_game import scaled_numerators, tallies
-from .semantic_game import DEFAULT_STRATEGY_BUDGET, ReducedForm, build_matrix, build_reduced
-from .structure import load_structure
+from .matrix_game import DEFAULT_STRATEGY_BUDGET, Bounds, MixedStrategy, ReducedForm, format_matrix, parse_matrix
+from .matrix_game import reduce, scaled_numerators, tallies
 from .value_engine import solve_game, verify_equilibrium
 from .value_engine import solve_value  # noqa: F401  (the benchmark's tracer reads cli.solve_value)
 
@@ -151,6 +147,23 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+@cache
+def _sentence_side():
+    """`applications`, `formula`, `semantic_game` and `structure`, imported
+    on the first command that reads a sentence or builds a case study, so a
+    --matrix run never loads them.  Callers read each function off its
+    module at call time."""
+    from . import applications, formula, semantic_game, structure
+
+    return applications, formula, semantic_game, structure
+
+
+def __getattr__(name: str):
+    if name == "build_matrix":  # the benchmark's tracer reads cli.build_matrix
+        return _sentence_side()[2].build_matrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _read_input(path: str) -> str:
     try:
         with open(path, encoding="utf-8-sig") as f:  # a leading byte-order mark is dropped
@@ -172,9 +185,10 @@ def _case_study(make, *args):
         raise _UsageError(str(e)) from None
 
 
-def _load_game(args, build) -> ReducedForm:
+def _load_game(args, build: str) -> ReducedForm:
     """The game the input flags name: a --matrix file as it stands, or a
-    sentence as `build` (`build_reduced` or `build_matrix`) makes it."""
+    sentence as the builder `build` (`"build_reduced"` or `"build_matrix"`)
+    of `semantic_game` makes it."""
     from_matrix = args.matrix is not None
     from_sentence = args.structure is not None or args.formula is not None or args.formula_file is not None
     if from_matrix == from_sentence:
@@ -187,10 +201,11 @@ def _load_game(args, build) -> ReducedForm:
         raise _UsageError("--formula needs --structure")
     if (args.formula is None) == (args.formula_file is None):
         raise _UsageError("provide exactly one of --formula / --formula-file")
-    structure = load_structure(_read_input(args.structure))
+    _, formula, semantic_game, structure = _sentence_side()
+    s = structure.load_structure(_read_input(args.structure))
     text = args.formula if args.formula is not None else _read_input(args.formula_file)
-    sentence = parse_formula(text, structure.vocabulary())
-    return build(structure, sentence, collapse=not args.no_collapse, max_strategies=args.max_strategies)
+    sentence = formula.parse(text, s.vocabulary())
+    return getattr(semantic_game, build)(s, sentence, collapse=not args.no_collapse, max_strategies=args.max_strategies)
 
 
 def _header(form: ReducedForm, fmt: str, command: str) -> tuple[_Report, Bounds]:
@@ -224,11 +239,11 @@ def _report_game(form: ReducedForm, fmt: str, command: str, verified_line: bool)
 def _run(args) -> int:
     fmt = getattr(args, "format", "text")
     if args.command in ("value", "equilibrium"):
-        form = _load_game(args, build_reduced)
+        form = _load_game(args, "build_reduced")
         _report_game(form, fmt, args.command, verified_line=args.command == "equilibrium")
         return EXIT_OK
     if args.command == "bounds":
-        out, t = _header(_load_game(args, build_reduced), fmt, "bounds")
+        out, t = _header(_load_game(args, "build_reduced"), fmt, "bounds")
         out.add("colmin", t.colmin)
         out.add("rowmax", t.rowmax)
         out.print()
@@ -236,7 +251,7 @@ def _run(args) -> int:
     if args.command == "reduce":
         # R is the full game at increasing representatives, so reducing R
         # keeps the representatives of what reducing the full game keeps.
-        form = _load_game(args, build_reduced)
+        form = _load_game(args, "build_reduced")
         reduced, rows, cols = reduce(form.matrix)
         out = _Report(fmt)
         out.add("command", "reduce")
@@ -248,15 +263,16 @@ def _run(args) -> int:
         sys.stdout.write(format_matrix(reduced))
         return EXIT_OK
     if args.command == "matrix":
-        sys.stdout.write(format_matrix(_load_game(args, build_matrix).matrix))
+        sys.stdout.write(format_matrix(_load_game(args, "build_matrix").matrix))
         return EXIT_OK
+    applications, _, semantic_game, _ = _sentence_side()
     if args.command == "mp":
         sentence, structure = _case_study(applications.matching_pennies, args.n)
-        _report_game(build_reduced(structure, sentence), fmt, "mp", verified_line=False)
+        _report_game(semantic_game.build_reduced(structure, sentence), fmt, "mp", verified_line=False)
         return EXIT_OK
     if args.command == "birthday":
         sentence, structure = _case_study(applications.birthday_game, args.n, args.m)
-        form = build_reduced(structure, sentence)
+        form = semantic_game.build_reduced(structure, sentence)
         all_distinct, duplicate = applications.birthday_closed_form(args.n, args.m)
         _report_game(form, fmt, "birthday", verified_line=False)
         out = _Report(fmt)

@@ -7,7 +7,9 @@ tuple of `Fraction`s is a view built on request.  Utilities come out as exact
 and integer arithmetic on it is exact, so no floating point enters the value
 path.  Matrices built from strategic games can be wide (hundreds of thousands
 of columns), so the bulk operations below work on the integer numerators and
-build no Fraction per entry.
+build no Fraction per entry.  `ReducedForm`, the one game object every
+command solves, lives here too, so a game read from a matrix file needs
+nothing from the sentence side.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import numpy as np
 from .errors import IfGamesError
 
 _INT64_SAFE = 2**62
+# The per-player pure-strategy budget of every game builder and of the CLI.
+DEFAULT_STRATEGY_BUDGET = 2**20
 
 
 class GameMatrix:
@@ -80,6 +84,44 @@ class GameMatrix:
             body = "; ".join(" ".join(map(str, row)) for row in self._a.tolist())
             return f"GameMatrix({self.m}x{self.n}: {body})"
         return f"GameMatrix({self.m}x{self.n})"
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedStrategies:
+    """One player's reduced strategies, in order of representative.
+
+    `cells[s]` is strategy s's flat choice table (the owner's point tables
+    concatenated in point order) with -1 at every cell it leaves
+    unassigned; `reps[s]` is the full-form index of the strategy with those
+    cells at 0, and `weights[s]` the number of full strategies in its class.
+    A game given by its matrix has no choice tables, so no `cells`."""
+
+    cells: tuple[tuple[int, ...], ...]
+    reps: tuple[int, ...] | range
+    weights: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        """The owner's full pure-strategy count."""
+        return sum(self.weights)
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedForm:
+    """The reduced strategic form: `matrix` is R, Eloise's reduced strategies
+    on the rows and Abelard's on the columns, equal to the full game at
+    rows `eloise.reps` and columns `abelard.reps`."""
+
+    matrix: GameMatrix
+    eloise: ReducedStrategies
+    abelard: ReducedStrategies
+    collapsed_loci: tuple[tuple[int, ...], ...]  # formula paths evaluated classically
+
+    @classmethod
+    def of_matrix(cls, u: GameMatrix, collapsed_loci: tuple[tuple[int, ...], ...] = ()) -> ReducedForm:
+        """The game `u` as it stands: every strategy a class of its own."""
+        eloise, abelard = (ReducedStrategies(cells=(), reps=range(k), weights=(1,) * k) for k in (u.m, u.n))
+        return cls(u, eloise, abelard, collapsed_loci)
 
 
 @dataclass(frozen=True)

@@ -59,14 +59,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, GameBuildError, SizeLimitError, shown
 from .formula import Connective, Formula, Quant, validate
-from .matrix_game import GameMatrix
+from .matrix_game import DEFAULT_STRATEGY_BUDGET, GameMatrix, ReducedForm, ReducedStrategies
 from .structure import MAX_ARRAY_ELEMENTS, Structure, compile_qf
 
 ELOISE = "eloise"
 ABELARD = "abelard"
 _PLAYERS = (ELOISE, ABELARD)
 
-DEFAULT_STRATEGY_BUDGET = 2**20
 _MAX_MATRIX_CELLS = 2**28
 # R's cell count from which `Game._grid` scores it rather than `Game._play`.
 # Timed alone, `_play` was as fast or faster on every benchmark game below 256
@@ -89,44 +88,6 @@ class DecisionPoint:
     @property
     def table_size(self) -> int:
         return math.prod(self.visible_ranges)
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedStrategies:
-    """One player's reduced strategies, in order of representative.
-
-    `cells[s]` is strategy s's flat choice table (the owner's point tables
-    concatenated in point order) with -1 at every cell it leaves
-    unassigned; `reps[s]` is the full-form index of the strategy with those
-    cells at 0, and `weights[s]` the number of full strategies in its class.
-    A game given by its matrix has no choice tables, so no `cells`."""
-
-    cells: tuple[tuple[int, ...], ...]
-    reps: tuple[int, ...] | range
-    weights: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        """The owner's full pure-strategy count."""
-        return sum(self.weights)
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedForm:
-    """The reduced strategic form: `matrix` is R, Eloise's reduced strategies
-    on the rows and Abelard's on the columns, equal to the full game at
-    rows `eloise.reps` and columns `abelard.reps`."""
-
-    matrix: GameMatrix
-    eloise: ReducedStrategies
-    abelard: ReducedStrategies
-    collapsed_loci: tuple[Path, ...]
-
-    @classmethod
-    def of_matrix(cls, u: GameMatrix, collapsed_loci: tuple[Path, ...] = ()) -> ReducedForm:
-        """The game `u` as it stands: every strategy a class of its own."""
-        eloise, abelard = (ReducedStrategies(cells=(), reps=range(k), weights=(1,) * k) for k in (u.m, u.n))
-        return cls(u, eloise, abelard, collapsed_loci)
 
 
 class _Node:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifgames import applications, cli
+from ifgames import applications, cli, semantic_game
 from ifgames.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATION, main
 from ifgames.formula import format_formula
 from ifgames.structure import Structure
@@ -568,7 +568,7 @@ class TestFullFormContract:
         def refuse(*args, **kwargs):
             raise AssertionError("reduce built the full strategic form")
 
-        monkeypatch.setattr(cli, "build_matrix", refuse)
+        monkeypatch.setattr(semantic_game, "build_matrix", refuse)
         monkeypatch.setattr(Game, "build_matrix", refuse)
         code, out, err = run_cli_all("reduce", *_contract_argv(tmp_path, key), "--format", "machine")
         assert (code, err) == (EXIT_OK, "")
