@@ -2,22 +2,21 @@
 
 It takes an integer numpy array (any other dtype raises ValueError) and
 returns numerators over one positive common denominator, the pair a
-`MixedStrategy` stores.  Its pivot is integer-preserving (Edmonds/Bareiss),
-an in-place numpy update of the whole table.  Every entry it leaves is a
-minor of the starting table, so a Hadamard bound on those minors picks the
-dtype once: int64 when no pivot product can reach 2^62, else `object` (exact
-Python ints).
+`MixedStrategy` stores.  Its pivot is integer-preserving (Edmonds/Bareiss), an
+in-place numpy update of the whole table.  Every entry it leaves is a minor of
+the starting table, so a Hadamard bound on those minors picks the dtype once:
+int64 when no pivot product can reach 2^62, else `object` (exact Python ints).
 The simplex solves the textbook game program of a payoff matrix u, maximize
-sum y s.t. u.y <= 1, y >= 0, whose value is 1 / sum y, with the columns sorted
-by ascending sum and the rows by descending sum.  Its tableau has a row per
-row of u, so a tall u (more rows than columns) is solved as the complement
-game top - u^T, the short side as its rows.  It enters the largest
-reduced cost (Dantzig, ties to the smallest index); after `_DEGENERATE_RUN`
-pivots in a row that leave sum y unchanged it enters the smallest improving
-index (Bland) until sum y rises.  Bland cannot cycle and sum y never falls,
-so it terminates, with an exact optimum and dual certificate.
-Its minors have order at most min(m, n) + 1, so 0/1 games of up to 14
-strategies on the smaller side run in int64.
+sum y s.t. u.y <= 1, y >= 0, whose value is 1 / sum y, with the columns
+sorted by ascending sum and the rows by descending sum.  Its tableau has a row
+per row of u, so a tall u (more rows than columns) is solved as the complement
+game top - u^T, the short side as its rows, once a zero column is ruled out.
+It enters the largest reduced cost (Dantzig, ties to the smallest index);
+after `_DEGENERATE_RUN` pivots in a row that leave sum y unchanged it enters
+the smallest improving index (Bland) until sum y rises.  Bland cannot cycle
+and sum y never falls, so it terminates, with an exact optimum and dual
+certificate.  Its minors have order at most min(m, n) + 1, so 0/1 games of up
+to 14 strategies on the smaller side run in int64.
 """
 
 from __future__ import annotations
@@ -27,11 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 _DEGENERATE_RUN = 4
-
-
-def _check_integer(a: np.ndarray) -> None:
-    if not (isinstance(a, np.ndarray) and a.dtype.kind in "biu"):
-        raise ValueError("coefficients must be an integer numpy array")
 
 
 def _dtype(top: int, order: int):
@@ -60,37 +54,40 @@ def security_level_lp(u: np.ndarray) -> tuple[Fraction, list[int], list[int], in
     the textbook program: maximize sum y s.t. u.y <= 1, y >= 0.
 
     `u` is an m x n integer numpy array of nonnegative entries.  A zero column
-    holds every row to 0, so such a game has value 0 and the point masses on
-    row 0 and the first zero column, with no tableau.  Otherwise the value v
-    is positive and the program bounded: v = 1 / sum y, Abelard's mix is
-    y / sum y, and Eloise's is x / sum x for the duals x of the rows, the
-    slack reduced costs, where sum x = sum y.  Columns enter in order of
-    ascending sum and rows sit in order of descending sum (both stable).
-    Returns (v, mu_nums, nu_nums, den) with mu_i = mu_nums[i] / den and
+    holds every row to 0, so such a game, of any shape, has value 0 and the
+    point masses on row 0 and the first zero column, with no tableau and
+    before the orientation is chosen.  Otherwise the value v is positive and
+    the program bounded: v = 1 / sum y, Abelard's mix is y / sum y, and
+    Eloise's is x / sum x for the duals x of the rows, the slack reduced
+    costs, where sum x = sum y.  Columns enter in order of ascending sum and
+    rows sit in order of descending sum (both stable).  Returns
+    (v, mu_nums, nu_nums, den) with mu_i = mu_nums[i] / den and
     nu_j = nu_nums[j] / den in the caller's order.  The mixes share den > 0:
     d * sum y for the final tableau's denominator d, or 1 without a tableau.
 
-    A tall u without a zero column is solved as top - u^T, for `top` its
-    largest entry: Abelard maximizes top minus Eloise's payoff there, so its
-    value is top - v, its row mix is Abelard's and its column mix Eloise's.
-    An all-`top` row of u is a zero column there.
+    A tall u is then solved as top - u^T, for `top` its largest entry:
+    Abelard maximizes top minus Eloise's payoff there, so its value is
+    top - v, its row mix is Abelard's and its column mix Eloise's.  An
+    all-`top` row of u is a zero column there.
     """
-    _check_integer(u)
+    if not (isinstance(u, np.ndarray) and u.dtype.kind in "biu"):
+        raise ValueError("coefficients must be an integer numpy array")
     if u.ndim != 2 or 0 in u.shape or u.min() < 0:
         raise ValueError("this LP form requires a nonempty matrix of nonnegative entries")
     m, n = u.shape
-    if m > n and u.any(axis=0).all():
+    # Summed exactly: a 64-bit total of 64-bit entries could wrap to 0.
+    col_sums = u.sum(axis=0, dtype=np.int64 if u.dtype.itemsize < 8 else object).tolist()
+    if 0 in col_sums:
+        mu, nu = [0] * m, [0] * n
+        mu[0] = nu[col_sums.index(0)] = 1
+        return Fraction(0), mu, nu, 1
+    if m > n:
         top = int(u.max())
         value, nu, mu, den = security_level_lp(top - u.T)
         return top - value, mu, nu, den
     # Past the identity columns every minor of [u | I | 1; 1 | 0 | 0] has
     # order min(m, n) + 1 or less, and every entry is at most max(u).
     u = u.astype(_dtype(int(u.max()), min(m, n) + 1))
-    col_sums = u.sum(axis=0).tolist()
-    if 0 in col_sums:
-        mu, nu = [0] * m, [0] * n
-        mu[0] = nu[col_sums.index(0)] = 1
-        return Fraction(0), mu, nu, 1
     row_sums = u.sum(axis=1).tolist()
     rows = sorted(range(m), key=row_sums.__getitem__, reverse=True)
     cols = sorted(range(n), key=col_sums.__getitem__)

@@ -34,13 +34,11 @@ class GameMatrix:
     """An m x n payoff matrix for the row player, entries in {0, 1}."""
 
     def __init__(self, rows):
-        # Checked without widening: an int64 copy costs eight bytes per cell.
-        narrow = isinstance(rows, np.ndarray) and rows.dtype in (np.uint8, np.bool_)
-        arr = rows if narrow else np.asarray(rows)
+        arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("a game matrix needs at least one row and one column")
         # Only integer or bool entries: a cast would truncate 0.5 to 0 and parse '1'.
-        if arr.dtype.kind not in "biu" or not (arr.max() <= 1 if narrow else np.isin(arr, (0, 1)).all()):
+        if arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1:
             raise ValueError("game matrix entries must be 0 or 1")
         self._a = arr.astype(np.uint8)
         self._a.setflags(write=False)

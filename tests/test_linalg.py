@@ -161,6 +161,13 @@ class TestSecurityLevelLP:
         solve_value(M4_MIXED)  # the spy sees the LP's pivots
         assert seen
 
+    def test_column_sums_do_not_wrap(self):
+        # Column 0 sums to 2^64, which an int64 total reads as a zero column.
+        big = 2**63 - 1
+        matrix = [[big, 1, 1], [big, 1, 1], [2, 1, 1]]
+        assert lp_as_fractions(matrix) == reference_lp(matrix, linalg._DEGENERATE_RUN)
+        assert lp_as_fractions(matrix)[0] == 1
+
     @pytest.mark.parametrize("top", [1, 7, 2**40])
     def test_zero_column_has_value_zero(self, top):
         rng = random.Random(top)

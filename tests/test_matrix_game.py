@@ -47,6 +47,31 @@ class TestGameMatrix:
         good = np.array([[0, 1], [1, 1]], dtype=np.uint8)
         assert GameMatrix(good) == GameMatrix(good.astype(bool)) == GameMatrix([[0, 1], [1, 1]])
 
+    @pytest.mark.parametrize(
+        "rows, accepted",
+        [
+            *((np.array([[0, 1], [1, 1]], dtype=t), True) for t in (bool, np.uint8, np.int8, np.uint16, np.int64)),
+            ([[0, 1], [1, 1]], True),
+            (np.array([[0, -1]], dtype=np.int8), False),
+            (np.array([[0, 2]], dtype=np.uint8), False),
+            (np.array([[0, 256]], dtype=np.uint16), False),
+            (np.array([[0.0, 1.0]]), False),
+            (np.array([["0", "1"]]), False),
+            (np.array([[0, 1]], dtype=object), False),
+        ],
+        ids=lambda case: str(case.dtype) if isinstance(case, np.ndarray) else str(case).lower(),
+    )
+    def test_entry_types(self, rows, accepted):
+        before = np.array(rows)
+        if accepted:
+            assert GameMatrix(rows) == GameMatrix([[0, 1], [1, 1]])
+        else:
+            with pytest.raises(ValueError, match="game matrix entries must be 0 or 1"):
+                GameMatrix(rows)
+        if isinstance(rows, np.ndarray):
+            # Checked in place and copied: the caller's array stays as it was.
+            assert rows.flags.writeable and np.array_equal(rows, before)
+
 
 class TestMixedStrategy:
     def test_probs_round_trip(self, rng):

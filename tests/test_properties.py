@@ -18,14 +18,15 @@ from ifgames.errors import GameBuildError
 from ifgames.formula import Connective, Equals, Quant, Var, Vocabulary, parse, subformulas
 from ifgames.matrix_game import GameMatrix, MixedStrategy, expected_utility, reduce, security_levels
 from ifgames.semantic_game import build_matrix, build_reduced
-from ifgames.structure import Structure
+from ifgames.structure import Structure, load_structure
 from ifgames.value_engine import (
+    detect_trivial,
     solve_game,
     solve_value,
     verify_equilibrium,
 )
 
-from conftest import random_sentence
+from conftest import FIXTURES, random_sentence
 from reference import _reference_matrix, solve_by_support_enumeration
 from test_reduced_form import reduced_on_route
 from test_value_engine import _verify_reference
@@ -111,6 +112,59 @@ def test_reduce_keeps_the_value_and_the_lifted_pair_verifies(u):
         report = solve_game(u)
     assert report.value == value
     assert verify_equilibrium(u, report.eloise, report.abelard)
+
+
+def _report(u: GameMatrix) -> tuple:
+    report = solve_game(u)
+    return report.value, report.method, report.eloise.nums, report.abelard.nums
+
+
+@st.composite
+def irreducible_games(draw):
+    """Shuffled block-diagonal games of identity blocks and, from 3x3 on,
+    complemented ones: within a block no row or column dominates another, and
+    across blocks their supports are disjoint, so `reduce` leaves them whole.
+    Blocks with unequal row sums make a game only the LP solves."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=3))
+    k = sum(j for j, _ in blocks)
+    rows = []
+    for j, complemented in blocks:
+        at, flip = len(rows), complemented and j > 2
+        for i in range(j):
+            row = [0] * k
+            row[at : at + j] = [int((c == i) != flip) for c in range(j)]
+            rows.append(row)
+    return _permuted(GameMatrix(rows), draw(st.permutations(range(k))), draw(st.permutations(range(k))))
+
+
+@FIXED
+@given(games(), irreducible_games())
+def test_reduce_and_lift_of_an_irreducible_game_is_the_direct_solve(drawn, irreducible):
+    # Past the direct limit, a game `reduce` leaves whole takes the same LP on
+    # the same matrix as below it, so the reports agree to the numerator.
+    assert reduce(irreducible)[0] == irreducible
+    for u in (drawn, irreducible):
+        if reduce(u)[0] == u:
+            direct = _report(u)
+            with mock.patch.object(value_engine, "_SOLVE_DIRECTLY_LIMIT", 0):
+                assert _report(u) == direct
+
+
+@FIXED
+@given(games())
+def test_reduce_keeps_a_nontrivial_game_nontrivial(u):
+    # `solve_game` tests triviality on its input alone and relies on this.
+    if detect_trivial(u) is None:
+        assert detect_trivial(reduce(u)[0]) is None
+
+
+def test_the_tall_fixture_reduces_to_a_nontrivial_game():
+    # R is 19683x27: the one fixture past the direct limit that `reduce` shrinks.
+    s = load_structure((FIXTURES / "tall_game.json").read_text())
+    u = build_reduced(s, parse((FIXTURES / "tall_game.formula").read_text(), s.vocabulary())).matrix
+    reduced = reduce(u)[0]
+    assert (u.m, u.n) == (19683, 27) and reduced.m < u.m
+    assert detect_trivial(u) is None and detect_trivial(reduced) is None
 
 
 # ---------------------------------------------------------------------------
