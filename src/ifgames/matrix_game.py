@@ -40,21 +40,20 @@ class GameMatrix:
         # Only integer or bool entries: a cast would truncate 0.5 to 0 and parse '1'.
         if arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1:
             raise ValueError("game matrix entries must be 0 or 1")
-        self._a = arr.astype(np.uint8)
-        self._a.setflags(write=False)
-        self.m, self.n = self._a.shape
-        self._row_sums: list[int] | None = None
-        self._col_sums: list[int] | None = None
+        self._set(arr.astype(np.uint8))
 
     @classmethod
     def _from_array(cls, arr: np.ndarray) -> "GameMatrix":
         self = object.__new__(cls)
-        self._a = arr.astype(np.uint8, copy=False)
-        self._a.setflags(write=False)
-        self.m, self.n = arr.shape
-        self._row_sums = None
-        self._col_sums = None
+        self._set(arr.astype(np.uint8, copy=False))
         return self
+
+    def _set(self, a: np.ndarray) -> None:
+        a.setflags(write=False)
+        self._a = a
+        self.m, self.n = a.shape
+        self._row_sums: list[int] | None = None
+        self._col_sums: list[int] | None = None
 
     @property
     def array(self) -> np.ndarray:

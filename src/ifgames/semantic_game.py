@@ -15,8 +15,8 @@ carries its multiplicity, the number of full strategies in its class, and its
 representative, the full strategy with every unassigned cell at 0, which is
 the smallest full index in the class.  R's rows and columns are ordered by
 representative, so R is the full game restricted to the representatives, and
-every full row and column is a copy of one in R.  `build_reduced` builds R
-directly; `build_matrix` builds R and expands it to the full game.
+every full row and column is a copy of one in R.  `build_reduced` builds R;
+`build_matrix` plays every full pair, apart from R's walker and `_play`.
 
 One walk per player enumerates that player's reduced strategies and scores
 no play.  At an opponent's move whose variable none of the player's later
@@ -274,7 +274,9 @@ class Game:
         assignments than the budget.  Played out instead, the innermost
         quantifier of its longest chain, q deep, would give its owner at
         least size ** size ** (q - 1) >= size ** q strategies, so this never
-        refuses a game that `collapse=False` accepts."""
+        refuses a game that `collapse=False` accepts.  Only then does a
+        quantifier get its body once per element: a refused game allocates
+        nothing per element, however large the universe."""
         n_rows = self.strategy_count(ELOISE, budget)
         n_cols = self.strategy_count(ABELARD, budget)
         check_matrix_size(n_rows, n_cols)
@@ -284,6 +286,8 @@ class Game:
                 f"classical evaluation of a perfect-information subformula would visit "
                 f"{size}^{chain} assignments, over the budget of {shown(budget)}"
             )
+        while self._quantifiers:
+            self._quantifiers.pop().children *= size
         return n_rows, n_cols
 
     # -- the walker ----------------------------------------------------------
@@ -385,16 +389,16 @@ class Game:
         del visit  # a cycle through its closure, as in `_strategies`
         return np.frombuffer(b"".join(out), dtype=np.uint8).reshape(len(out), -1)
 
-    def _grid(self, eloise: ReducedStrategies, abelard: ReducedStrategies) -> np.ndarray:
-        """R's payoffs, all pairs of a block of rows at once: a move reads each
+    def _grid(self, tables: list[np.ndarray]) -> np.ndarray:
+        """The payoffs of Eloise's flat tables `tables[0]` against Abelard's
+        `tables[1]`, all pairs of a block of rows at once: a move reads each
         pair's option off the mover's table, a connective passes each branch
         the mask of pairs that chose it, an end scores those pairs.  R's
         strategies assign every cell they reach, so an unassigned cell, read
         as 0 to stay in range, is read only off the mask."""
         tests = self._compile_ends(arrays=True)
-        tables = [np.maximum(np.array(s.cells, dtype=np.intp), 0) for s in (eloise, abelard)]
-        out = np.zeros((len(eloise.reps), len(abelard.reps)), dtype=np.uint8)
-        picks = [None, np.arange(out.shape[1])[None, :]]  # per side, the pairs' strategies
+        out = np.zeros((len(tables[0]), len(tables[1])), dtype=np.uint8)
+        picks = [None, np.arange(out.shape[1])[None, :]]  # per side, the pairs' tables
 
         def visit(node: _Node, mask: np.ndarray) -> None:
             while node.children:
@@ -427,46 +431,27 @@ class Game:
     def reduced_form(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
         """R, refused exactly when the full game would be: one walk per side
         finds its strategies, then `_play` scores it below _GRID_CELLS cells
-        and `_grid` from there.  A quantifier's move gets its body once per
-        universe element only after the budget check, so a refused game
-        allocates nothing per element, however large the universe."""
+        and `_grid` from there."""
         n_rows, n_cols = self._checked_shape(max_strategies)
-        while self._quantifiers:
-            self._quantifiers.pop().children *= self.structure.size
         eloise, abelard = self._strategies(0, n_rows), self._strategies(1, n_cols)
-        score = self._grid if len(eloise.reps) * len(abelard.reps) >= _GRID_CELLS else self._play
-        return ReducedForm(
-            matrix=GameMatrix._from_array(score(eloise, abelard)),
-            eloise=eloise,
-            abelard=abelard,
-            collapsed_loci=tuple(self.collapsed),
-        )
+        for player, reduced, count in ((ELOISE, eloise, n_rows), (ABELARD, abelard, n_cols)):
+            if reduced.count != count:
+                raise RuntimeError(f"{player}: reduced strategies cover {reduced.count} full ones, not {count}")
+        if len(eloise.reps) * len(abelard.reps) < _GRID_CELLS:
+            payoffs = self._play(eloise, abelard)
+        else:
+            payoffs = self._grid([np.maximum(np.array(s.cells, dtype=np.intp), 0) for s in (eloise, abelard)])
+        return ReducedForm(GameMatrix._from_array(payoffs), eloise, abelard, tuple(self.collapsed))
 
     def build_matrix(self, max_strategies: int = DEFAULT_STRATEGY_BUDGET) -> ReducedForm:
-        """The full strategic game, R expanded: each full row and column is
-        the one of its class."""
-        form = self.reduced_form(max_strategies)
-        rows, cols = self._classes(0, form.eloise), self._classes(1, form.abelard)
-        full = GameMatrix._from_array(form.matrix.array[np.ix_(rows, cols)])
-        return ReducedForm.of_matrix(full, form.collapsed_loci)
-
-    def _classes(self, side: int, reduced: ReducedStrategies) -> np.ndarray:
-        """The reduced strategy of every full strategy, by full index: a
-        class is its representative plus every combination of options at the
-        cells it leaves unassigned."""
-        radices, strides = self._layout[side]
-        cells = np.array(reduced.cells, dtype=np.int64).reshape(len(reduced.cells), len(radices))
-        reps = np.array(reduced.reps, dtype=np.int64)
-        patterns, members_of = np.unique(cells < 0, axis=0, return_inverse=True)
-        out = np.full(reduced.count, -1, dtype=np.intp)
-        for p, unassigned in enumerate(patterns):
-            offsets = np.zeros(1, dtype=np.int64)
-            for q in np.flatnonzero(unassigned).tolist():
-                offsets = (offsets[:, None] + np.arange(radices[q], dtype=np.int64) * strides[q]).ravel()
-            members = np.flatnonzero(members_of.ravel() == p)
-            out[(reps[members, None] + offsets).ravel()] = np.repeat(members, len(offsets))
-        assert out.min() >= 0, "the classes miss a full strategy"
-        return out
+        """The full strategic game, every pair of full strategies played on
+        the grid: a full index's table is its digits in the mixed radix of
+        `_layout`."""
+        tables = []
+        for side, count in enumerate(self._checked_shape(max_strategies)):
+            radices, strides = np.array(self._layout[side], dtype=np.int64)
+            tables.append(np.arange(count, dtype=np.int64)[:, None] // strides % radices)
+        return ReducedForm.of_matrix(GameMatrix._from_array(self._grid(tables)), tuple(self.collapsed))
 
 
 def check_matrix_size(n_rows: int, n_cols: int) -> None:

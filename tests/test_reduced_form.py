@@ -26,7 +26,7 @@ from ifgames.applications import (
 from ifgames.cli import main
 from ifgames.errors import GameBuildError
 from ifgames.formula import Equals, Quant, Var, Vocabulary, format_formula, parse
-from ifgames.matrix_game import reduce
+from ifgames.matrix_game import ReducedStrategies, reduce
 from ifgames.semantic_game import (
     ABELARD,
     ELOISE,
@@ -34,10 +34,10 @@ from ifgames.semantic_game import (
     build_matrix,
     build_reduced,
 )
-from ifgames.structure import Structure, total_function_table
+from ifgames.structure import Structure, load_structure, total_function_table
 from ifgames.value_engine import solve_game
 
-from conftest import random_sentence
+from conftest import FIXTURES, random_sentence
 from reference import _reference_matrix, enumerate_strategies, save_structure
 
 EMPTY = Vocabulary()
@@ -106,7 +106,7 @@ def test_corpus_is_large_enough():
 @pytest.mark.parametrize("index", range(len(PAIRS)))
 def test_reduced_form_matches_full_form(index):
     f, s, collapse, form, full = PAIRS[index]
-    # build_matrix expands R, so it is checked against the walker-free reference first.
+    # build_matrix plays every full pair apart from R's walker; the walker-free reference checks it first.
     assert full.matrix == _reference_matrix(s, f, collapse)
     u = full.matrix.array
     r = form.matrix.array
@@ -253,3 +253,42 @@ def test_a_98_deep_collapsed_chain_runs_on_the_grid():
     form, grid = reduced_on_route(Structure(size=1), f, grid_cells=1)
     assert grid and form.matrix.array.tolist() == [[1]]
     assert build_reduced(Structure(size=1), f).matrix == form.matrix
+
+
+# ---------------------------------------------------------------------------
+# The full form is played apart from R
+
+
+@pytest.mark.parametrize(
+    "game, collapse, shape",
+    [
+        ((hashing_sentence(hash_structure(3, 2)[1]), hash_structure(3, 2)[0]), True, (8, 15625)),
+        ((parse("Ax Ey x = y", EMPTY), load_structure((FIXTURES / "cyclic3.json").read_text())), False, (27, 3)),
+    ],
+    ids=["hashing-3-2", "cyclic3-no-collapse"],
+)
+def test_build_matrix_uses_neither_the_walker_nor_play(game, collapse, shape):
+    """The full form checks R only if it shares none of R's code."""
+    f, s = game
+    with mock.patch.object(Game, "_strategies", side_effect=AssertionError("R's walker")), mock.patch.object(
+        Game, "_play", side_effect=AssertionError("R's scorer")
+    ):
+        full = build_matrix(s, f, collapse=collapse)
+    assert (full.matrix.m, full.matrix.n) == shape
+    assert full.matrix == _reference_matrix(s, f, collapse)
+
+
+def test_a_walk_that_misses_a_full_strategy_is_refused():
+    """R's multiplicities must cover the full counts: a walker that drops
+    its last strategy raises rather than give a short form."""
+    walk = Game._strategies
+
+    def short(game, side, count):
+        found = walk(game, side, count)
+        return ReducedStrategies(found.cells[:-1], found.reps[:-1], found.weights[:-1])
+
+    f, s = matching_pennies(3)
+    with mock.patch.object(Game, "_strategies", short), pytest.raises(
+        RuntimeError, match="^eloise: reduced strategies cover 2 full ones, not 3$"
+    ):
+        build_reduced(s, f)
