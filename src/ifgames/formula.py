@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import ParseError
 
@@ -442,13 +442,17 @@ def _wrap(f: Formula, allow_and: bool) -> str:
 
 
 def validate(f: Formula, vocab: Vocabulary) -> list[Violation]:
-    """All invariant violations of `f` as a sentence over `vocab`; [] iff well formed."""
+    """All invariant violations of `f` as a sentence over `vocab`, found in
+    one walk; [] iff well formed.  A connective is a move, so one of fewer
+    than two branches is refused."""
     out: list[Violation] = []
-    _validate(f, vocab, {}, out)
+    _validate(f, vocab, {}, out, set())
     return out
 
 
-def _validate(f: Formula, vocab: Vocabulary, env: dict[str, str], out: list[Violation]) -> None:
+def _validate(f: Formula, vocab: Vocabulary, env: dict[str, str], out: list[Violation], slashed: set[str]) -> None:
+    """Append the violations of `f` to `out` and the names its slash sets
+    mention to `slashed`."""
     if isinstance(f, Quant):
         for name in f.slash:
             if name not in env:
@@ -458,30 +462,28 @@ def _validate(f: Formula, vocab: Vocabulary, env: dict[str, str], out: list[Viol
                         f"slash set of {f.kind} {f.var} mentions {name!r}, which is not in scope",
                     )
                 )
-        _validate(f.body, vocab, {**env, f.var: "var"}, out)
+        slashed |= f.slash
+        _validate(f.body, vocab, {**env, f.var: "var"}, out, slashed)
         return
     if isinstance(f, Connective):
-        inner = env
-        if f.choice_var is not None:
-            if f.choice_var in env:
-                out.append(
-                    Violation(
-                        "shadowed-choice-var",
-                        f"choice variable {f.choice_var!r} shadows a bound identifier",
-                    )
+        cv, inner, below = f.choice_var, env, slashed
+        if cv is not None:
+            if cv in env:
+                out.append(Violation("shadowed-choice-var", f"choice variable {cv!r} shadows a bound identifier"))
+            inner, below = {**env, cv: "choice"}, set()
+        unused_at = len(out)  # reported before the branches' violations, once they are walked
+        if len(f.branches) < 2:
+            what = f"{f.kind!r} connective" if cv is None else "choice disjunction"
+            out.append(Violation("degenerate-connective", f"{what} with fewer than 2 branches"))
+        for branch in f.branches:
+            _validate(branch, vocab, inner, out, below)
+        if cv is not None:
+            if cv not in below:
+                out.insert(
+                    unused_at,
+                    Violation("unused-choice-var", f"choice variable {cv!r} is not mentioned in any slash set"),
                 )
-            inner = {**env, f.choice_var: "choice"}
-            if not _slash_mentions(f.branches, f.choice_var):
-                out.append(
-                    Violation(
-                        "unused-choice-var",
-                        f"choice variable {f.choice_var!r} is not mentioned in any slash set",
-                    )
-                )
-        if len(f.branches) < 2 and f.choice_var is not None:
-            out.append(Violation("degenerate-choice", "choice disjunction with fewer than 2 branches"))
-        for b in f.branches:
-            _validate(b, vocab, inner, out)
+            slashed |= below
         return
     if isinstance(f, Atom):
         arity = vocab.relations.get(f.rel, -1)
@@ -529,17 +531,6 @@ def _validate_term(t: Term, vocab: Vocabulary, env: dict[str, str], out: list[Vi
             _validate_term(a, vocab, env, out)
         return
     out.append(Violation("bad-node", f"not a term node: {t!r}"))
-
-
-def _slash_mentions(fs: Iterable[Formula], name: str) -> bool:
-    for f in fs:
-        if isinstance(f, Quant):
-            if name in f.slash or _slash_mentions([f.body], name):
-                return True
-        elif isinstance(f, Connective):
-            if _slash_mentions(f.branches, name):
-                return True
-    return False
 
 
 def subformulas(f: Formula):

@@ -33,8 +33,9 @@ quantifier occurrences across those branches share a single decision point and
 hence a single choice table.  That sharing is what keeps the branch index
 genuinely hidden downstream.
 
-With `collapse=True`, a play ends at every quantifier, and every connective
-of two or more branches, whose subtree has no slashed quantifier, and that
+The builders take validated sentences only, so every connective is a move
+of two or more options.  With `collapse=True`, a play ends at every
+quantifier and connective whose subtree has no slashed quantifier, and that
 subformula is evaluated classically (Tarski) on the assignment so far.  Inside
 it both players see every value bound before them, so it is a determined
 perfect-information game whose winner is its classical truth value: each
@@ -180,8 +181,6 @@ class Game:
             self._quantifiers.append(self._move(idx, slots, len(bound), (body,)))
             return self._quantifiers[-1]
         if isinstance(node, Connective):
-            if len(node.branches) == 1:
-                return self._compile(node.branches[0], stack + ((0, None),), bound)
             idx = self._register(tuple(i for i, _ in stack), stack, _owner_of(node), bound, len(node.branches))
             inner = bound
             if node.choice_var is not None:
@@ -463,11 +462,12 @@ def check_matrix_size(n_rows: int, n_cols: int) -> None:
 
 
 def _collapsible(f: Formula) -> dict[int, int]:
-    """The ids of the quantifiers and the connectives of two or more
-    branches in `f` whose subtree has no quantifier with a nonempty slash
-    set, each with its subtree's longest chain of nested quantifiers, found
-    in one pass that refuses a quantifier rebinding a quantifier or choice
-    variable above it, whether the quantifier is played or collapsed."""
+    """The ids of the quantifiers and the connectives in `f` whose subtree
+    has no quantifier with a nonempty slash set, each with its subtree's
+    longest chain of nested quantifiers, found in one pass that refuses a
+    quantifier rebinding a quantifier or choice variable above it, whether
+    the quantifier is played or collapsed.  `f` is validated, so every
+    connective is a move of two or more options."""
     found: dict[int, int] = {}
 
     def chain(node, names: tuple[str, ...]) -> int | None:  # None with a slash below
@@ -480,9 +480,7 @@ def _collapsible(f: Formula) -> dict[int, int]:
             if node.choice_var is not None:
                 names += (node.choice_var,)
             below = [chain(branch, names) for branch in node.branches]  # visit every branch
-            longest = None if None in below else max(below, default=0)
-            if len(node.branches) < 2:
-                return longest  # a lone branch is no move
+            longest = None if None in below else max(below)
         else:
             return 0
         if longest is not None:

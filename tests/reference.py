@@ -154,8 +154,6 @@ def _reference_player(plan):
                 a[node.var] = lookup(path, a)
                 return walk(node.body, path + (0,), a)
             if isinstance(node, Connective):
-                if len(node.branches) == 1:
-                    return walk(node.branches[0], path + (0,), a)
                 option = lookup(path, a)
                 if node.choice_var is not None:
                     a[node.choice_var] = option
@@ -183,9 +181,6 @@ def _points_by_path(formula, collapsed) -> dict:
             point_of[path] = index.setdefault(canon, len(index))
             visit(node.body, path + (0,), steps + ((0, None),))
         elif isinstance(node, Connective):
-            if len(node.branches) == 1:
-                visit(node.branches[0], path + (0,), steps + ((0, None),))
-                return
             point_of[path] = index.setdefault(tuple(b for b, _ in steps), len(index))
             for b, branch in enumerate(node.branches):
                 visit(branch, path + (b,), steps + ((b, node.choice_var),))

@@ -218,6 +218,48 @@ class TestExitCodes:
         code, _ = run_cli("value", "--structure", str(structure), "--formula", "Ax x = x")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (
+                ("--formula", "Ax \\/_x{(Ay/x) y = y, (Ay/x) y = y}"),
+                EXIT_PARSE,
+                "parse error: choice variable 'x' shadows a bound identifier (at position 3)",
+            ),
+            (
+                ("--formula", "\\/_i{(Ax/i) x = x}"),
+                EXIT_PARSE,
+                "parse error: a choice disjunction needs at least two branches (at position 0)",
+            ),
+            (
+                ("--formula", "Ax add(x) = x"),
+                EXIT_PARSE,
+                "parse error: function 'add' expects 2 arguments, got 1 (at position 3)",
+            ),
+            (
+                ("--formula", "\\/_i{\\/_j{Ax x = x, Ax x = x}, Ax x = x}"),
+                EXIT_VALIDATION,
+                "validation error: sentence is not well formed over this structure: "
+                "[unused-choice-var] choice variable 'i' is not mentioned in any slash set; "
+                "[unused-choice-var] choice variable 'j' is not mentioned in any slash set",
+            ),
+            ((), EXIT_USAGE, "usage error: provide exactly one of --formula / --formula-file"),
+            (
+                ("--formula", "Ax x = x", "--formula-file", str(FIXTURES / "tall_game.formula")),
+                EXIT_USAGE,
+                "usage error: provide exactly one of --formula / --formula-file",
+            ),
+        ],
+        ids=["shadowing-choice", "lone-choice-branch", "function-arity", "unused-choice-vars", "no-formula",
+             "both-formulas"],
+    )
+    def test_sentence_refusals(self, argv, code, err):
+        assert run_cli_stderr("value", "--structure", str(FIXTURES / "cyclic3.json"), *argv) == (code, err + "\n")
+
+    def test_formula_without_structure(self):
+        refusal = (EXIT_USAGE, "usage error: --formula needs --structure\n")
+        assert run_cli_stderr("value", "--formula", "Ax x = x") == refusal
+
     def test_budget_below_one_is_usage_error(self):
         sentence = ("--structure", str(FIXTURES / "cyclic3.json"), "--formula", "Ax x = x")
         matrix = ("--matrix", str(FIXTURES / "m5x6_b.txt"))

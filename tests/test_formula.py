@@ -305,6 +305,55 @@ class TestValidate:
         )
         assert "choice-var-in-term" in [v.code for v in validate(f, TEST_VOCAB)]
 
+    @pytest.mark.parametrize(
+        "f, violations",
+        [
+            (  # one choice disjunction breaking four rules: the choice's own first, then its branch's
+                Quant("forall", "x", frozenset(), Connective("or", "x", (Equals(Var("z"), Var("z")),))),
+                [
+                    ("shadowed-choice-var", "choice variable 'x' shadows a bound identifier"),
+                    ("unused-choice-var", "choice variable 'x' is not mentioned in any slash set"),
+                    ("degenerate-connective", "choice disjunction with fewer than 2 branches"),
+                    ("unbound-variable", "variable 'z' is not bound"),
+                    ("unbound-variable", "variable 'z' is not bound"),
+                ],
+            ),
+            (  # `i` is slashed only inside a nested conjunction, which counts as used
+                Connective(
+                    "or",
+                    "i",
+                    (
+                        Connective(
+                            "and",
+                            None,
+                            (Atom("R", (App("c"),)), Quant("exists", "y", frozenset({"i"}), Atom("R", (Var("y"),)))),
+                        ),
+                        Atom("R", (App("c"),)),
+                    ),
+                ),
+                [],
+            ),
+            (
+                Connective("or", "i", (Quant("forall", "x", frozenset({"i"}), Atom("R", (Var("x"),))),)),
+                [("degenerate-connective", "choice disjunction with fewer than 2 branches")],
+            ),
+            (Connective("and", None, ()), [("degenerate-connective", "'and' connective with fewer than 2 branches")]),
+            (
+                Connective("or", None, (Atom("R", (App("c"),)),)),
+                [("degenerate-connective", "'or' connective with fewer than 2 branches")],
+            ),
+            (
+                Quant("forall", "x", frozenset(), Connective("and", None, (Atom("R", (Var("x"),)), Var("x")))),
+                [("bad-node", "not a formula node: Var(name='x')")],
+            ),
+            (Atom("R", (Atom("R", ()),)), [("bad-node", "not a term node: Atom(rel='R', args=(), negated=False)")]),
+        ],
+        ids=["four-rules-in-order", "used-in-nested-connective", "lone-choice-branch", "empty-and", "lone-or-branch",
+             "bad-formula-node", "bad-term-node"],
+    )
+    def test_one_walk(self, f, violations):
+        assert [(v.code, v.message) for v in validate(f, TEST_VOCAB)] == violations
+
     def test_random_corpus_is_valid(self):
         rng = random.Random(131)
         for _ in range(300):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ifgames import value_engine
 from ifgames.applications import matching_pennies
-from ifgames.errors import GameBuildError
+from ifgames.errors import GameBuildError, IfGamesError
 from ifgames.formula import Connective, Equals, Quant, Var, Vocabulary, parse, subformulas
 from ifgames.matrix_game import GameMatrix, MixedStrategy, expected_utility, reduce, security_levels
 from ifgames.semantic_game import build_matrix, build_reduced
@@ -300,6 +300,45 @@ def test_grid_route_gives_the_walks_reduced_form(f, s):
         assert gridded.matrix == walked.matrix
         for got, want in ((gridded.eloise, walked.eloise), (gridded.abelard, walked.abelard)):
             assert (got.cells, got.reps, got.weights) == (want.cells, want.reps, want.weights)
+
+
+def _any_sentence(rng, depth: int, bound=(), scope=()):
+    """A programmatic AST, well formed or not: quantifiers over x, y and z
+    with random slash sets, and plain and choice connectives of 0 to 3
+    branches.  Terms read mostly the variables in `bound`, and slash sets
+    name mostly the identifiers in `scope`."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        terms = [Var(rng.choice(bound or "xyz")) for _ in range(2)]
+        return Equals(*terms, negated=rng.random() < 0.5)
+    if roll < 0.6:
+        var = rng.choice("xyz")
+        slash = {n for n in scope if rng.random() < 0.4}
+        if rng.random() < 0.1:
+            slash.add(rng.choice("xyzij"))  # maybe a name out of scope
+        body = _any_sentence(rng, depth - 1, bound + (var,), scope + (var,))
+        return Quant(rng.choice(("forall", "exists")), var, slash, body)
+    kind = rng.choice(("and", "or"))
+    cv = rng.choice("ij") if kind == "or" and rng.random() < 0.5 else None
+    inner = scope if cv is None else scope + (cv,)
+    return Connective(kind, cv, tuple(_any_sentence(rng, depth - 1, bound, inner) for _ in range(rng.randint(0, 3))))
+
+
+@settings(FIXED, max_examples=300)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), structures())
+def test_builders_refuse_or_return_a_solvable_game_on_any_ast(rng, depth, s):
+    """Every build, of R or of the full form, with and without collapse,
+    raises an IfGamesError or gives a game of at least 1 x 1 whose report
+    certifies: no builder is handed a connective that is no move."""
+    f = _any_sentence(rng, depth)
+    for build, collapse in product((build_reduced, build_matrix), (True, False)):
+        try:
+            u = build(s, f, collapse=collapse, max_strategies=64).matrix
+        except IfGamesError:
+            continue
+        assert u.m >= 1 and u.n >= 1
+        report = solve_game(u)
+        assert verify_equilibrium(u, report.eloise, report.abelard)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -163,7 +163,7 @@ def _formulas(terms):
         connectives = st.builds(
             lambda kind, branches: Connective(kind, None, tuple(branches)),
             st.sampled_from(["and", "or"]),
-            st.lists(inner, min_size=1, max_size=4),
+            st.lists(inner, min_size=0, max_size=4),
         )
         quantifiers = st.builds(
             lambda kind, var, body: Quant(kind, var, frozenset(), body),
@@ -184,7 +184,7 @@ def _quantifier_depth(f) -> int:
     if isinstance(f, Quant):
         return 1 + _quantifier_depth(f.body)
     if isinstance(f, Connective):
-        return max(map(_quantifier_depth, f.branches))
+        return max(map(_quantifier_depth, f.branches), default=0)
     return 0
 
 
@@ -246,6 +246,24 @@ class TestCompiledEvaluator:
     @given(structures(), _formulas(GROUND_TERMS))
     def test_ground_formulas_read_no_value(self, s, f):
         assert compile_qf(s, f, {})([]) is _naive_eval(s, {}, f)
+
+    @pytest.mark.parametrize("arrays", [False, True])
+    def test_connectives_of_fewer_than_two_branches_evaluate_classically(self, arrays):
+        """`validate` refuses them in sentences, but the evaluator keeps
+        them: an empty disjunction is false, an empty conjunction true, and
+        one branch is that branch."""
+        s = Structure(size=2, relations={"R": frozenset({(1,)})})
+        r = Atom("R", (Var("x"),))
+        cases = [
+            (Connective("or", None, ()), [False, False]),
+            (Connective("and", None, ()), [True, True]),
+            (Connective("or", None, (r,)), [False, True]),
+            (Connective("and", None, (r,)), [False, True]),
+        ]
+        for f, want in cases:
+            test = compile_qf(s, f, {"x": 0}, arrays)
+            got = test([np.arange(2)]).tolist() if arrays else [test([x]) for x in range(2)]
+            assert got == want, f
 
     def test_errors_are_raised_at_compile_time(self):
         s = Structure(size=2, relations={"R": frozenset({(0,)})}, functions={"c": {(): 1}})
@@ -315,6 +333,20 @@ class TestFileFormat:
         assert s.relations["R"] is relation and s.functions["f"] is table
         t = Structure(size=2, relations={"R": [[0], [1]]}, functions={"f": [((0,), 1), ((1,), 0)]})
         assert t == s and type(t.relations["R"]) is frozenset and type(t.functions["f"]) is dict
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Structure(size=0), "universe size must be positive, got 0"),
+            (lambda: Structure(size=2, relations={"R": [(0,), (0, 1)]}), "relation 'R' mixes tuple lengths [1, 2]"),
+            (lambda: Structure(size=2, functions={"f": {(0,): 0, (0, 1): 1}}), "function 'f' needs rows of one arity"),
+            (lambda: load_structure("[2]"), "top level must be an object"),
+        ],
+        ids=["size-0", "mixed-tuple-lengths", "mixed-row-arities", "top-level-not-object"],
+    )
+    def test_refusals(self, make, message):
+        with pytest.raises(StructureFormatError, match=re.escape(message)):
+            make()
 
     def test_malformed_json(self):
         with pytest.raises(StructureFormatError, match="JSON"):
